@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .policies import Policy, step
 from .search_space import LocalSearchMdp, Move, ResourceLimitError
 
 EXHAUSTIVE_SWEEP_CAP = 20  # exact sweeps enumerate all 2**n states
+_SWEEP_CHUNK = 1 << 12     # states per move-gain table: memory O(chunk * (d + horizon))
 
 DEFAULT_HORIZON = 200
 DEFAULT_TAIL_TOLERANCE = 1e-9
@@ -86,8 +89,11 @@ def count_fractions(mdp: LocalSearchMdp, state: int, t: int | None = None) -> Co
     total = len(part.improving) + len(part.non_improving)
     if total == 0:
         raise UndefinedCoefficientError(f"state {state} has no moves")
-    return CountFractions(Fraction(len(part.non_improving), total),
-                          Fraction(len(part.improving), total))
+    return _fractions(len(part.improving), total)
+
+
+def _fractions(improving: int, total: int) -> CountFractions:
+    return CountFractions(Fraction(total - improving, total), Fraction(improving, total))
 
 
 def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = None) -> float:
@@ -97,11 +103,15 @@ def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = Non
     including the doubly-empty case) and +inf when every neighbor improves.
     """
     part = partition_moves(mdp, state)
-    if not part.improving:
+    return _gamma(len(part.improving), len(part.non_improving))
+
+
+def _gamma(improving: int, non_improving: int) -> float:
+    if not improving:
         return 0.0
-    if not part.non_improving:
+    if not non_improving:
         return math.inf
-    return len(part.improving) / len(part.non_improving)
+    return improving / non_improving
 
 
 @dataclass(frozen=True)
@@ -130,23 +140,42 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     return ConvergenceTrace(tuple(states), values, first_zero)
 
 
+def _masses(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int):
+    """(exploration, exploitation) move mass of every row of a move-gain
+    table at time t; the policy's stay mass is in neither."""
+    p = policy.move_probabilities(gain, t, reached)
+    improving = gain > 0
+    return np.where(improving, 0.0, p).sum(axis=-1), np.where(improving, p, 0.0).sum(axis=-1)
+
+
+def _ratios(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int) -> np.ndarray:
+    """Exploration mass / exploitation mass of every row, extended-real."""
+    explore, exploit = _masses(policy, gain, reached, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = explore / exploit
+    return np.where(exploit > 0.0, ratio, np.where(explore > 0.0, math.inf, 0.0))
+
+
+def _balance_terms(policy: Policy, gain: np.ndarray, reached: np.ndarray,
+                   horizon: int) -> np.ndarray:
+    """[rows, horizon] exploration ratios at t = 0..horizon-1."""
+    if policy.stationary:
+        return np.repeat(_ratios(policy, gain, reached, 0)[:, None], horizon, axis=1)
+    return np.stack([_ratios(policy, gain, reached, t) for t in range(horizon)], axis=1)
+
+
 def exploration_masses(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> tuple[float, float]:
     """(exploration, exploitation) move mass of the policy at (state, t);
     stay mass is excluded from both."""
-    dist = policy.action_distribution(mdp, state, t)
-    current = mdp.value(state)
-    explore, exploit = [], []
-    for move, p in dist.entries:
-        (explore if mdp.value(move.dst) <= current else exploit).append(p)
-    return math.fsum(explore), math.fsum(exploit)
+    _, gain, reached = mdp.move_gains([state])
+    explore, exploit = _masses(policy, gain, reached, t)
+    return float(explore[0]), float(exploit[0])
 
 
 def exploration_ratio(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> float:
     """Exploration mass / exploitation mass at (state, t), extended-real."""
-    explore, exploit = exploration_masses(policy, mdp, state, t)
-    if exploit > 0.0:
-        return explore / exploit
-    return math.inf if explore > 0.0 else 0.0
+    _, gain, reached = mdp.move_gains([state])
+    return float(_ratios(policy, gain, reached, t)[0])
 
 
 @dataclass(frozen=True)
@@ -188,15 +217,17 @@ def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
     * ``diverging``    the trailing moving average of the terms never falls;
     * ``inconclusive`` anything else — never silently classified.
     """
+    _check_series(horizon, tail_tolerance)
+    _, gain, reached = mdp.move_gains([state])
+    return _judge_series(_balance_terms(policy, gain, reached, horizon)[0].tolist(),
+                         tail_tolerance)
+
+
+def _check_series(horizon: int, tail_tolerance: float) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not tail_tolerance > 0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tolerance!r}")
-    if policy.stationary:
-        terms = [exploration_ratio(policy, mdp, state, 0)] * horizon
-    else:
-        terms = [exploration_ratio(policy, mdp, state, t) for t in range(horizon)]
-    return _judge_series(terms, tail_tolerance)
 
 
 def _judge_series(terms: list[float], tail_tolerance: float) -> BalanceSeries:
@@ -315,21 +346,36 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     no improving move exists, so the per-step ratio is +inf) are reported but
     excluded from the orientation; if every swept state is degenerate the
     policy explores by construction and is classified exploration-oriented.
+
+    States are swept through move-gain tables of `_SWEEP_CHUNK` states, so
+    memory is O(chunk * (moves + horizon)) however many states are swept.
     """
     if states is None:
         if mdp.n > EXHAUSTIVE_SWEEP_CAP:
             raise ResourceLimitError(
                 f"exhaustive sweep is capped at n <= {EXHAUSTIVE_SWEEP_CAP} "
                 f"(got n={mdp.n}); pass an explicit state sample")
-        states = range(mdp.num_states)
-    state_list = list(states)
+        state_list = list(range(mdp.num_states))
+    else:
+        state_list = list(states)
+        for i in state_list:
+            mdp.check_state(i)
     if not state_list:
         raise ValueError("empty state sample")
+    _check_series(horizon, tail_tolerance)
     fractions, convergence, series = {}, {}, {}
-    for i in state_list:
-        fractions[i] = count_fractions(mdp, i)
-        convergence[i] = convergence_coefficient(mdp, i)
-        series[i] = balance_series(policy, mdp, i, horizon, tail_tolerance)
+    for lo in range(0, len(state_list), _SWEEP_CHUNK):
+        chunk = state_list[lo:lo + _SWEEP_CHUNK]
+        _, gain, reached = mdp.move_gains(chunk)
+        moves = gain.shape[1]
+        if moves == 0:
+            raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
+        improving = np.count_nonzero(gain > 0, axis=1).tolist()
+        terms = _balance_terms(policy, gain, reached, horizon)
+        for i, up, row in zip(chunk, improving, terms.tolist()):
+            fractions[i] = _fractions(up, moves)
+            convergence[i] = _gamma(up, moves - up)
+            series[i] = _judge_series(row, tail_tolerance)
     degenerate = [i for i in state_list if series[i].verdict == DEGENERATE]
     inconclusive = [i for i in state_list if series[i].verdict == INCONCLUSIVE]
     converged_limits = [s.limit for s in series.values() if s.verdict == CONVERGED]

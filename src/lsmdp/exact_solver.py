@@ -1,7 +1,7 @@
 """Dense ground-truth machinery for small instances.
 
 Frozen per-time transition matrices and reward vectors of a policy, policy
-evaluation (stationary fixed point and exact finite-horizon accumulation),
+evaluation (stationary fixed point and exact finite-horizon backward induction),
 optimal values by value iteration, and an exhaustive trajectory-expansion
 oracle that is independent of the matrix path.
 """
@@ -40,20 +40,16 @@ class PolicyMatrices:
 
 
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
+    """The policy's kernel applied to the move-gain table of every state."""
     _check_dense(mdp.n)
     size = mdp.num_states
+    states = np.arange(size)
+    nbr, gain, reached = mdp.move_gains(states)
+    p = policy.move_probabilities(gain, t, reached)
     P = np.zeros((size, size))
-    r = np.zeros(size)
-    for i in range(size):
-        dist = policy.action_distribution(mdp, i, t)
-        P[i, i] += dist.stay_probability
-        current = mdp.value(i)
-        gain = 0.0
-        for move, p in dist.entries:
-            P[i, move.dst] += p
-            gain += p * (mdp.value(move.dst) - current)
-        r[i] = gain
-    return PolicyMatrices(P=P, r=r, t=t)
+    P[states[:, None], nbr] = p
+    P[states, states] = np.maximum(0.0, 1.0 - p.sum(axis=1))
+    return PolicyMatrices(P=P, r=(p * gain).sum(axis=1), t=t)
 
 
 @dataclass
@@ -121,23 +117,19 @@ def evaluate_stationary(matrices: PolicyMatrices, discount: float) -> ValueVecto
 
 def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
                            discount: float) -> ValueVector:
-    """Exact finite-horizon value by forward accumulation: the policy is
-    frozen at each t = 0..horizon-1 and discounted rewards are pushed through
-    the product of the earlier transition matrices."""
+    """Exact finite-horizon value by backward induction (Puterman 1994,
+    ch. 4): with the policy frozen at each t, v_t = r_t + discount * P_t v_{t+1}
+    from v_horizon = 0 down to t = 0."""
     _check_dense(mdp.n)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not 0.0 <= discount <= 1.0:
         raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
-    size = mdp.num_states
-    v = np.zeros(size)
-    occupancy = np.eye(size)
+    v = np.zeros(mdp.num_states)
     frozen = freeze(policy, mdp, 0) if policy.stationary else None
-    for t in range(horizon):
+    for t in reversed(range(horizon)):
         matrices = frozen if frozen is not None else freeze(policy, mdp, t)
-        v += (discount ** t) * (occupancy @ matrices.r)
-        if t + 1 < horizon:
-            occupancy = occupancy @ matrices.P
+        v = matrices.r + discount * (matrices.P @ v)
     return ValueVector(v=v, discount=discount, method="policy_eval_finite", horizon=horizon)
 
 

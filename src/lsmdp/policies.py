@@ -3,6 +3,8 @@ fixed-temperature Metropolis.
 
 Each policy maps (space, state, time) to an explicit distribution over moves
 plus a stay-in-place mass; rejected proposals and absorbed states self-loop.
+The rule itself is one acceptance kernel per policy over arrays of move
+gains, shared by the per-state distribution and the exact analyses.
 Policies are immutable and hold no RNG state; sampling goes through `step`
 with a caller-owned generator.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .objectives import _descriptor_params, _float_param
 from .search_space import LocalSearchMdp, Move
@@ -36,9 +40,20 @@ def _check_time(t: int) -> None:
 
 
 class Policy:
-    """Interface: a stationary flag plus a per-(state, time) move distribution."""
+    """Interface: a stationary flag plus a per-(state, time) move distribution.
+
+    Each policy states its rule once, as the acceptance kernel
+    `move_probabilities`; `action_distribution` applies it to one state and
+    the exact analyses apply it to a whole move-gain table at once.
+    """
 
     stationary: bool = True
+
+    def move_probabilities(self, gain: np.ndarray, t: int, reached: np.ndarray) -> np.ndarray:
+        """Probability of each move at time t, over the last axis of `gain`
+        (the move gains) and `reached` (the objective values the moves reach);
+        the rest of each row's mass stays in place."""
+        raise NotImplementedError
 
     def action_distribution(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> ActionDistribution:
         raise NotImplementedError
@@ -56,6 +71,20 @@ class Policy:
         return f"{type(self).__name__}<{self.descriptor}>"
 
 
+def _gain_distribution(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> ActionDistribution:
+    """The policy's kernel applied to the moves out of one state."""
+    nbrs = mdp.neighbors(state)
+    current = mdp.value(state)
+    reached = np.array([mdp.value(j) for j in nbrs])
+    return _distribution(state, nbrs, policy.move_probabilities(reached - current, t, reached))
+
+
+def _distribution(state: int, nbrs: tuple[int, ...], probabilities: np.ndarray) -> ActionDistribution:
+    probs = probabilities.tolist()
+    entries = tuple((Move(state, j), p) for j, p in zip(nbrs, probs) if p > 0.0)
+    return ActionDistribution(entries, max(0.0, 1.0 - math.fsum(probs)))
+
+
 class HillClimbing(Policy):
     """Uniform choice among the best neighbors.
 
@@ -69,15 +98,18 @@ class HillClimbing(Policy):
             raise ValueError(f"unknown hill-climbing variant {variant!r}")
         self.variant = variant
 
-    def action_distribution(self, mdp, state, t=0):
+    def move_probabilities(self, gain, t, reached):
         _check_time(t)
-        nbrs = mdp.neighbors(state)
-        best = max(mdp.value(j) for j in nbrs)
-        if self.variant == "strict" and best <= mdp.value(state):
-            return ActionDistribution((), 1.0)
-        chosen = [j for j in nbrs if mdp.value(j) == best]
-        p = 1.0 / len(chosen)
-        return ActionDistribution(tuple((Move(state, j), p) for j in chosen), 0.0)
+        # Ties come from the reached values, because distinct values can round
+        # to equal gains; the sign of a gain is exact, so the strict test may
+        # read gains.
+        chosen = reached == reached.max(axis=-1, keepdims=True)
+        if self.variant == "strict":
+            chosen &= gain.max(axis=-1, keepdims=True) > 0
+        return chosen / np.maximum(chosen.sum(axis=-1, keepdims=True), 1)
+
+    def action_distribution(self, mdp, state, t=0):
+        return _gain_distribution(self, mdp, state, t)
 
     def is_terminal(self, mdp, state, t=0):
         _check_time(t)
@@ -90,26 +122,16 @@ class HillClimbing(Policy):
         return "hc" if self.variant == "strict" else "hc:literal"
 
 
-def _metropolis_distribution(mdp, state, temperature):
+def _metropolis_probabilities(gain: np.ndarray, temperature: float) -> np.ndarray:
     """Uniform proposal over all neighbors; improving moves always accepted,
-    others kept with probability exp(gain/temperature).  A temperature that
-    has underflowed to exactly 0 accepts improving moves only."""
-    nbrs = mdp.neighbors(state)
-    base = 1.0 / len(nbrs)
-    current = mdp.value(state)
-    entries = []
-    for j in nbrs:
-        gain = mdp.value(j) - current
-        if gain > 0:
-            accept = 1.0
-        elif temperature == 0.0:
-            accept = 0.0
-        else:
-            accept = math.exp(gain / temperature)
-        if accept > 0.0:
-            entries.append((Move(state, j), base * accept))
-    stay = max(0.0, 1.0 - math.fsum(p for _, p in entries))
-    return ActionDistribution(tuple(entries), stay)
+    others kept with probability exp(gain/temperature).  A temperature of
+    exactly 0 (cooling rate 0, or underflow) accepts improving moves only; it
+    is handled apart because the division would give 0/0 = NaN at gain 0."""
+    if temperature == 0.0:
+        accept = (gain > 0).astype(float)
+    else:
+        accept = np.exp(np.minimum(gain, 0.0) / temperature)  # exactly 1 where gain > 0
+    return (1.0 / gain.shape[-1]) * accept
 
 
 class SimulatedAnnealing(Policy):
@@ -134,8 +156,11 @@ class SimulatedAnnealing(Policy):
         _check_time(t)
         return self.t0 * self.cooling_rate ** t
 
+    def move_probabilities(self, gain, t, reached):
+        return _metropolis_probabilities(gain, self.temperature(t))
+
     def action_distribution(self, mdp, state, t=0):
-        return _metropolis_distribution(mdp, state, self.temperature(t))
+        return _gain_distribution(self, mdp, state, t)
 
     @property
     def descriptor(self):
@@ -150,9 +175,12 @@ class Metropolis(Policy):
             raise ValueError(f"temperature must be positive, got {temperature!r}")
         self.fixed_temperature = float(temperature)
 
-    def action_distribution(self, mdp, state, t=0):
+    def move_probabilities(self, gain, t, reached):
         _check_time(t)
-        return _metropolis_distribution(mdp, state, self.fixed_temperature)
+        return _metropolis_probabilities(gain, self.fixed_temperature)
+
+    def action_distribution(self, mdp, state, t=0):
+        return _gain_distribution(self, mdp, state, t)
 
     @property
     def descriptor(self):
@@ -162,11 +190,16 @@ class Metropolis(Policy):
 class RandomWalk(Policy):
     """Uniform over all neighbors; never stays."""
 
-    def action_distribution(self, mdp, state, t=0):
+    def move_probabilities(self, gain, t, reached):
         _check_time(t)
+        return np.full(gain.shape, 1.0 / gain.shape[-1])
+
+    def action_distribution(self, mdp, state, t=0):
+        # The kernel reads only the number of moves, so no objective value is
+        # computed on this per-step path.
         nbrs = mdp.neighbors(state)
-        p = 1.0 / len(nbrs)
-        return ActionDistribution(tuple((Move(state, j), p) for j in nbrs), 0.0)
+        no_gains = np.zeros(len(nbrs))
+        return _distribution(state, nbrs, self.move_probabilities(no_gains, t, no_gains))
 
     @property
     def descriptor(self):

@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from .objectives import Objective
 
 
@@ -43,6 +45,11 @@ class HammingNeighborhood:
 
     def neighbors(self, state: int, n: int) -> tuple[int, ...]:
         return tuple(sorted(state ^ mask for mask in _hamming_masks(n, self.distance)))
+
+    def neighbor_array(self, states: np.ndarray, n: int) -> np.ndarray:
+        """`neighbors` of every state in `states`, one ascending row each."""
+        masks = np.array(_hamming_masks(n, self.distance), dtype=np.int64)
+        return np.sort(states[:, None] ^ masks, axis=1)
 
     @property
     def descriptor(self) -> str:
@@ -101,6 +108,27 @@ class LocalSearchMdp:
             if self._memo:
                 self._neighborhoods[state] = cached
         return cached
+
+    def move_gains(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The move-gain table of `states`: (nbr, gain, reached), each [k, d].
+
+        Row i of `nbr` lists the neighbors of states[i] in ascending order,
+        `reached` holds their objective values and `gain` the move gains
+        f(nbr) - f(state).  `value` runs once per distinct state involved, so
+        the same call serves a full sweep and a sample of a huge space.
+        """
+        states = np.asarray(states)
+        if states.ndim != 1 or (states.size and states.dtype.kind not in "iu"):
+            raise ValueError("states must be a flat sequence of ints")
+        if states.size and not (states.min() >= 0 and states.max() < self.num_states):
+            bad = states[(states < 0) | (states >= self.num_states)][0]
+            raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
+        states = states.astype(np.int64)
+        nbr = self.criterion.neighbor_array(states, self.n)
+        involved, index = np.unique(np.concatenate([states, nbr.ravel()]), return_inverse=True)
+        f = np.array([self.value(s) for s in involved.tolist()], dtype=float)[index]
+        current, reached = f[:len(states)], f[len(states):].reshape(nbr.shape)
+        return nbr, reached - current[:, None], reached
 
     def actions(self, state: int) -> tuple[Move, ...]:
         return tuple(Move(state, j) for j in self.neighbors(state))

@@ -238,9 +238,11 @@ class TestClassify:
         assert report.classification.kind == "balanced"
 
     def test_sweep_cap(self):
-        mdp = LocalSearchMdp(make_onemax(21))
+        calls = []
+        counting = Objective(21, lambda x: calls.append(x) or 0.0, "counting", None)
         with pytest.raises(ResourceLimitError):
-            classify(HillClimbing(), mdp)
+            classify(HillClimbing(), LocalSearchMdp(counting))
+        assert calls == []  # the cap fails before any evaluation or allocation
 
     def test_report_serialization(self):
         mdp = LocalSearchMdp(make_onemax(4))

@@ -49,9 +49,11 @@ class TestFreeze:
             assert np.min(pm.P) >= 0.0
 
     def test_dense_cap(self):
-        mdp = LocalSearchMdp(make_onemax(15))
+        calls = []
+        counting = Objective(15, lambda x: calls.append(x) or 0.0, "counting", None)
         with pytest.raises(ResourceLimitError):
-            freeze(HillClimbing(), mdp, 0)
+            freeze(HillClimbing(), LocalSearchMdp(counting), 0)
+        assert calls == []  # the cap fails before any evaluation or allocation
 
 
 class TestEvaluateStationary:

@@ -1,0 +1,154 @@
+"""The array-backed exact path against the scalar reference in reference.py.
+
+Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7.
+Counts (alpha, beta, gamma) and verdicts must agree exactly; sums may differ
+in the last bits because numpy and `math.fsum` add in different orders, so
+they get tolerances fixed here: partial sums 1e-12 relative, P and r 1e-12,
+finite-horizon values 1e-10.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from lsmdp.cli import main as cli_main
+from lsmdp.coefficients import classify
+from lsmdp.exact_solver import enumerate_trajectories, evaluate_nonstationary, freeze
+from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
+                              make_nk_landscape, make_onemax, make_trap)
+from lsmdp.policies import parse_policy
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
+
+POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
+            "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.9", "sa:T0=10,rate=0.99"]
+
+
+@st.composite
+def landscapes(draw):
+    n = draw(st.integers(1, 7))
+    family = draw(st.sampled_from(["onemax", "trap", "leading_ones", "nk", "maxsat"]))
+    if family == "onemax":
+        objective = make_onemax(n)
+    elif family == "trap":
+        objective = make_trap(n, draw(st.sampled_from([k for k in range(1, n + 1)
+                                                       if n % k == 0])))
+    elif family == "leading_ones":
+        objective = make_leading_ones(n)
+    elif family == "nk":
+        objective = make_nk_landscape(n, draw(st.integers(0, n - 1)),
+                                      draw(st.integers(0, 2**16)))
+    else:
+        literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+        clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3).map(tuple),
+                                min_size=1, max_size=8))
+        objective = cnf_objective(CnfInstance(n, tuple(clauses)))
+    distance = draw(st.sampled_from([1, 2] if n >= 2 else [1]))
+    return LocalSearchMdp(objective, HammingNeighborhood(distance))
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(), st.sampled_from(POLICIES), st.sampled_from([1, 25, 120]))
+def test_classify_matches_scalar_sweep(mdp, descriptor, horizon):
+    policy = parse_policy(descriptor)
+    report = classify(policy, mdp, horizon=horizon)
+    for state in range(mdp.num_states):
+        up, total = reference.count_fractions(mdp, state)
+        assert report.fractions[state] == (Fraction(total - up, total), Fraction(up, total))
+        expected_gamma = (0.0 if up == 0 else math.inf if up == total else up / (total - up))
+        assert report.convergence[state] == expected_gamma
+        expected = reference.balance_series(policy, mdp, state, horizon, 1e-9)
+        series = report.series[state]
+        assert series.verdict == expected.verdict
+        assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(), st.sampled_from(POLICIES), st.integers(0, 40))
+def test_freeze_matches_per_move_loop(mdp, descriptor, t):
+    policy = parse_policy(descriptor)
+    frozen = freeze(policy, mdp, t)
+    P, r = reference.freeze(policy, mdp, t)
+    assert np.max(np.abs(frozen.P - P)) <= 1e-12
+    assert np.max(np.abs(frozen.r - r)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(landscapes(), st.sampled_from(POLICIES), st.integers(0, 12),
+       st.sampled_from([0.9, 1.0]), st.data())
+def test_backward_values_match_forward_and_enumeration(mdp, descriptor, horizon,
+                                                       discount, data):
+    policy = parse_policy(descriptor)
+    backward = evaluate_nonstationary(policy, mdp, horizon, discount).v
+    forward = reference.evaluate_nonstationary(policy, mdp, horizon, discount)
+    assert np.max(np.abs(backward - forward)) <= 1e-10
+    branching = len(mdp.neighbors(0)) + 1
+    short = min(horizon, 3 if branching <= 8 else 2)
+    start = data.draw(st.integers(0, mdp.num_states - 1))
+    expanded = enumerate_trajectories(policy, mdp, start, short, discount)
+    assert abs(evaluate_nonstationary(policy, mdp, short, discount).v[start]
+               - expanded) <= 1e-10
+
+
+def test_zero_temperature_plateaus(tmp_path):
+    # rate=0 leaves T_t = 0 for t >= 1; leading_ones has plateau moves, where a
+    # naive exp(gain / T) is 0/0.
+    mdp = LocalSearchMdp(make_leading_ones(4))
+    policy = parse_policy("sa:T0=1,rate=0")
+    report = classify(policy, mdp)
+    for state in range(mdp.num_states):
+        expected = reference.balance_series(policy, mdp, state, 200, 1e-9)
+        assert report.series[state].verdict == expected.verdict
+        assert math.isclose(report.series[state].partial_sum, expected.partial_sum,
+                            rel_tol=1e-12)
+    assert cli_main(["classify", "--objective", "leading_ones:n=4", "--policy",
+                     "sa:T0=1,rate=0", "--out", str(tmp_path)]) == 0
+
+    def reject(token):
+        raise ValueError(f"report.json holds {token}")
+
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    for t in range(4):
+        P = freeze(policy, mdp, t).P
+        assert np.all(np.isfinite(P))
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1, 2**6])
+def test_sample_states_checked_before_indexing(bad):
+    mdp = LocalSearchMdp(make_onemax(6))
+    with pytest.raises(ValueError):
+        classify(parse_policy("hc"), mdp, states=[1, bad])
+
+
+def test_sampled_states_beyond_the_sweep_cap():
+    mdp = LocalSearchMdp(make_trap(40, 4))
+    states = [int(s) for s in np.random.default_rng(3).integers(0, 2**40, 8)]
+    policy = parse_policy("sa:T0=5,rate=0.9")
+    report = classify(policy, mdp, states=states)
+    assert report.states == states
+    for state in states:
+        expected = reference.balance_series(policy, mdp, state, 200, 1e-9)
+        assert report.series[state].verdict == expected.verdict
+        assert math.isclose(report.series[state].partial_sum, expected.partial_sum,
+                            rel_tol=1e-12)
+
+
+def test_hill_climbing_ties_use_values_not_rounded_gains():
+    # From f = 1e16, the moves to f = 1.0 and f = 0.5 both round to gain -1e16;
+    # only the first is an argmax neighbor.
+    values = {0b00: 1e16, 0b01: 1.0, 0b10: 0.5, 0b11: 0.0}
+    mdp = LocalSearchMdp(Objective(2, values.__getitem__, "rounding", None))
+    _, gain, _ = mdp.move_gains([0])
+    assert gain[0, 0] == gain[0, 1]
+    literal = parse_policy("hc:literal")
+    assert [(move.dst, p) for move, p in literal.action_distribution(mdp, 0, 0).entries] == \
+        [(0b01, 1.0)]
+    P, r = reference.freeze(literal, mdp, 0)
+    frozen = freeze(literal, mdp, 0)
+    assert np.array_equal(frozen.P, P) and np.array_equal(frozen.r, r)
