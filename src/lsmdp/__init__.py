@@ -27,7 +27,7 @@ from .coefficients import (BalanceSeries, Classification, CoefficientReport,
 from .exact_solver import (DivergentValueError, PolicyMatrices, ValueVector,
                            enumerate_trajectories, evaluate_nonstationary,
                            evaluate_stationary, freeze, value_iteration)
-from .simulator import (RunSummary, TrajectoryRecord, TrajectoryStep, best_so_far_curve,
-                        derive_seed, exploration_fraction_by_bucket,
+from .simulator import (Rollouts, RunSummary, TrajectoryRecord, TrajectoryStep,
+                        best_so_far_curve, derive_seed, exploration_fraction_by_bucket,
                         exploration_ratio_by_bucket, generate_records, run_batch,
-                        run_trajectory, summarize_records)
+                        run_trajectory, simulate_batch, summarize_records)

@@ -28,7 +28,7 @@ from .objectives import parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import atomic_write_text, csv_text, dumps_json, dumps_json_line
-from .simulator import (best_so_far_curve, generate_records, derive_seed,
+from .simulator import (best_so_far_curve, check_rollout, simulate_batch,
                         summarize_records)
 
 EXIT_OK = 0
@@ -363,27 +363,30 @@ def _sim_resolved(args, multi_policy: bool) -> dict[str, str]:
     return resolved
 
 
-def _sim_params(resolved):
+def _sim_params(resolved, mdp):
+    """The rollout options, all checked before any trajectory runs."""
     start_rule = resolved["start"]
     if start_rule != "uniform":
         try:
             start_rule = int(start_rule)
         except ValueError:
             raise UsageError(f"start must be an int state or 'uniform', got {start_rule!r}") from None
-    return (start_rule, _int_opt(resolved, "horizon"), _int_opt(resolved, "seeds"),
-            _int_opt(resolved, "base_seed"), _int_opt(resolved, "bucket_width"))
+    params = (start_rule, _int_opt(resolved, "horizon"), _int_opt(resolved, "seeds"),
+              _int_opt(resolved, "base_seed"), _int_opt(resolved, "bucket_width"))
+    check_rollout(mdp, start_rule, params[1], params[4])
+    return params
 
 
-def _write_sim_outputs(outdir, formats, mdp, named_runs, horizon, bucket_width, emit):
-    """named_runs: list of (descriptor, records, summary)."""
+def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit):
+    """named_runs: list of (descriptor, rollouts, summary)."""
     summary_rows = [(descriptor,) + summary.csv_row() for descriptor, _, summary in named_runs]
     if "csv" in formats:
         header = ("policy",) + named_runs[0][2].CSV_HEADER
         atomic_write_text(outdir / "summary.csv", csv_text(header, summary_rows))
         best_rows = []
         explore_rows = []
-        for descriptor, records, summary in named_runs:
-            means, quartiles = best_so_far_curve(records, horizon)
+        for descriptor, batch, summary in named_runs:
+            means, quartiles = best_so_far_curve(batch, horizon)
             for t, mean in enumerate(means):
                 best_rows.append((descriptor, t, mean, quartiles["p25"][t],
                                   quartiles["p50"][t], quartiles["p75"][t]))
@@ -398,9 +401,9 @@ def _write_sim_outputs(outdir, formats, mdp, named_runs, horizon, bucket_width, 
                                     "exploration_fraction", "exploration_ratio"),
                                    explore_rows))
         seed_rows = []
-        for descriptor, records, _ in named_runs:
-            for index, record in enumerate(records):
-                seed_rows.append((descriptor, index, record.seed, record.start))
+        for descriptor, batch, _ in named_runs:
+            for index, (seed, start) in enumerate(zip(batch.seeds, batch.starts)):
+                seed_rows.append((descriptor, index, seed, start))
         atomic_write_text(outdir / "seeds.csv",
                           csv_text(("policy", "index", "seed", "start"), seed_rows))
     if "json" in formats:
@@ -408,8 +411,8 @@ def _write_sim_outputs(outdir, formats, mdp, named_runs, horizon, bucket_width, 
             {descriptor: summary.to_json_dict() for descriptor, _, summary in named_runs}))
     if emit:
         lines = []
-        for descriptor, records, _ in named_runs:
-            for record in records:
+        for descriptor, batch, _ in named_runs:
+            for record in batch.records:
                 payload = record.to_json_dict()
                 payload["policy"] = descriptor
                 lines.append(dumps_json_line(payload))
@@ -421,12 +424,12 @@ def cmd_simulate(args) -> int:
     formats = _formats(resolved)
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
-    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved)
-    records = generate_records(policy, mdp, start_rule, horizon, seeds, base_seed)
-    summary = summarize_records(records, horizon, bucket_width, mdp.objective.known_optimum)
-    outdir = _outdir(resolved)
+    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved, mdp)
     emit = resolved["emit_trajectories"] == "true"
-    _write_sim_outputs(outdir, formats, mdp, [(resolved["policy"], records, summary)],
+    batch = simulate_batch(policy, mdp, start_rule, horizon, seeds, base_seed, keep_steps=emit)
+    summary = summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)
+    outdir = _outdir(resolved)
+    _write_sim_outputs(outdir, formats, [(resolved["policy"], batch, summary)],
                        horizon, bucket_width, emit)
     _write_manifest(outdir, "simulate", resolved)
     print(f"hit_rate={summary.hit_rate!r} best_final_mean={summary.best_final_mean!r}")
@@ -437,18 +440,19 @@ def cmd_compare(args) -> int:
     resolved = _sim_resolved(args, multi_policy=True)
     formats = _formats(resolved)
     mdp = _build_mdp(resolved)
-    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved)
-    descriptors = [resolved[k] for k in sorted(resolved) if k.startswith("policy_")]
-    named_runs = []
-    for descriptor in descriptors:
-        policy = parse_policy(descriptor)
-        records = generate_records(policy, mdp, start_rule, horizon, seeds, base_seed)
-        summary = summarize_records(records, horizon, bucket_width,
-                                    mdp.objective.known_optimum)
-        named_runs.append((descriptor, records, summary))
-    outdir = _outdir(resolved)
+    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved, mdp)
     emit = resolved["emit_trajectories"] == "true"
-    _write_sim_outputs(outdir, formats, mdp, named_runs, horizon, bucket_width, emit)
+    descriptors = [resolved[k] for k in sorted(resolved) if k.startswith("policy_")]
+    policies = [parse_policy(descriptor) for descriptor in descriptors]
+    named_runs = []
+    for descriptor, policy in zip(descriptors, policies):
+        batch = simulate_batch(policy, mdp, start_rule, horizon, seeds, base_seed,
+                               keep_steps=emit)
+        summary = summarize_records(batch, horizon, bucket_width,
+                                    mdp.objective.known_optimum)
+        named_runs.append((descriptor, batch, summary))
+    outdir = _outdir(resolved)
+    _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
     _write_manifest(outdir, "compare", resolved)
     for descriptor, _, summary in named_runs:
         print(f"{descriptor}: hit_rate={summary.hit_rate!r} "

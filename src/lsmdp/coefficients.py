@@ -32,7 +32,9 @@ from .policies import Policy, step
 from .search_space import LocalSearchMdp, Move, ResourceLimitError
 
 EXHAUSTIVE_SWEEP_CAP = 20  # exact sweeps enumerate all 2**n states
-_SWEEP_CHUNK = 1 << 12     # states per move-gain table: memory O(chunk * (d + horizon))
+# States per move-gain table in `classify`, and trajectories per lockstep
+# batch in the simulator: memory O(chunk * (d + horizon)).
+SWEEP_CHUNK = 1 << 12
 
 DEFAULT_HORIZON = 200
 DEFAULT_TAIL_TOLERANCE = 1e-9
@@ -347,7 +349,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     excluded from the orientation; if every swept state is degenerate the
     policy explores by construction and is classified exploration-oriented.
 
-    States are swept through move-gain tables of `_SWEEP_CHUNK` states, so
+    States are swept through move-gain tables of `SWEEP_CHUNK` states, so
     memory is O(chunk * (moves + horizon)) however many states are swept.
     """
     if states is None:
@@ -364,8 +366,8 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         raise ValueError("empty state sample")
     _check_series(horizon, tail_tolerance)
     fractions, convergence, series = {}, {}, {}
-    for lo in range(0, len(state_list), _SWEEP_CHUNK):
-        chunk = state_list[lo:lo + _SWEEP_CHUNK]
+    for lo in range(0, len(state_list), SWEEP_CHUNK):
+        chunk = state_list[lo:lo + SWEEP_CHUNK]
         _, gain, reached = mdp.move_gains(chunk)
         moves = gain.shape[1]
         if moves == 0:

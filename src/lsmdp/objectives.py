@@ -8,7 +8,7 @@ and all of them are total, deterministic, and immutable once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -18,15 +18,30 @@ MAX_BITS = 63  # states are stored as unsigned 64-bit integers
 
 @dataclass(frozen=True)
 class Objective:
-    """Total, deterministic function from n-bit states to real values."""
+    """Total, deterministic function from n-bit states to real values.
+
+    `batch`, when given, evaluates a whole int64 array of states with numpy
+    and must equal `fn` on every state bit for bit; `values` falls back to
+    calling `fn` once per distinct state.
+    """
 
     n: int
     fn: Callable[[int], float]
     name: str
     known_optimum: float | None = None
+    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
+                                                             compare=False)
 
     def __call__(self, state: int) -> float:
         return self.fn(state)
+
+    def values(self, states) -> np.ndarray:
+        """Objective value of every state in the flat int array `states`."""
+        states = np.asarray(states, dtype=np.int64)
+        if self.batch is not None:
+            return self.batch(states)
+        distinct, index = np.unique(states, return_inverse=True)
+        return np.array([float(self.fn(s)) for s in distinct.tolist()], dtype=float)[index]
 
 
 def _check_bits(n: int) -> None:
@@ -37,7 +52,8 @@ def _check_bits(n: int) -> None:
 def make_onemax(n: int) -> Objective:
     """Count of one-bits; maximum n at the all-ones string."""
     _check_bits(n)
-    return Objective(n, lambda x: float(x.bit_count()), f"onemax:n={n}", float(n))
+    return Objective(n, lambda x: float(x.bit_count()), f"onemax:n={n}", float(n),
+                     batch=lambda x: np.bitwise_count(x).astype(float))
 
 
 def make_leading_ones(n: int) -> Objective:
@@ -52,7 +68,15 @@ def make_leading_ones(n: int) -> Objective:
             run += 1
         return float(run)
 
-    return Objective(n, fn, f"leading_ones:n={n}", float(n))
+    def batch(x):
+        # The run of leading ones ends at the highest zero bit: smear the
+        # complement's top bit downwards and count what it covers.
+        zeros = ~x & ((1 << n) - 1)
+        for shift in (1, 2, 4, 8, 16, 32):
+            zeros |= zeros >> shift
+        return (n - np.bitwise_count(zeros)).astype(float)
+
+    return Objective(n, fn, f"leading_ones:n={n}", float(n), batch=batch)
 
 
 def make_trap(n: int, k: int) -> Objective:
@@ -73,7 +97,14 @@ def make_trap(n: int, k: int) -> Objective:
             total += k if u == k else k - 1 - u
         return float(total)
 
-    return Objective(n, fn, f"trap:n={n},k={k}", float(n))
+    def batch(x):
+        total = np.zeros(x.shape, dtype=np.int64)
+        for lo in range(0, n, k):
+            u = np.bitwise_count((x >> lo) & block_mask).astype(np.int64)
+            total += np.where(u == k, k, k - 1 - u)
+        return total.astype(float)
+
+    return Objective(n, fn, f"trap:n={n},k={k}", float(n), batch=batch)
 
 
 def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
@@ -94,7 +125,17 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
             total += tables[i, idx]
         return float(total)
 
-    return Objective(n, fn, f"nk:n={n},k={k},seed={seed}", None)
+    def batch(x):
+        # Same i = 0..n-1 accumulation order as `fn`, so the sums are bit-equal.
+        total = np.zeros(x.shape)
+        for i in range(n):
+            idx = np.zeros(x.shape, dtype=np.int64)
+            for j in range(k + 1):
+                idx |= ((x >> ((i + j) % n)) & 1) << j
+            total += tables[i, idx]
+        return total
+
+    return Objective(n, fn, f"nk:n={n},k={k},seed={seed}", None, batch=batch)
 
 
 class DimacsParseError(ValueError):
@@ -200,7 +241,19 @@ def cnf_objective(instance: CnfInstance, name: str = "maxsat") -> Objective:
                     break
         return float(satisfied)
 
-    return Objective(instance.num_vars, fn, name, None)
+    def batch(x):
+        satisfied = np.zeros(x.shape, dtype=np.int64)
+        for clause in clauses:
+            positive = negative = 0     # masks of the clause's variables by sign
+            for lit in clause:
+                if lit > 0:
+                    positive |= 1 << (lit - 1)
+                else:
+                    negative |= 1 << (-lit - 1)
+            satisfied += ((x & positive) != 0) | ((~x & negative) != 0)
+        return satisfied.astype(float)
+
+    return Objective(instance.num_vars, fn, name, None, batch=batch)
 
 
 def _descriptor_params(argstr: str, descriptor: str) -> dict[str, str]:

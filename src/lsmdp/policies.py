@@ -4,9 +4,9 @@ fixed-temperature Metropolis.
 Each policy maps (space, state, time) to an explicit distribution over moves
 plus a stay-in-place mass; rejected proposals and absorbed states self-loop.
 The rule itself is one acceptance kernel per policy over arrays of move
-gains, shared by the per-state distribution and the exact analyses.
-Policies are immutable and hold no RNG state; sampling goes through `step`
-with a caller-owned generator.
+gains, shared by the per-state distribution, the exact analyses and the
+rollouts.  Policies are immutable and hold no RNG state; sampling goes
+through `choose_moves` with caller-owned uniform draws.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class Policy:
     """Interface: a stationary flag plus a per-(state, time) move distribution.
 
     Each policy states its rule once, as the acceptance kernel
-    `move_probabilities`; `action_distribution` applies it to one state and
-    the exact analyses apply it to a whole move-gain table at once.
+    `move_probabilities` (plus `absorbed` where it can stop for good);
+    `action_distribution` applies it to one state, and the exact analyses
+    and the rollouts apply it to a whole move-gain table at once.
     """
 
     stationary: bool = True
@@ -55,13 +56,18 @@ class Policy:
         the rest of each row's mass stays in place."""
         raise NotImplementedError
 
+    def absorbed(self, gain: np.ndarray) -> np.ndarray:
+        """Per row of `gain`: True when the policy keeps all mass on that
+        state at every time from now on."""
+        return np.zeros(gain.shape[:-1], dtype=bool)
+
     def action_distribution(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> ActionDistribution:
         raise NotImplementedError
 
     def is_terminal(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> bool:
         """True when the policy keeps all mass on `state` at every time >= t."""
         _check_time(t)
-        return False
+        return bool(self.absorbed(mdp.move_gains([state])[1])[0])
 
     @property
     def descriptor(self) -> str:
@@ -73,15 +79,9 @@ class Policy:
 
 def _gain_distribution(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> ActionDistribution:
     """The policy's kernel applied to the moves out of one state."""
-    nbrs = mdp.neighbors(state)
-    current = mdp.value(state)
-    reached = np.array([mdp.value(j) for j in nbrs])
-    return _distribution(state, nbrs, policy.move_probabilities(reached - current, t, reached))
-
-
-def _distribution(state: int, nbrs: tuple[int, ...], probabilities: np.ndarray) -> ActionDistribution:
-    probs = probabilities.tolist()
-    entries = tuple((Move(state, j), p) for j, p in zip(nbrs, probs) if p > 0.0)
+    nbr, gain, reached = mdp.move_gains([state])
+    probs = policy.move_probabilities(gain[0], t, reached[0]).tolist()
+    entries = tuple((Move(state, j), p) for j, p in zip(nbr[0].tolist(), probs) if p > 0.0)
     return ActionDistribution(entries, max(0.0, 1.0 - math.fsum(probs)))
 
 
@@ -101,21 +101,20 @@ class HillClimbing(Policy):
     def move_probabilities(self, gain, t, reached):
         _check_time(t)
         # Ties come from the reached values, because distinct values can round
-        # to equal gains; the sign of a gain is exact, so the strict test may
-        # read gains.
+        # to equal gains; the sign of a gain is exact, so `absorbed` may read
+        # gains.
         chosen = reached == reached.max(axis=-1, keepdims=True)
-        if self.variant == "strict":
-            chosen &= gain.max(axis=-1, keepdims=True) > 0
+        chosen &= ~self.absorbed(gain)[..., None]
         return chosen / np.maximum(chosen.sum(axis=-1, keepdims=True), 1)
+
+    def absorbed(self, gain):
+        """The strict variant stops at local optima: no move improves."""
+        if self.variant != "strict":
+            return super().absorbed(gain)
+        return gain.max(axis=-1) <= 0
 
     def action_distribution(self, mdp, state, t=0):
         return _gain_distribution(self, mdp, state, t)
-
-    def is_terminal(self, mdp, state, t=0):
-        _check_time(t)
-        if self.variant != "strict":
-            return False
-        return max(mdp.value(j) for j in mdp.neighbors(state)) <= mdp.value(state)
 
     @property
     def descriptor(self):
@@ -195,15 +194,20 @@ class RandomWalk(Policy):
         return np.full(gain.shape, 1.0 / gain.shape[-1])
 
     def action_distribution(self, mdp, state, t=0):
-        # The kernel reads only the number of moves, so no objective value is
-        # computed on this per-step path.
-        nbrs = mdp.neighbors(state)
-        no_gains = np.zeros(len(nbrs))
-        return _distribution(state, nbrs, self.move_probabilities(no_gains, t, no_gains))
+        return _gain_distribution(self, mdp, state, t)
 
     @property
     def descriptor(self):
         return "walk"
+
+
+def choose_moves(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The move each row's uniform draw selects: the first index j with
+    draw < p[0] + ... + p[j], or -1 (stay) when the draw is at least the
+    row's whole move mass.  `np.cumsum` adds in index order, so this is the
+    running-sum scan over the moves, row by row."""
+    hit = draws[:, None] < np.cumsum(probabilities, axis=-1)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 def step(policy: Policy, mdp: LocalSearchMdp, state: int, t: int, rng):
@@ -213,14 +217,13 @@ def step(policy: Policy, mdp: LocalSearchMdp, state: int, t: int, rng):
     gain, zero when staying.  `rng` needs a `random()` method; identical
     seeds give identical outputs.
     """
-    dist = policy.action_distribution(mdp, state, t)
-    draw = rng.random()
-    cumulative = 0.0
-    for move, p in dist.entries:
-        cumulative += p
-        if draw < cumulative:
-            return move.dst, move, mdp.value(move.dst) - mdp.value(state)
-    return state, None, 0.0
+    nbr, gain, reached = mdp.move_gains([state])
+    probabilities = policy.move_probabilities(gain, t, reached)
+    j = int(choose_moves(probabilities, np.array([rng.random()]))[0])
+    if j < 0:
+        return state, None, 0.0
+    dst = int(nbr[0, j])
+    return dst, Move(state, dst), float(gain[0, j])
 
 
 def parse_policy(descriptor: str) -> Policy:

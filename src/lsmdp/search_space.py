@@ -114,8 +114,9 @@ class LocalSearchMdp:
 
         Row i of `nbr` lists the neighbors of states[i] in ascending order,
         `reached` holds their objective values and `gain` the move gains
-        f(nbr) - f(state).  `value` runs once per distinct state involved, so
-        the same call serves a full sweep and a sample of a huge space.
+        f(nbr) - f(state).  One batch objective call covers every state
+        involved, so the same call serves a full sweep, a sample of a huge
+        space and one lockstep step of a batch of rollouts.
         """
         states = np.asarray(states)
         if states.ndim != 1 or (states.size and states.dtype.kind not in "iu"):
@@ -125,8 +126,7 @@ class LocalSearchMdp:
             raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
         states = states.astype(np.int64)
         nbr = self.criterion.neighbor_array(states, self.n)
-        involved, index = np.unique(np.concatenate([states, nbr.ravel()]), return_inverse=True)
-        f = np.array([self.value(s) for s in involved.tolist()], dtype=float)[index]
+        f = self.objective.values(np.concatenate([states, nbr.ravel()]))
         current, reached = f[:len(states)], f[len(states):].reshape(nbr.shape)
         return nbr, reached - current[:, None], reached
 

@@ -3,8 +3,15 @@
 Trajectories are independent and reproducible: trajectory k of a batch draws
 its generator seed from the entropy triple (base_seed, k, stream) through
 numpy's SeedSequence, so batches replay identically across machines.
-Aggregation is a commutative reduction over the records, independent of
-execution order.
+
+One lockstep engine runs every batch.  All trajectories of a chunk advance
+together, through one move-gain table per time step and the policy's
+acceptance kernel; each trajectory still draws its uniforms, in blocks, from
+its own generator, so its path does not depend on the batch it runs in.
+The engine reduces online, to per-step move counts and a trajectories x
+(horizon + 1) running-best matrix, and builds per-step records only when
+asked to.  Aggregation is a commutative reduction, independent of execution
+order.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import move_kind
-from .policies import Policy, step
+from .coefficients import SWEEP_CHUNK
+from .policies import Policy, choose_moves
 from .search_space import LocalSearchMdp, Move
+
+_DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 
 
 def derive_seed(base_seed: int, index: int, stream: int = 0) -> int:
@@ -67,75 +76,190 @@ class TrajectoryRecord:
         }
 
 
+@dataclass
+class Rollouts:
+    """A batch of trajectories, reduced online.
+
+    `best[k, t]` is trajectory k's running best at time t, held after the
+    trajectory is absorbed; `explore[t]` and `exploit[t]` count the
+    exploration and exploitation moves the batch took at step t.  `records`
+    holds the per-step records when the batch kept them, else None.
+    """
+
+    horizon: int
+    seeds: list[int]
+    starts: list[int]
+    best: np.ndarray
+    explore: np.ndarray
+    exploit: np.ndarray
+    records: list[TrajectoryRecord] | None = None
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    @classmethod
+    def from_records(cls, records, horizon: int) -> Rollouts:
+        """The same reduction, computed from per-step records."""
+        best = np.empty((len(records), horizon + 1))
+        explore = np.zeros(horizon, dtype=np.int64)
+        exploit = np.zeros(horizon, dtype=np.int64)
+        for k, record in enumerate(records):
+            series = [b for _, b in record.best_so_far]
+            best[k, :len(series)] = series
+            best[k, len(series):] = series[-1]
+            for s in record.steps:
+                if s.kind is not None:
+                    (explore if s.kind == "exploration" else exploit)[s.t] += 1
+        return cls(horizon, [r.seed for r in records], [r.start for r in records],
+                   best, explore, exploit, list(records))
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+
+
+def _check_bucket_width(bucket_width: int) -> None:
+    if bucket_width < 1:
+        raise ValueError(f"bucket width must be >= 1, got {bucket_width}")
+
+
+def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: int = 1) -> None:
+    """Raise ValueError for rollout options that no batch can run, whatever
+    its size."""
+    _check_horizon(horizon)
+    _check_bucket_width(bucket_width)
+    if start_rule == "uniform":
+        return
+    if isinstance(start_rule, bool) or not isinstance(start_rule, int):
+        raise ValueError(f"start rule must be an int state or 'uniform', got {start_rule!r}")
+    mdp.check_state(start_rule)
+
+
+def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
+                   num_trajectories: int, base_seed: int, keep_steps: bool = False) -> Rollouts:
+    """Run a batch of independently seeded trajectories in lockstep.
+
+    `start_rule` is either a fixed start state (int) or the string
+    ``uniform`` for a uniformly random start per trajectory.  The options
+    are checked before any trajectory runs; per-step records are built only
+    with `keep_steps`.
+    """
+    check_rollout(mdp, start_rule, horizon)
+    if num_trajectories < 0:
+        raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
+    indices = range(num_trajectories)
+    seeds = [derive_seed(base_seed, index, stream=0) for index in indices]
+    if start_rule == "uniform":
+        starts = [int(np.random.default_rng(derive_seed(base_seed, index, stream=1))
+                      .integers(mdp.num_states)) for index in indices]
+    else:
+        starts = [start_rule] * num_trajectories
+    return _lockstep(policy, mdp, starts, seeds, horizon, keep_steps)
+
+
+def _lockstep(policy, mdp, starts, seeds, horizon, keep_steps) -> Rollouts:
+    batch = Rollouts(horizon, seeds, starts, np.empty((len(seeds), horizon + 1)),
+                     np.zeros(horizon, dtype=np.int64), np.zeros(horizon, dtype=np.int64),
+                     [] if keep_steps else None)
+    for lo in range(0, len(seeds), SWEEP_CHUNK):
+        _advance_chunk(policy, mdp, batch, lo, min(lo + SWEEP_CHUNK, len(seeds)))
+    return batch
+
+
+def _advance_chunk(policy, mdp, batch, lo, hi) -> None:
+    """Roll trajectories lo..hi-1 of `batch` forward together for up to
+    `batch.horizon` steps; a trajectory stops once the policy is absorbed."""
+    horizon = batch.horizon
+    best = batch.best[lo:hi]
+    rngs = [np.random.default_rng(seed) for seed in batch.seeds[lo:hi]]
+    rows = np.arange(hi - lo)                            # trajectories still running
+    states = np.array(batch.starts[lo:hi], dtype=np.int64)
+    current = np.array([mdp.value(s) for s in batch.starts[lo:hi]], dtype=float)
+    running = current.copy()
+    best[:, 0] = running
+    ended = np.full(hi - lo, horizon)                    # steps each trajectory took
+    if batch.records is not None:
+        visited = np.empty((hi - lo, horizon), dtype=np.int64)
+        moved_to = np.empty((hi - lo, horizon), dtype=np.int64)  # -1: stayed
+        rewards = np.empty((hi - lo, horizon))
+    draws = None
+    for t in range(horizon):
+        nbr, gain, reached = mdp.move_gains(states)
+        stop = policy.absorbed(gain)
+        if stop.any():
+            best[rows[stop], t + 1:] = running[stop, None]
+            ended[rows[stop]] = t
+            go = ~stop
+            rows, states, current, running = rows[go], states[go], current[go], running[go]
+            nbr, gain, reached = nbr[go], gain[go], reached[go]
+            if draws is not None:
+                draws = draws[go]
+            if not rows.size:
+                break
+        # Trajectory k's i-th uniform drives its i-th step, whatever the block.
+        if t % _DRAW_BLOCK == 0:
+            width = min(_DRAW_BLOCK, horizon - t)
+            draws = np.array([rngs[k].random(width) for k in rows.tolist()])
+        j = choose_moves(policy.move_probabilities(gain, t, reached), draws[:, t % _DRAW_BLOCK])
+        moved = j >= 0
+        pick = (np.arange(rows.size), np.maximum(j, 0))
+        taken = np.where(moved, gain[pick], 0.0)
+        batch.explore[t] += np.count_nonzero(moved & (taken <= 0))
+        batch.exploit[t] += np.count_nonzero(taken > 0)
+        if batch.records is not None:
+            visited[rows, t] = states
+            moved_to[rows, t] = np.where(moved, nbr[pick], -1)
+            rewards[rows, t] = taken
+        states = np.where(moved, nbr[pick], states)
+        current = np.where(moved, reached[pick], current)
+        running = np.where(current > running, current, running)
+        best[rows, t + 1] = running
+    if batch.records is not None:
+        for k in range(hi - lo):
+            end = int(ended[k])
+            steps = [TrajectoryStep(t, state, None, 0.0, None) if dst < 0 else
+                     TrajectoryStep(t, state, Move(state, dst), reward,
+                                    "exploration" if reward <= 0 else "exploitation")
+                     for t, (state, dst, reward) in enumerate(zip(
+                         visited[k, :end].tolist(), moved_to[k, :end].tolist(),
+                         rewards[k, :end].tolist()))]
+            batch.records.append(TrajectoryRecord(
+                seed=int(batch.seeds[lo + k]), start=batch.starts[lo + k], steps=steps,
+                best_so_far=list(enumerate(best[k, :end + 1].tolist())),
+                terminated_at=end if end < horizon else None))
+
+
 def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int,
                    seed: int) -> TrajectoryRecord:
     """Roll the policy forward for up to `horizon` steps; stops early (and
     records `terminated_at`) once the policy is absorbed.  Deterministic for
-    a given seed."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    a given seed: a batch of one."""
+    _check_horizon(horizon)
     mdp.check_state(start)
-    rng = np.random.default_rng(seed)
-    state = start
-    best = mdp.value(start)
-    steps: list[TrajectoryStep] = []
-    best_curve = [(0, best)]
-    terminated_at = None
-    for t in range(horizon):
-        if policy.is_terminal(mdp, state, t):
-            terminated_at = t
-            break
-        nxt, move, reward = step(policy, mdp, state, t, rng)
-        kind = move_kind(mdp, move).name.lower() if move is not None else None
-        steps.append(TrajectoryStep(t, state, move, reward, kind))
-        state = nxt
-        value = mdp.value(state)
-        if value > best:
-            best = value
-        best_curve.append((t + 1, best))
-    return TrajectoryRecord(seed=int(seed), start=start, steps=steps,
-                            best_so_far=best_curve, terminated_at=terminated_at)
+    return _lockstep(policy, mdp, [start], [int(seed)], horizon, keep_steps=True).records[0]
 
 
 def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
                      num_trajectories: int, base_seed: int) -> list[TrajectoryRecord]:
-    """Run a batch of independently seeded trajectories.
+    """`simulate_batch` with every trajectory's per-step record kept."""
+    return simulate_batch(policy, mdp, start_rule, horizon, num_trajectories, base_seed,
+                          keep_steps=True).records
 
-    `start_rule` is either a fixed start state (int) or the string
-    ``uniform`` for a uniformly random start per trajectory.
-    """
-    if num_trajectories < 0:
-        raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
-    records = []
-    for index in range(num_trajectories):
-        walk_seed = derive_seed(base_seed, index, stream=0)
-        if start_rule == "uniform":
-            start_rng = np.random.default_rng(derive_seed(base_seed, index, stream=1))
-            start = int(start_rng.integers(mdp.num_states))
-        elif isinstance(start_rule, int) and not isinstance(start_rule, bool):
-            start = start_rule
-        else:
-            raise ValueError(f"start rule must be an int state or 'uniform', got {start_rule!r}")
-        records.append(run_trajectory(policy, mdp, start, horizon, walk_seed))
-    return records
+
+def _as_rollouts(records, horizon: int) -> Rollouts:
+    """The aggregates below take a `Rollouts` batch or a list of records."""
+    return records if isinstance(records, Rollouts) else Rollouts.from_records(records, horizon)
 
 
 def _bucket_counts(records, bucket_width: int, horizon: int) -> tuple[list[int], list[int]]:
-    if bucket_width < 1:
-        raise ValueError(f"bucket width must be >= 1, got {bucket_width}")
-    buckets = -(-horizon // bucket_width) if horizon > 0 else 0
-    explore = [0] * buckets
-    exploit = [0] * buckets
-    for record in records:
-        for s in record.steps:
-            if s.kind is None:
-                continue
-            b = s.t // bucket_width
-            if s.kind == "exploration":
-                explore[b] += 1
-            else:
-                exploit[b] += 1
-    return explore, exploit
+    _check_bucket_width(bucket_width)
+    batch = _as_rollouts(records, horizon)
+    starts = np.arange(0, horizon, bucket_width)
+    if not starts.size:
+        return [], []
+    return (np.add.reduceat(batch.explore, starts).tolist(),
+            np.add.reduceat(batch.exploit, starts).tolist())
 
 
 def exploration_ratio_by_bucket(records, bucket_width: int, horizon: int) -> list[float]:
@@ -161,14 +285,10 @@ def exploration_fraction_by_bucket(records, bucket_width: int, horizon: int) -> 
 def best_so_far_curve(records, horizon: int):
     """Across-trajectory mean and quartiles of the running best at each t;
     early-terminated trajectories hold their final best."""
-    if not records:
+    batch = _as_rollouts(records, horizon)
+    if not len(batch):
         return [], {}
-    matrix = np.empty((len(records), horizon + 1))
-    for k, record in enumerate(records):
-        series = [b for _, b in record.best_so_far]
-        if len(series) < horizon + 1:
-            series = series + [series[-1]] * (horizon + 1 - len(series))
-        matrix[k] = series
+    matrix = batch.best
     means = [float(x) for x in matrix.mean(axis=0)]
     quartiles = {f"p{int(q * 100)}": [float(x) for x in np.quantile(matrix, q, axis=0)]
                  for q in (0.25, 0.5, 0.75)}
@@ -212,16 +332,19 @@ class RunSummary:
 
 def summarize_records(records, horizon: int, bucket_width: int = 1,
                       known_optimum: float | None = None) -> RunSummary:
-    """Aggregate a list of trajectory records (order-independent)."""
-    count = len(records)
+    """Aggregate a batch, given as `Rollouts` or as a list of trajectory
+    records (order-independent)."""
+    _check_bucket_width(bucket_width)
+    batch = _as_rollouts(records, horizon)
+    count = len(batch)
     if count == 0:
         return RunSummary(0, horizon, bucket_width, None, None, None, [], [])
-    finals = np.sort(np.array([record.final_best for record in records]))
+    finals = np.sort(batch.best[:, -1])
     quantiles = {f"p{int(q * 100)}": float(np.quantile(finals, q))
                  for q in (0.0, 0.25, 0.5, 0.75, 1.0)}
     hit_rate = None
     if known_optimum is not None:
-        hit_rate = sum(1 for record in records if record.final_best >= known_optimum) / count
+        hit_rate = int(np.count_nonzero(finals >= known_optimum)) / count
     return RunSummary(
         num_trajectories=count,
         horizon=horizon,
@@ -229,13 +352,14 @@ def summarize_records(records, horizon: int, bucket_width: int = 1,
         hit_rate=hit_rate,
         best_final_mean=float(np.mean(finals)),
         best_final_quantiles=quantiles,
-        exploration_fraction=exploration_fraction_by_bucket(records, bucket_width, horizon),
-        exploration_ratio=exploration_ratio_by_bucket(records, bucket_width, horizon),
+        exploration_fraction=exploration_fraction_by_bucket(batch, bucket_width, horizon),
+        exploration_ratio=exploration_ratio_by_bucket(batch, bucket_width, horizon),
     )
 
 
 def run_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
               num_trajectories: int, base_seed: int, bucket_width: int = 1) -> RunSummary:
-    """generate_records + summarize_records in one call."""
-    records = generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_seed)
-    return summarize_records(records, horizon, bucket_width, mdp.objective.known_optimum)
+    """simulate_batch + summarize_records in one call."""
+    check_rollout(mdp, start_rule, horizon, bucket_width)
+    batch = simulate_batch(policy, mdp, start_rule, horizon, num_trajectories, base_seed)
+    return summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)

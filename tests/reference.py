@@ -3,9 +3,11 @@
 This is the per-move code the library ran before the move-gain table: every
 distribution is built one move at a time from `LocalSearchMdp.value`, the
 balance series is summed state by state with `math.fsum`, transition
-matrices are filled entry by entry, and finite-horizon values are pushed
-forward through products of the frozen matrices.  It shares no arithmetic
-with the library except the series judge, which both paths call unchanged.
+matrices are filled entry by entry, finite-horizon values are pushed
+forward through products of the frozen matrices, and rollouts advance one
+trajectory and one step at a time, one `rng.random()` call per step.  It
+shares no arithmetic with the library except the series judge, which both
+paths call unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from lsmdp.coefficients import _judge_series
 from lsmdp.policies import (ActionDistribution, HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
 from lsmdp.search_space import Move
+from lsmdp.simulator import TrajectoryRecord, TrajectoryStep
 
 
 def hill_climbing_distribution(mdp, state, variant):
@@ -122,3 +125,55 @@ def evaluate_nonstationary(policy, mdp, horizon, discount):
         v += (discount ** t) * (occupancy @ r)
         occupancy = occupancy @ P
     return v
+
+
+def run_trajectory(policy, mdp, start, horizon, seed):
+    """One trajectory, one step at a time; strict hill climbing stops (without
+    drawing) once no neighbor improves."""
+    rng = np.random.default_rng(seed)
+    state = start
+    best = mdp.value(start)
+    steps = []
+    best_curve = [(0, best)]
+    terminated_at = None
+    for t in range(horizon):
+        current = mdp.value(state)
+        if (isinstance(policy, HillClimbing) and policy.variant == "strict"
+                and max(mdp.value(j) for j in mdp.neighbors(state)) <= current):
+            terminated_at = t
+            break
+        draw = rng.random()
+        cumulative = 0.0
+        move = None
+        for candidate, p in action_distribution(policy, mdp, state, t).entries:
+            cumulative += p
+            if draw < cumulative:
+                move = candidate
+                break
+        if move is None:
+            steps.append(TrajectoryStep(t, state, None, 0.0, None))
+        else:
+            reward = mdp.value(move.dst) - current
+            kind = "exploration" if reward <= 0 else "exploitation"
+            steps.append(TrajectoryStep(t, state, move, reward, kind))
+            state = move.dst
+        best = max(best, mdp.value(state))
+        best_curve.append((t + 1, best))
+    return TrajectoryRecord(seed=seed, start=start, steps=steps, best_so_far=best_curve,
+                            terminated_at=terminated_at)
+
+
+def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_seed):
+    """Trajectory k walks on seed (base_seed, k, 0) and, for uniform starts,
+    draws its start from seed (base_seed, k, 1)."""
+    def seed(index, stream):
+        return int(np.random.SeedSequence([base_seed, index, stream])
+                   .generate_state(1, np.uint64)[0])
+
+    records = []
+    for index in range(num_trajectories):
+        start = start_rule
+        if start_rule == "uniform":
+            start = int(np.random.default_rng(seed(index, 1)).integers(mdp.num_states))
+        records.append(run_trajectory(policy, mdp, start, horizon, seed(index, 0)))
+    return records

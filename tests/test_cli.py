@@ -129,6 +129,19 @@ class TestSimulate:
         assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("seeds", ["0", "2"])
+@pytest.mark.parametrize("option", [("--horizon", "-3"), ("--bucket-width", "0"),
+                                    ("--start", "99")])
+def test_bad_rollout_options_fail_before_any_output(tmp_path, capsys, command, seeds, option):
+    out = tmp_path / "out"
+    code = run_cli([command, "--objective", "onemax:n=4", "--policy", "walk",
+                    "--seeds", seeds, *option, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestCompare:
     def test_one_summary_row_per_policy(self, tmp_path):
         code = run_cli(["compare", "--objective", "onemax:n=6", "--policy", "hc",

@@ -1,10 +1,11 @@
-"""The array-backed exact path against the scalar reference in reference.py.
+"""The array-backed paths against the scalar reference in reference.py.
 
-Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7.
-Counts (alpha, beta, gamma) and verdicts must agree exactly; sums may differ
-in the last bits because numpy and `math.fsum` add in different orders, so
-they get tolerances fixed here: partial sums 1e-12 relative, P and r 1e-12,
-finite-horizon values 1e-10.
+Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7
+(n <= 8 for rollouts).  Counts (alpha, beta, gamma) and verdicts must agree
+exactly; sums may differ in the last bits because numpy and `math.fsum` add
+in different orders, so they get tolerances fixed here: partial sums 1e-12
+relative, P and r 1e-12, finite-horizon values 1e-10.  Batch objective
+values and lockstep rollouts must equal their scalar counterparts exactly.
 """
 
 import json
@@ -24,14 +25,15 @@ from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leadin
                               make_nk_landscape, make_onemax, make_trap)
 from lsmdp.policies import parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
+from lsmdp.simulator import generate_records, run_trajectory
 
 POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
             "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.9", "sa:T0=10,rate=0.99"]
 
 
 @st.composite
-def landscapes(draw):
-    n = draw(st.integers(1, 7))
+def landscapes(draw, max_bits=7):
+    n = draw(st.integers(1, max_bits))
     family = draw(st.sampled_from(["onemax", "trap", "leading_ones", "nk", "maxsat"]))
     if family == "onemax":
         objective = make_onemax(n)
@@ -152,3 +154,88 @@ def test_hill_climbing_ties_use_values_not_rounded_gains():
     P, r = reference.freeze(literal, mdp, 0)
     frozen = freeze(literal, mdp, 0)
     assert np.array_equal(frozen.P, P) and np.array_equal(frozen.r, r)
+
+
+@st.composite
+def wide_objectives(draw):
+    """Every objective family up to n = 63 (nk up to n = 10, where its
+    tables stay small), with repeated and contradictory CNF literals."""
+    family = draw(st.sampled_from(["onemax", "trap", "leading_ones", "nk", "maxsat"]))
+    n = draw(st.integers(1, 10 if family == "nk" else 63))
+    if family == "onemax":
+        return make_onemax(n)
+    if family == "trap":
+        return make_trap(n, draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0])))
+    if family == "leading_ones":
+        return make_leading_ones(n)
+    if family == "nk":
+        k = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+        return make_nk_landscape(n, k, draw(st.integers(0, 2**16)))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple),
+                            min_size=1, max_size=8))
+    return cnf_objective(CnfInstance(n, tuple(clauses)))
+
+
+def assert_batch_matches_scalar(objective, states):
+    expected = np.array([objective.fn(s) for s in states], dtype=float)
+    assert objective.values(np.array(states, dtype=np.int64)).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_objectives(), st.lists(st.integers(0, 2**63 - 1), max_size=30))
+def test_batch_objective_equals_scalar(objective, raw):
+    top = (1 << objective.n) - 1
+    states = [s & top for s in raw] + [0, top]
+    if objective.n == 63:
+        states += [s | (1 << 62) for s in raw]
+    assert_batch_matches_scalar(objective, states)
+
+
+@pytest.mark.parametrize("objective", [
+    make_onemax(63), make_leading_ones(63), make_trap(63, 7), make_trap(63, 63),
+    cnf_objective(CnfInstance(63, ((63,), (-63, 1), (62, -62), (-1, -2, -63)))),
+    make_nk_landscape(10, 9, 4), make_nk_landscape(1, 0, 4),
+])
+def test_batch_objective_edges(objective):
+    rng = np.random.default_rng(11)
+    top = (1 << objective.n) - 1
+    states = [int(s) & top for s in rng.integers(0, 2**63 - 1, 200, dtype=np.int64)]
+    if objective.n == 63:
+        states += [s | (1 << 62) for s in states] + [1 << 62, top, top ^ 1]
+    assert_batch_matches_scalar(objective, states + [0, top])
+
+
+def test_plain_objective_calls_fn_once_per_distinct_state():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x / 3
+
+    objective = Objective(5, fn, "plain", None)
+    assert objective.values([4, 1, 4, 31]).tolist() == [4 / 3, 1 / 3, 4 / 3, 31 / 3]
+    assert sorted(calls) == [1, 4, 31]
+
+
+ROLLOUT_POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
+                    "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.99"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(max_bits=8), st.sampled_from(ROLLOUT_POLICIES), st.integers(0, 40),
+       st.integers(0, 6), st.integers(0, 2**32), st.data())
+def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, base_seed,
+                                             data):
+    start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
+    policy = parse_policy(descriptor)
+    records = generate_records(policy, mdp, start, horizon, count, base_seed)
+    expected = reference.generate_records(policy, mdp, start, horizon, count, base_seed)
+    assert len(records) == count
+    for record, oracle in zip(records, expected):
+        assert (record.seed, record.start) == (oracle.seed, oracle.start)
+        assert record.steps == oracle.steps
+        assert record.best_so_far == oracle.best_so_far
+        assert record.terminated_at == oracle.terminated_at
+        # A batch of one walks the same path as the batch it came from.
+        assert run_trajectory(policy, mdp, record.start, horizon, record.seed) == record

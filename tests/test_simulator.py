@@ -4,13 +4,15 @@ import random
 import numpy as np
 import pytest
 
+import reference
+from lsmdp import cli
 from lsmdp.objectives import Objective, make_onemax
 from lsmdp.policies import HillClimbing, RandomWalk, SimulatedAnnealing
 from lsmdp.search_space import LocalSearchMdp
-from lsmdp.simulator import (best_so_far_curve, derive_seed,
+from lsmdp.simulator import (Rollouts, TrajectoryStep, best_so_far_curve, derive_seed,
                              exploration_fraction_by_bucket,
                              exploration_ratio_by_bucket, generate_records,
-                             run_batch, run_trajectory, summarize_records)
+                             run_batch, run_trajectory, simulate_batch, summarize_records)
 
 
 @pytest.fixture
@@ -167,3 +169,72 @@ class TestCurves:
         assert set(quartiles) == {"p25", "p50", "p75"}
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
         assert means[-1] == pytest.approx(5.0)  # every climb tops out
+
+
+class TestOnlineReduction:
+    ARGV = ["compare", "--objective", "trap:n=12,k=4", "--policy", "hc", "--policy", "walk",
+            "--policy", "sa:T0=5,rate=0.95", "--policy", "metropolis:T=1", "--seeds", "9",
+            "--horizon", "70", "--bucket-width", "8", "--base-seed", "3"]
+    OUTPUTS = ("summary.csv", "summary.json", "plot_best.csv", "plot_explore.csv", "seeds.csv")
+
+    def test_compare_without_trajectories_builds_no_steps(self, tmp_path, monkeypatch):
+        built = []
+        init = TrajectoryStep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrajectoryStep, "__init__", counting_init)
+        assert cli.main(self.ARGV + ["--out", str(tmp_path / "online")]) == 0
+        assert built == []
+
+        # The records-based path: keep every step, then reduce the records.
+        def from_records(policy, mdp, start_rule, horizon, count, base_seed, keep_steps=False):
+            records = generate_records(policy, mdp, start_rule, horizon, count, base_seed)
+            return Rollouts.from_records(records, horizon)
+
+        monkeypatch.setattr(cli, "simulate_batch", from_records)
+        assert cli.main(self.ARGV + ["--out", str(tmp_path / "records")]) == 0
+        assert built
+        for name in self.OUTPUTS:
+            assert ((tmp_path / "online" / name).read_bytes()
+                    == (tmp_path / "records" / name).read_bytes()), name
+
+    def test_batches_larger_than_a_chunk(self, monkeypatch):
+        # Chunks of 3 trajectories must give what one chunk gives.
+        mdp = LocalSearchMdp(make_onemax(6))
+        sa = SimulatedAnnealing(2.0, 0.9)
+        whole = simulate_batch(sa, mdp, "uniform", 30, 8, base_seed=5, keep_steps=True)
+        monkeypatch.setattr("lsmdp.simulator.SWEEP_CHUNK", 3)
+        chunked = simulate_batch(sa, mdp, "uniform", 30, 8, base_seed=5, keep_steps=True)
+        assert chunked.records == whole.records
+        assert np.array_equal(chunked.best, whole.best)
+        assert np.array_equal(chunked.explore, whole.explore)
+        assert np.array_equal(chunked.exploit, whole.exploit)
+
+    def test_long_horizon_crosses_draw_blocks(self):
+        # 600 steps span three blocks of pre-drawn uniforms.
+        mdp = LocalSearchMdp(make_onemax(8))
+        sa = SimulatedAnnealing(3.0, 0.999)
+        records = generate_records(sa, mdp, "uniform", 600, 3, base_seed=1)
+        assert records == reference.generate_records(sa, mdp, "uniform", 600, 3, base_seed=1)
+
+    def test_absorbed_trajectories_leave_the_others_draws_alone(self):
+        # Hill climbers stop at different times; the ones still climbing
+        # break ties among equal neighbors with their own draws.
+        mdp = LocalSearchMdp(make_onemax(10))
+        records = generate_records(HillClimbing(), mdp, "uniform", 12, 12, base_seed=2)
+        assert len({record.terminated_at for record in records}) > 2
+        assert records == reference.generate_records(HillClimbing(), mdp, "uniform", 12, 12,
+                                                     base_seed=2)
+
+    @pytest.mark.parametrize("options", [dict(horizon=-3), dict(start_rule=99),
+                                         dict(start_rule="everywhere")])
+    def test_options_checked_for_empty_batches(self, onemax5, options):
+        args = dict(start_rule=0, horizon=10) | options
+        with pytest.raises(ValueError):
+            simulate_batch(RandomWalk(), onemax5, args["start_rule"], args["horizon"], 0,
+                           base_seed=0)
+        with pytest.raises(ValueError):
+            summarize_records([], 10, bucket_width=0)
