@@ -18,12 +18,11 @@ from .search_space import (HammingNeighborhood, LocalSearchMdp, Move,
 from .policies import (ActionDistribution, HillClimbing, Metropolis, Policy,
                        RandomWalk, SimulatedAnnealing, parse_policy, step)
 from .coefficients import (BalanceSeries, Classification, CoefficientReport,
-                           ConvergenceTrace, CountFractions, MoveKind, MovePartition,
-                           UndefinedCoefficientError, balance_series, classify,
-                           convergence_coefficient, convergence_trace,
-                           count_fractions, decomposition_residual,
-                           exploration_masses, exploration_ratio, move_kind,
-                           partition_moves)
+                           ConvergenceTrace, CountFractions, UndefinedCoefficientError,
+                           balance_series, classify, convergence_coefficient,
+                           convergence_trace, count_fractions, decomposition_residual,
+                           exploration_masses, exploration_ratio, gamma_from_counts,
+                           improving, improving_counts)
 from .exact_solver import (DivergentValueError, PolicyMatrices, ValueVector,
                            enumerate_trajectories, evaluate_nonstationary,
                            evaluate_stationary, freeze, value_iteration)

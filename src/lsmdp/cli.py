@@ -19,9 +19,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .coefficients import (classify, convergence_coefficient, convergence_trace,
-                           partition_moves)
+from .coefficients import (SWEEP_CHUNK, classify, convergence_trace, gamma_from_counts,
+                           improving_counts)
 from .exact_solver import (evaluate_nonstationary, evaluate_stationary, freeze,
                            value_iteration)
 from .objectives import parse_objective
@@ -185,17 +187,15 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
 
 
 def _reachable_states(mdp: LocalSearchMdp, start: int) -> list[int]:
-    mdp.check_state(start)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in mdp.neighbors(i):
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
+    """Breadth-first closure of `start` under the neighborhood, one
+    neighbor table per frontier."""
+    seen = {mdp.check_state(start)}
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        fresh = [j for j in np.unique(mdp.criterion.neighbor_array(frontier, mdp.n)).tolist()
+                 if j not in seen]
+        seen.update(fresh)
+        frontier = np.array(fresh, dtype=np.int64)
     return sorted(seen)
 
 
@@ -246,23 +246,22 @@ def cmd_gamma(args) -> int:
         raise ResourceLimitError(f"per-state table is capped at n <= 20, got n={mdp.n}")
     rows = []
     table = {}
-    for i in range(mdp.num_states):
-        part = partition_moves(mdp, i)
-        gamma = convergence_coefficient(mdp, i)
-        local_max = not part.improving
-        rows.append((i, mdp.value(i), len(part.improving), len(part.non_improving),
-                     gamma, local_max))
-        table[str(i)] = {"f": mdp.value(i), "improving": len(part.improving),
-                         "non_improving": len(part.non_improving), "gamma": gamma,
-                         "local_max": local_max}
+    for lo in range(0, mdp.num_states, SWEEP_CHUNK):
+        chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))
+        _, gain, _ = mdp.move_gains(chunk)
+        moves = gain.shape[1]
+        f = mdp.objective.values(chunk).tolist()
+        for i, fi, up in zip(chunk.tolist(), f, improving_counts(gain).tolist()):
+            gamma = gamma_from_counts(up, moves)
+            rows.append((i, fi, up, moves - up, gamma, up == 0))
+            table[str(i)] = {"f": fi, "improving": up, "non_improving": moves - up,
+                             "gamma": gamma, "local_max": up == 0}
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
     if "csv" in formats:
         atomic_write_text(outdir / "gamma.csv", csv_text(header, rows))
     payload = {"states": table}
     if resolved["policy"] and resolved["start"]:
-        import numpy as np
-
         policy = parse_policy(resolved["policy"])
         rng = np.random.default_rng(_int_opt(resolved, "seed"))
         trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"),

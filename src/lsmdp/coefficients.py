@@ -1,9 +1,11 @@
 """Per-state analysis quantities for a policy on a local-search space.
 
-The building blocks are the improving / non-improving split of each
-neighborhood and the per-step exploration and exploitation masses of a
-policy (a move is exploration when its objective gain is <= 0, exploitation
-when the gain is strictly positive; stay mass counts as neither).
+Everything here reads the move-gain table of `LocalSearchMdp.move_gains`
+and splits moves in one place, `improving`: a move is exploitation when its
+objective gain is strictly positive and exploration otherwise (plateau
+moves included); stay mass counts as neither.  The building blocks are the
+improving / non-improving counts of each neighborhood and the per-step
+exploration and exploitation masses of a policy.
 
 Derived quantities:
 
@@ -20,7 +22,6 @@ Extended-real conventions: x/0 -> +inf for x > 0, and 0/0 -> 0.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .policies import Policy, step
-from .search_space import LocalSearchMdp, Move, ResourceLimitError
+from .search_space import LocalSearchMdp, ResourceLimitError
 
 EXHAUSTIVE_SWEEP_CAP = 20  # exact sweeps enumerate all 2**n states
 # States per move-gain table in `classify`, and trajectories per lockstep
@@ -50,28 +51,15 @@ class UndefinedCoefficientError(ValueError):
     """The state has no available moves, so count fractions are undefined."""
 
 
-class MoveKind(enum.Enum):
-    EXPLORATION = 1   # objective gain <= 0 (plateau moves included)
-    EXPLOITATION = 0  # strict objective gain
+def improving(gain: np.ndarray) -> np.ndarray:
+    """The split of moves by gain: True for exploitation (gain > 0), False
+    for exploration (gain <= 0)."""
+    return gain > 0
 
 
-def move_kind(mdp: LocalSearchMdp, move: Move) -> MoveKind:
-    return MoveKind.EXPLORATION if mdp.reward(move) <= 0 else MoveKind.EXPLOITATION
-
-
-@dataclass(frozen=True)
-class MovePartition:
-    improving: frozenset[int]
-    non_improving: frozenset[int]
-
-
-def partition_moves(mdp: LocalSearchMdp, state: int) -> MovePartition:
-    """Split the neighbors of `state` by strict objective improvement."""
-    current = mdp.value(state)
-    improving, non_improving = set(), set()
-    for j in mdp.neighbors(state):
-        (improving if mdp.value(j) > current else non_improving).add(j)
-    return MovePartition(frozenset(improving), frozenset(non_improving))
+def improving_counts(gain: np.ndarray) -> np.ndarray:
+    """Number of improving moves in each row of a move-gain table."""
+    return np.count_nonzero(improving(gain), axis=-1)
 
 
 class CountFractions(NamedTuple):
@@ -87,15 +75,14 @@ def count_fractions(mdp: LocalSearchMdp, state: int, t: int | None = None) -> Co
     `t` is accepted for interface symmetry with the time-indexed quantities
     and ignored: the built-in neighborhoods are static.
     """
-    part = partition_moves(mdp, state)
-    total = len(part.improving) + len(part.non_improving)
+    _, gain, _ = mdp.move_gains([state])
+    return _fractions(int(improving_counts(gain)[0]), gain.shape[1], state)
+
+
+def _fractions(up: int, total: int, state: int) -> CountFractions:
     if total == 0:
         raise UndefinedCoefficientError(f"state {state} has no moves")
-    return _fractions(len(part.improving), total)
-
-
-def _fractions(improving: int, total: int) -> CountFractions:
-    return CountFractions(Fraction(total - improving, total), Fraction(improving, total))
+    return CountFractions(Fraction(total - up, total), Fraction(up, total))
 
 
 def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = None) -> float:
@@ -104,16 +91,17 @@ def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = Non
     Returns 0.0 exactly when there is no improving neighbor (local maxima,
     including the doubly-empty case) and +inf when every neighbor improves.
     """
-    part = partition_moves(mdp, state)
-    return _gamma(len(part.improving), len(part.non_improving))
+    _, gain, _ = mdp.move_gains([state])
+    return gamma_from_counts(int(improving_counts(gain)[0]), gain.shape[1])
 
 
-def _gamma(improving: int, non_improving: int) -> float:
-    if not improving:
+def gamma_from_counts(up: int, total: int) -> float:
+    """|improving| / |non-improving| of `up` improving moves out of `total`."""
+    if not up:
         return 0.0
-    if not non_improving:
+    if up == total:
         return math.inf
-    return improving / non_improving
+    return up / (total - up)
 
 
 @dataclass(frozen=True)
@@ -137,22 +125,22 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     for t in range(t_max):
         state, _, _ = step(policy, mdp, state, t, rng)
         states.append(state)
-    values = tuple(convergence_coefficient(mdp, s) for s in states)
+    _, gain, _ = mdp.move_gains(states)
+    values = tuple(gamma_from_counts(up, gain.shape[1]) for up in improving_counts(gain).tolist())
     first_zero = next((t for t, g in enumerate(values) if g == 0.0), None)
     return ConvergenceTrace(tuple(states), values, first_zero)
 
 
-def _masses(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int):
-    """(exploration, exploitation) move mass of every row of a move-gain
-    table at time t; the policy's stay mass is in neither."""
-    p = policy.move_probabilities(gain, t, reached)
-    improving = gain > 0
-    return np.where(improving, 0.0, p).sum(axis=-1), np.where(improving, p, 0.0).sum(axis=-1)
+def _masses(p: np.ndarray, gain: np.ndarray):
+    """(exploration, exploitation) move mass of every row of move
+    probabilities `p` over the moves of `gain`; stay mass is in neither."""
+    up = improving(gain)
+    return np.where(up, 0.0, p).sum(axis=-1), np.where(up, p, 0.0).sum(axis=-1)
 
 
 def _ratios(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int) -> np.ndarray:
     """Exploration mass / exploitation mass of every row, extended-real."""
-    explore, exploit = _masses(policy, gain, reached, t)
+    explore, exploit = _masses(policy.move_probabilities(gain, t, reached), gain)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = explore / exploit
     return np.where(exploit > 0.0, ratio, np.where(explore > 0.0, math.inf, 0.0))
@@ -170,7 +158,7 @@ def exploration_masses(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) 
     """(exploration, exploitation) move mass of the policy at (state, t);
     stay mass is excluded from both."""
     _, gain, reached = mdp.move_gains([state])
-    explore, exploit = _masses(policy, gain, reached, t)
+    explore, exploit = _masses(policy.move_probabilities(gain, t, reached), gain)
     return float(explore[0]), float(exploit[0])
 
 
@@ -359,9 +347,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
                 f"(got n={mdp.n}); pass an explicit state sample")
         state_list = list(range(mdp.num_states))
     else:
-        state_list = list(states)
-        for i in state_list:
-            mdp.check_state(i)
+        state_list = [mdp.check_state(i) for i in states]
     if not state_list:
         raise ValueError("empty state sample")
     _check_series(horizon, tail_tolerance)
@@ -370,13 +356,12 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         chunk = state_list[lo:lo + SWEEP_CHUNK]
         _, gain, reached = mdp.move_gains(chunk)
         moves = gain.shape[1]
-        if moves == 0:
+        if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
-        improving = np.count_nonzero(gain > 0, axis=1).tolist()
         terms = _balance_terms(policy, gain, reached, horizon)
-        for i, up, row in zip(chunk, improving, terms.tolist()):
-            fractions[i] = _fractions(up, moves)
-            convergence[i] = _gamma(up, moves - up)
+        for i, up, row in zip(chunk, improving_counts(gain).tolist(), terms.tolist()):
+            fractions[i] = _fractions(up, moves, i)
+            convergence[i] = gamma_from_counts(up, moves)
             series[i] = _judge_series(row, tail_tolerance)
     degenerate = [i for i in state_list if series[i].verdict == DEGENERATE]
     inconclusive = [i for i in state_list if series[i].verdict == INCONCLUSIVE]
@@ -412,25 +397,16 @@ def decomposition_residual(policy: Policy, mdp: LocalSearchMdp, state: int, t: i
     so a nonzero return flags either an inconsistent distribution or a broken
     partition.
     """
-    alpha, beta = count_fractions(mdp, state)
+    _, gain, reached = mdp.move_gains([state])
+    alpha, beta = _fractions(int(improving_counts(gain)[0]), gain.shape[1], state)
     residual = abs(float(alpha + beta - 1))
-    dist = policy.action_distribution(mdp, state, t)
-    current = mdp.value(state)
-    explore_parts, exploit_parts = [], []
-    for move, p in dist.entries:
-        (explore_parts if mdp.value(move.dst) <= current else exploit_parts).append(p)
-    explore = math.fsum(explore_parts)
-    exploit = math.fsum(exploit_parts)
-    move_mass = explore + exploit
+    p = policy.move_probabilities(gain, t, reached)
+    explore, exploit = _masses(p, gain)
+    move_mass = float(explore[0] + exploit[0])
     if move_mass == 0.0:
         return residual
-    explore_share = explore / move_mass
-    exploit_share = exploit / move_mass
-    for move, p in dist.entries:
-        conditioned = p / move_mass
-        if mdp.value(move.dst) <= current:
-            rebuilt = explore_share * (p / explore)
-        else:
-            rebuilt = exploit_share * (p / exploit)
-        residual += abs(conditioned - rebuilt)
-    return residual
+    p = p[0]
+    live = p > 0.0
+    part = np.where(improving(gain[0]), exploit[0], explore[0])[live]  # mass of the move's kind
+    rebuilt = (part / move_mass) * (p[live] / part)
+    return residual + float(np.abs(p[live] / move_mass - rebuilt).sum())

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .policies import Policy
 from .search_space import LocalSearchMdp, Move, ResourceLimitError
@@ -39,17 +38,23 @@ class PolicyMatrices:
     t: int
 
 
+def _transitions(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int):
+    """(p, stay, r) of the policy at time t: move probabilities, stay mass
+    and expected one-step reward of every row of a move-gain table."""
+    p = policy.move_probabilities(gain, t, reached)
+    return p, np.maximum(0.0, 1.0 - p.sum(axis=1)), (p * gain).sum(axis=1)
+
+
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
     _check_dense(mdp.n)
-    size = mdp.num_states
-    states = np.arange(size)
+    states = np.arange(mdp.num_states)
     nbr, gain, reached = mdp.move_gains(states)
-    p = policy.move_probabilities(gain, t, reached)
-    P = np.zeros((size, size))
+    p, stay, r = _transitions(policy, gain, reached, t)
+    P = np.zeros((len(states), len(states)))
     P[states[:, None], nbr] = p
-    P[states, states] = np.maximum(0.0, 1.0 - p.sum(axis=1))
-    return PolicyMatrices(P=P, r=(p * gain).sum(axis=1), t=t)
+    P[states, states] = stay
+    return PolicyMatrices(P=P, r=r, t=t)
 
 
 @dataclass
@@ -74,6 +79,8 @@ class ValueVector:
 
 def _recurrent_states(P: np.ndarray) -> np.ndarray:
     """Boolean mask of states lying in closed communicating classes of P."""
+    from scipy.sparse import csgraph, csr_matrix  # only undiscounted evaluation needs it
+
     support = csr_matrix(P > 0.0)
     count, labels = csgraph.connected_components(support, directed=True, connection="strong")
     closed = np.ones(count, dtype=bool)
@@ -119,17 +126,19 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
                            discount: float) -> ValueVector:
     """Exact finite-horizon value by backward induction (Puterman 1994,
     ch. 4): with the policy frozen at each t, v_t = r_t + discount * P_t v_{t+1}
-    from v_horizon = 0 down to t = 0."""
+    from v_horizon = 0 down to t = 0.  P_t v is read off the move-gain
+    table, built once: sum(p * v[nbr]) + stay * v, with no N x N matrix."""
     _check_dense(mdp.n)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not 0.0 <= discount <= 1.0:
         raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
+    nbr, gain, reached = mdp.move_gains(np.arange(mdp.num_states))
     v = np.zeros(mdp.num_states)
-    frozen = freeze(policy, mdp, 0) if policy.stationary else None
+    frozen = _transitions(policy, gain, reached, 0) if policy.stationary else None
     for t in reversed(range(horizon)):
-        matrices = frozen if frozen is not None else freeze(policy, mdp, t)
-        v = matrices.r + discount * (matrices.P @ v)
+        p, stay, r = frozen if frozen is not None else _transitions(policy, gain, reached, t)
+        v = r + discount * ((p * v[nbr]).sum(axis=1) + stay * v)
     return ValueVector(v=v, discount=discount, method="policy_eval_finite", horizon=horizon)
 
 
@@ -149,44 +158,26 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    size = mdp.num_states
-    values = [mdp.value(i) for i in range(size)]
-    neighborhoods = [mdp.neighbors(i) for i in range(size)]
-    v = [0.0] * size
+    nbr, gain, _ = mdp.move_gains(np.arange(mdp.num_states))
+    v = np.zeros(mdp.num_states)
     threshold = tolerance * (1.0 - discount) / discount
-    delta = 0.0
     for _ in range(1_000_000):
-        new = [0.0] * size
-        delta = 0.0
-        for i in range(size):
-            fi = values[i]
-            best = discount * v[i]  # stay
-            for j in neighborhoods[i]:
-                q = values[j] - fi + discount * v[j]
-                if q > best:
-                    best = q
-            new[i] = best
-            diff = abs(best - v[i])
-            if diff > delta:
-                delta = diff
+        new = np.maximum(discount * v, (gain + discount * v[nbr]).max(axis=1, initial=-np.inf))
+        delta = float(np.max(np.abs(new - v)))
         v = new
         if delta <= threshold:
             break
     else:
         raise RuntimeError("value iteration failed to converge")
-    greedy: dict[int, Move | None] = {}
-    for i in range(size):
-        fi = values[i]
-        best_q = discount * v[i]
-        best_move: Move | None = None
-        for j in neighborhoods[i]:
-            q = values[j] - fi + discount * v[j]
-            if q > best_q:
-                best_q = q
-                best_move = Move(i, j)
-        greedy[i] = best_move
-    vec = ValueVector(v=np.array(v), discount=discount, method="value_iteration",
-                      residual=delta)
+    # The first maximal move in ascending neighbor order, and only when it
+    # beats staying strictly.
+    q = gain + discount * v[nbr]
+    greedy: dict[int, Move | None] = dict.fromkeys(range(mdp.num_states))
+    if q.shape[1]:
+        best = q.argmax(axis=1)
+        for i in np.flatnonzero(q[np.arange(len(v)), best] > discount * v).tolist():
+            greedy[i] = Move(i, int(nbr[i, best[i]]))
+    vec = ValueVector(v=v, discount=discount, method="value_iteration", residual=delta)
     return vec, greedy
 
 

@@ -62,7 +62,17 @@ class Policy:
         return np.zeros(gain.shape[:-1], dtype=bool)
 
     def action_distribution(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> ActionDistribution:
-        raise NotImplementedError
+        """The kernel applied to the moves out of one state, as (move,
+        probability) entries of positive probability plus the stay mass.
+
+        Each subclass binds this method in its own namespace
+        (`action_distribution = Policy.action_distribution`), where
+        bench/tracer.py finds and times it per policy class.
+        """
+        nbr, gain, reached = mdp.move_gains([state])
+        probs = self.move_probabilities(gain[0], t, reached[0]).tolist()
+        entries = tuple((Move(state, j), p) for j, p in zip(nbr[0].tolist(), probs) if p > 0.0)
+        return ActionDistribution(entries, max(0.0, 1.0 - math.fsum(probs)))
 
     def is_terminal(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> bool:
         """True when the policy keeps all mass on `state` at every time >= t."""
@@ -75,14 +85,6 @@ class Policy:
 
     def __repr__(self):
         return f"{type(self).__name__}<{self.descriptor}>"
-
-
-def _gain_distribution(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> ActionDistribution:
-    """The policy's kernel applied to the moves out of one state."""
-    nbr, gain, reached = mdp.move_gains([state])
-    probs = policy.move_probabilities(gain[0], t, reached[0]).tolist()
-    entries = tuple((Move(state, j), p) for j, p in zip(nbr[0].tolist(), probs) if p > 0.0)
-    return ActionDistribution(entries, max(0.0, 1.0 - math.fsum(probs)))
 
 
 class HillClimbing(Policy):
@@ -113,8 +115,7 @@ class HillClimbing(Policy):
             return super().absorbed(gain)
         return gain.max(axis=-1) <= 0
 
-    def action_distribution(self, mdp, state, t=0):
-        return _gain_distribution(self, mdp, state, t)
+    action_distribution = Policy.action_distribution
 
     @property
     def descriptor(self):
@@ -158,8 +159,7 @@ class SimulatedAnnealing(Policy):
     def move_probabilities(self, gain, t, reached):
         return _metropolis_probabilities(gain, self.temperature(t))
 
-    def action_distribution(self, mdp, state, t=0):
-        return _gain_distribution(self, mdp, state, t)
+    action_distribution = Policy.action_distribution
 
     @property
     def descriptor(self):
@@ -178,8 +178,7 @@ class Metropolis(Policy):
         _check_time(t)
         return _metropolis_probabilities(gain, self.fixed_temperature)
 
-    def action_distribution(self, mdp, state, t=0):
-        return _gain_distribution(self, mdp, state, t)
+    action_distribution = Policy.action_distribution
 
     @property
     def descriptor(self):
@@ -193,8 +192,7 @@ class RandomWalk(Policy):
         _check_time(t)
         return np.full(gain.shape, 1.0 / gain.shape[-1])
 
-    def action_distribution(self, mdp, state, t=0):
-        return _gain_distribution(self, mdp, state, t)
+    action_distribution = Policy.action_distribution
 
     @property
     def descriptor(self):

@@ -43,11 +43,8 @@ class HammingNeighborhood:
         if not isinstance(self.distance, int) or self.distance < 1:
             raise ValueError(f"hamming distance must be a positive int, got {self.distance!r}")
 
-    def neighbors(self, state: int, n: int) -> tuple[int, ...]:
-        return tuple(sorted(state ^ mask for mask in _hamming_masks(n, self.distance)))
-
     def neighbor_array(self, states: np.ndarray, n: int) -> np.ndarray:
-        """`neighbors` of every state in `states`, one ascending row each."""
+        """The neighbors of every state in `states`, one ascending row each."""
         masks = np.array(_hamming_masks(n, self.distance), dtype=np.int64)
         return np.sort(states[:, None] ^ masks, axis=1)
 
@@ -68,14 +65,12 @@ def parse_criterion(descriptor: str) -> HammingNeighborhood:
     raise ValueError(f"unknown neighborhood descriptor {descriptor!r}")
 
 
-_MEMO_CAP = 1 << 16  # memoize values/neighbor lists only for modest state counts
-
-
 class LocalSearchMdp:
     """Immutable pairing of an objective with a neighborhood criterion.
 
-    All operations are pure; internal memo tables are append-only caches of
-    pure function values, so concurrent readers are safe.
+    All operations are pure and nothing is cached: the analyses build one
+    move-gain table (`move_gains`) per sweep, and the per-state accessors
+    below are for single states.
     """
 
     def __init__(self, objective: Objective, criterion=None):
@@ -83,31 +78,21 @@ class LocalSearchMdp:
         self.criterion = criterion if criterion is not None else HammingNeighborhood(1)
         self.n = objective.n
         self.num_states = 1 << objective.n
-        self._memo = self.num_states <= _MEMO_CAP
-        self._values: dict[int, float] = {}
-        self._neighborhoods: dict[int, tuple[int, ...]] = {}
 
-    def check_state(self, state: int) -> None:
-        if not isinstance(state, int) or not 0 <= state < self.num_states:
+    def check_state(self, state: int) -> int:
+        """`state` as a Python int; ValueError unless it is an int (numpy
+        integers included) in [0, 2**n)."""
+        if not isinstance(state, (int, np.integer)) or not 0 <= state < self.num_states:
             raise ValueError(f"state {state!r} out of range [0, 2**{self.n})")
+        return int(state)
 
     def value(self, state: int) -> float:
-        cached = self._values.get(state)
-        if cached is None:
-            cached = float(self.objective(state))
-            if self._memo:
-                self._values[state] = cached
-        return cached
+        return float(self.objective(self.check_state(state)))
 
     def neighbors(self, state: int) -> tuple[int, ...]:
         """Neighbor states in ascending integer order (canonical tie-break order)."""
-        cached = self._neighborhoods.get(state)
-        if cached is None:
-            self.check_state(state)
-            cached = self.criterion.neighbors(state, self.n)
-            if self._memo:
-                self._neighborhoods[state] = cached
-        return cached
+        row = np.array([self.check_state(state)], dtype=np.int64)
+        return tuple(self.criterion.neighbor_array(row, self.n)[0].tolist())
 
     def move_gains(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The move-gain table of `states`: (nbr, gain, reached), each [k, d].

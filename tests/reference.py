@@ -1,17 +1,20 @@
 """Scalar reference implementations: the oracle for the array-backed paths.
 
 This is the per-move code the library ran before the move-gain table: every
-distribution is built one move at a time from `LocalSearchMdp.value`, the
+distribution is built one move at a time from values read through
+`LocalSearchMdp.value` (once per state and call, see `neighborhoods`), the
 balance series is summed state by state with `math.fsum`, transition
 matrices are filled entry by entry, finite-horizon values are pushed
-forward through products of the frozen matrices, and rollouts advance one
-trajectory and one step at a time, one `rng.random()` call per step.  It
+forward through products of the frozen matrices, optimal values are swept
+state by state and move by move, and rollouts advance one trajectory and
+one step at a time, one `rng.random()` call per step.  It
 shares no arithmetic with the library except the series judge, which both
 paths call unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,23 +26,33 @@ from lsmdp.search_space import Move
 from lsmdp.simulator import TrajectoryRecord, TrajectoryStep
 
 
-def hill_climbing_distribution(mdp, state, variant):
-    nbrs = mdp.neighbors(state)
-    best = max(mdp.value(j) for j in nbrs)
-    if variant == "strict" and best <= mdp.value(state):
+def neighborhoods(mdp):
+    """state -> (f(state), ((j, f(j)) for each neighbor j in ascending
+    order)), read through `mdp.value` and `mdp.neighbors` once per state and
+    then reused, so time loops do not read the landscape again."""
+    @functools.cache
+    def hood(state):
+        return mdp.value(state), tuple((j, mdp.value(j)) for j in mdp.neighbors(state))
+
+    return hood
+
+
+def hill_climbing_distribution(state, hood, variant):
+    current, moves = hood
+    best = max(f for _, f in moves)
+    if variant == "strict" and best <= current:
         return ActionDistribution((), 1.0)
-    chosen = [j for j in nbrs if mdp.value(j) == best]
+    chosen = [j for j, f in moves if f == best]
     p = 1.0 / len(chosen)
     return ActionDistribution(tuple((Move(state, j), p) for j in chosen), 0.0)
 
 
-def metropolis_distribution(mdp, state, temperature):
-    nbrs = mdp.neighbors(state)
-    base = 1.0 / len(nbrs)
-    current = mdp.value(state)
+def metropolis_distribution(state, hood, temperature):
+    current, moves = hood
+    base = 1.0 / len(moves)
     entries = []
-    for j in nbrs:
-        gain = mdp.value(j) - current
+    for j, f in moves:
+        gain = f - current
         if gain > 0:
             accept = 1.0
         elif temperature == 0.0:
@@ -52,37 +65,36 @@ def metropolis_distribution(mdp, state, temperature):
     return ActionDistribution(tuple(entries), stay)
 
 
-def walk_distribution(mdp, state):
-    nbrs = mdp.neighbors(state)
-    p = 1.0 / len(nbrs)
-    return ActionDistribution(tuple((Move(state, j), p) for j in nbrs), 0.0)
+def walk_distribution(state, hood):
+    moves = hood[1]
+    p = 1.0 / len(moves)
+    return ActionDistribution(tuple((Move(state, j), p) for j, _ in moves), 0.0)
 
 
-def action_distribution(policy, mdp, state, t):
+def action_distribution(policy, state, hood, t):
     if isinstance(policy, HillClimbing):
-        return hill_climbing_distribution(mdp, state, policy.variant)
+        return hill_climbing_distribution(state, hood, policy.variant)
     if isinstance(policy, SimulatedAnnealing):
-        return metropolis_distribution(mdp, state, policy.temperature(t))
+        return metropolis_distribution(state, hood, policy.temperature(t))
     if isinstance(policy, Metropolis):
-        return metropolis_distribution(mdp, state, policy.fixed_temperature)
+        return metropolis_distribution(state, hood, policy.fixed_temperature)
     if isinstance(policy, RandomWalk):
-        return walk_distribution(mdp, state)
+        return walk_distribution(state, hood)
     raise TypeError(f"no reference distribution for {policy!r}")
 
 
 def count_fractions(mdp, state):
     """(improving, total) neighbor counts of `state`."""
-    current = mdp.value(state)
-    nbrs = mdp.neighbors(state)
-    return sum(mdp.value(j) > current for j in nbrs), len(nbrs)
+    current, moves = neighborhoods(mdp)(state)
+    return sum(f > current for _, f in moves), len(moves)
 
 
-def exploration_ratio(policy, mdp, state, t):
-    dist = action_distribution(policy, mdp, state, t)
-    current = mdp.value(state)
+def exploration_ratio(policy, state, hood, t):
+    current, moves = hood
+    reached = dict(moves)
     explore, exploit = [], []
-    for move, p in dist.entries:
-        (explore if mdp.value(move.dst) <= current else exploit).append(p)
+    for move, p in action_distribution(policy, state, hood, t).entries:
+        (explore if reached[move.dst] <= current else exploit).append(p)
     explore, exploit = math.fsum(explore), math.fsum(exploit)
     if exploit > 0.0:
         return explore / exploit
@@ -90,26 +102,30 @@ def exploration_ratio(policy, mdp, state, t):
 
 
 def balance_series(policy, mdp, state, horizon, tail_tolerance):
+    hood = neighborhoods(mdp)(state)
     if policy.stationary:
-        terms = [exploration_ratio(policy, mdp, state, 0)] * horizon
+        terms = [exploration_ratio(policy, state, hood, 0)] * horizon
     else:
-        terms = [exploration_ratio(policy, mdp, state, t) for t in range(horizon)]
+        terms = [exploration_ratio(policy, state, hood, t) for t in range(horizon)]
     return _judge_series(terms, tail_tolerance)
 
 
-def freeze(policy, mdp, t):
+def freeze(policy, mdp, t, hoods=None):
     """(P, r) filled one move at a time."""
+    hoods = hoods or neighborhoods(mdp)
     size = mdp.num_states
     P = np.zeros((size, size))
     r = np.zeros(size)
     for i in range(size):
-        dist = action_distribution(policy, mdp, i, t)
+        hood = hoods(i)
+        current, moves = hood
+        reached = dict(moves)
+        dist = action_distribution(policy, i, hood, t)
         P[i, i] += dist.stay_probability
-        current = mdp.value(i)
         gain = 0.0
         for move, p in dist.entries:
             P[i, move.dst] += p
-            gain += p * (mdp.value(move.dst) - current)
+            gain += p * (reached[move.dst] - current)
         r[i] = gain
     return P, r
 
@@ -117,19 +133,63 @@ def freeze(policy, mdp, t):
 def evaluate_nonstationary(policy, mdp, horizon, discount):
     """Finite-horizon values by forward accumulation through the products of
     the earlier transition matrices."""
+    hoods = neighborhoods(mdp)
     size = mdp.num_states
     v = np.zeros(size)
     occupancy = np.eye(size)
     for t in range(horizon):
-        P, r = freeze(policy, mdp, t)
+        P, r = freeze(policy, mdp, t, hoods)
         v += (discount ** t) * (occupancy @ r)
         occupancy = occupancy @ P
     return v
 
 
-def run_trajectory(policy, mdp, start, horizon, seed):
+def value_iteration(mdp, discount, tolerance=1e-10):
+    """Optimal values with a stay action, one state and one move at a time;
+    ties prefer stay, then the lowest-numbered neighbor."""
+    size = mdp.num_states
+    values = [mdp.value(i) for i in range(size)]
+    nbrs = [mdp.neighbors(i) for i in range(size)]
+    v = [0.0] * size
+    threshold = tolerance * (1.0 - discount) / discount
+    delta = 0.0
+    for _ in range(1_000_000):
+        new = [0.0] * size
+        delta = 0.0
+        for i in range(size):
+            fi = values[i]
+            best = discount * v[i]  # stay
+            for j in nbrs[i]:
+                q = values[j] - fi + discount * v[j]
+                if q > best:
+                    best = q
+            new[i] = best
+            diff = abs(best - v[i])
+            if diff > delta:
+                delta = diff
+        v = new
+        if delta <= threshold:
+            break
+    else:
+        raise RuntimeError("value iteration failed to converge")
+    greedy = {}
+    for i in range(size):
+        fi = values[i]
+        best_q = discount * v[i]
+        best_move = None
+        for j in nbrs[i]:
+            q = values[j] - fi + discount * v[j]
+            if q > best_q:
+                best_q = q
+                best_move = Move(i, j)
+        greedy[i] = best_move
+    return v, delta, greedy
+
+
+def run_trajectory(policy, mdp, start, horizon, seed, hoods=None):
     """One trajectory, one step at a time; strict hill climbing stops (without
     drawing) once no neighbor improves."""
+    hoods = hoods or neighborhoods(mdp)
     rng = np.random.default_rng(seed)
     state = start
     best = mdp.value(start)
@@ -137,15 +197,16 @@ def run_trajectory(policy, mdp, start, horizon, seed):
     best_curve = [(0, best)]
     terminated_at = None
     for t in range(horizon):
-        current = mdp.value(state)
+        hood = hoods(state)
+        current, moves = hood
         if (isinstance(policy, HillClimbing) and policy.variant == "strict"
-                and max(mdp.value(j) for j in mdp.neighbors(state)) <= current):
+                and max(f for _, f in moves) <= current):
             terminated_at = t
             break
         draw = rng.random()
         cumulative = 0.0
         move = None
-        for candidate, p in action_distribution(policy, mdp, state, t).entries:
+        for candidate, p in action_distribution(policy, state, hood, t).entries:
             cumulative += p
             if draw < cumulative:
                 move = candidate
@@ -153,11 +214,12 @@ def run_trajectory(policy, mdp, start, horizon, seed):
         if move is None:
             steps.append(TrajectoryStep(t, state, None, 0.0, None))
         else:
-            reward = mdp.value(move.dst) - current
+            reached = dict(moves)[move.dst]
+            reward = reached - current
             kind = "exploration" if reward <= 0 else "exploitation"
             steps.append(TrajectoryStep(t, state, move, reward, kind))
-            state = move.dst
-        best = max(best, mdp.value(state))
+            state, current = move.dst, reached
+        best = max(best, current)
         best_curve.append((t + 1, best))
     return TrajectoryRecord(seed=seed, start=start, steps=steps, best_so_far=best_curve,
                             terminated_at=terminated_at)
@@ -170,10 +232,11 @@ def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_se
         return int(np.random.SeedSequence([base_seed, index, stream])
                    .generate_state(1, np.uint64)[0])
 
+    hoods = neighborhoods(mdp)
     records = []
     for index in range(num_trajectories):
         start = start_rule
         if start_rule == "uniform":
             start = int(np.random.default_rng(seed(index, 1)).integers(mdp.num_states))
-        records.append(run_trajectory(policy, mdp, start, horizon, seed(index, 0)))
+        records.append(run_trajectory(policy, mdp, start, horizon, seed(index, 0), hoods))
     return records

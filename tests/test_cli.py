@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lsmdp
 from lsmdp.cli import main
 
 
@@ -199,3 +203,13 @@ class TestConfigHandling:
         before = snapshot(out)
         assert run_cli(["classify", "--config", out / "manifest.ini"]) == 0
         assert snapshot(out) == before
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only undiscounted stationary evaluation; every CLI start
+    # would otherwise pay for importing it.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    code = "import sys, lsmdp.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, ZERO,
-                                MoveKind, UndefinedCoefficientError, balance_series,
-                                classify, convergence_coefficient, convergence_trace,
-                                count_fractions, decomposition_residual,
-                                exploration_masses, exploration_ratio, move_kind,
-                                partition_moves)
+                                UndefinedCoefficientError, balance_series, classify,
+                                convergence_coefficient, convergence_trace, count_fractions,
+                                decomposition_residual, exploration_masses,
+                                exploration_ratio, improving)
 from lsmdp.objectives import Objective, make_leading_ones, make_onemax
 from lsmdp.policies import (HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
-from lsmdp.search_space import (HammingNeighborhood, LocalSearchMdp, Move,
-                                ResourceLimitError)
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
 
 
 @pytest.fixture
@@ -22,33 +20,39 @@ def onemax3():
     return LocalSearchMdp(make_onemax(3))
 
 
+def split(mdp, state):
+    """(improving, non-improving) neighbors of `state`, by the sign of the
+    gains in its move-gain table."""
+    nbr, gain, _ = mdp.move_gains([state])
+    up = improving(gain[0])
+    return set(nbr[0, up].tolist()), set(nbr[0, ~up].tolist())
+
+
 class TestMoveKind:
+    """Single moves through the one split: gain > 0 exploits, gain <= 0 explores."""
+
     def test_improving_is_exploitation(self, onemax3):
-        assert move_kind(onemax3, Move(0b011, 0b111)) is MoveKind.EXPLOITATION
+        assert 0b111 in split(onemax3, 0b011)[0]
 
     def test_worsening_is_exploration(self, onemax3):
-        assert move_kind(onemax3, Move(0b011, 0b001)) is MoveKind.EXPLORATION
+        assert 0b001 in split(onemax3, 0b011)[1]
 
     def test_plateau_is_exploration(self):
+        # From 1100, the plateau move to 1101 counts with the two worsening
+        # moves: a uniform walk puts 3/4 of its mass on exploration.
         mdp = LocalSearchMdp(make_leading_ones(4))
-        assert move_kind(mdp, Move(0b1100, 0b1101)) is MoveKind.EXPLORATION
+        assert exploration_masses(RandomWalk(), mdp, 0b1100, 0) == (0.75, 0.25)
 
 
 class TestPartition:
     def test_interior_state(self, onemax3):
-        part = partition_moves(onemax3, 0b011)
-        assert part.improving == frozenset({0b111})
-        assert part.non_improving == frozenset({0b001, 0b010})
+        assert split(onemax3, 0b011) == ({0b111}, {0b001, 0b010})
 
     def test_optimum(self, onemax3):
-        part = partition_moves(onemax3, 0b111)
-        assert part.improving == frozenset()
-        assert part.non_improving == frozenset({0b011, 0b101, 0b110})
+        assert split(onemax3, 0b111) == (set(), {0b011, 0b101, 0b110})
 
     def test_minimum(self, onemax3):
-        part = partition_moves(onemax3, 0b000)
-        assert part.improving == frozenset({0b001, 0b010, 0b100})
-        assert part.non_improving == frozenset()
+        assert split(onemax3, 0b000) == ({0b001, 0b010, 0b100}, set())
 
 
 class TestCountFractions:
@@ -126,10 +130,10 @@ class TestExplorationRatio:
         mdp = LocalSearchMdp(make_onemax(6))
         walk = RandomWalk()
         for i in range(64):
-            part = partition_moves(mdp, i)
+            alpha, beta = count_fractions(mdp, i)
             ratio = exploration_ratio(walk, mdp, i, 0)
-            if part.improving:
-                assert ratio == pytest.approx(len(part.non_improving) / len(part.improving))
+            if beta:
+                assert ratio == pytest.approx(alpha / beta)
             else:
                 assert ratio == math.inf
 
@@ -236,6 +240,17 @@ class TestClassify:
         report = classify(SimulatedAnnealing(10.0, 0.9), mdp, states=[1, 2, 3])
         assert report.states == [1, 2, 3]
         assert report.classification.kind == "balanced"
+
+    def test_numpy_state_sample_matches_list(self):
+        mdp = LocalSearchMdp(make_onemax(4))
+        sample = np.array([1, 2, 15])
+        listed = classify(HillClimbing(), mdp, states=[1, 2, 15])
+        report = classify(HillClimbing(), mdp, states=sample)
+        assert report.states == [1, 2, 15]
+        assert report.to_json_dict() == listed.to_json_dict()
+        assert list(report.csv_rows()) == list(listed.csv_rows())
+        with pytest.raises(ValueError, match="out of range"):
+            classify(HillClimbing(), mdp, states=np.array([1, 16]))
 
     def test_sweep_cap(self):
         calls = []

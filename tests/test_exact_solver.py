@@ -117,6 +117,15 @@ class TestEvaluateNonstationary:
             assert value >= previous - 1e-12
             previous = value
 
+    def test_landscape_read_once_per_call(self):
+        # One move-gain table serves every t: a plain objective (no batch
+        # form) is called once per state, not once per state and step.
+        calls = []
+        counting = Objective(8, lambda x: calls.append(x) or float(x.bit_count()),
+                             "counting", 8.0)
+        evaluate_nonstationary(SimulatedAnnealing(10.0, 0.9), LocalSearchMdp(counting), 50, 0.9)
+        assert len(calls) <= 2**8
+
     def test_annealing_small_horizons_match_enumerator(self):
         mdp = LocalSearchMdp(make_onemax(3))
         sa = SimulatedAnnealing(1.0, 0.5)

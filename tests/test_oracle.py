@@ -4,8 +4,9 @@ Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7
 (n <= 8 for rollouts).  Counts (alpha, beta, gamma) and verdicts must agree
 exactly; sums may differ in the last bits because numpy and `math.fsum` add
 in different orders, so they get tolerances fixed here: partial sums 1e-12
-relative, P and r 1e-12, finite-horizon values 1e-10.  Batch objective
-values and lockstep rollouts must equal their scalar counterparts exactly.
+relative, P and r 1e-12, finite-horizon values 1e-10.  Optimal values,
+batch objective values and lockstep rollouts must equal their scalar
+counterparts exactly.
 """
 
 import json
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import reference
 from lsmdp.cli import main as cli_main
 from lsmdp.coefficients import classify
-from lsmdp.exact_solver import enumerate_trajectories, evaluate_nonstationary, freeze
+from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary, freeze,
+                                value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap)
 from lsmdp.policies import parse_policy
@@ -95,6 +97,16 @@ def test_backward_values_match_forward_and_enumeration(mdp, descriptor, horizon,
     expanded = enumerate_trajectories(policy, mdp, start, short, discount)
     assert abs(evaluate_nonstationary(policy, mdp, short, discount).v[start]
                - expanded) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(landscapes(), st.sampled_from([0.5, 0.9, 0.99]))
+def test_value_iteration_equals_scalar_sweep(mdp, discount):
+    optimal, greedy = value_iteration(mdp, discount)
+    v, residual, expected_greedy = reference.value_iteration(mdp, discount)
+    assert optimal.v.tolist() == v
+    assert optimal.residual == residual
+    assert greedy == expected_greedy
 
 
 def test_zero_temperature_plateaus(tmp_path):

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsmdp.objectives import make_leading_ones, make_onemax
+from lsmdp.objectives import make_leading_ones, make_nk_landscape, make_onemax
 from lsmdp.search_space import (HammingNeighborhood, LocalSearchMdp, Move,
                                 parse_criterion)
 
@@ -32,6 +33,23 @@ class TestNeighbors:
     def test_out_of_range_state(self, onemax3):
         with pytest.raises(ValueError):
             onemax3.neighbors(8)
+
+    def test_numpy_integer_state(self, onemax3):
+        assert onemax3.neighbors(np.int64(3)) == onemax3.neighbors(3) == (0b001, 0b010, 0b111)
+        with pytest.raises(ValueError, match="out of range"):
+            onemax3.neighbors(np.int64(8))
+
+
+class TestValue:
+    @pytest.mark.parametrize("make", [make_onemax, lambda n: make_nk_landscape(n, 2, 1)])
+    @pytest.mark.parametrize("bad", [-1, 16, np.int64(16), 2**70, 1.0, "3"])
+    def test_out_of_range_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            LocalSearchMdp(make(4)).value(bad)
+
+    def test_in_range_states(self):
+        mdp = LocalSearchMdp(make_onemax(4))
+        assert [mdp.value(s) for s in (0, 15, np.int64(7), np.uint8(3))] == [0.0, 4.0, 3.0, 2.0]
 
 
 class TestActions:
