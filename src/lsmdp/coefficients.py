@@ -258,6 +258,15 @@ def _trailing_average_nondecreasing(terms: list[float]) -> bool:
     return all(b >= a - 1e-15 * max(1.0, abs(a)) for a, b in zip(averages, averages[1:]))
 
 
+def _distinct_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the rows of `terms`, keyed by their bytes: row i
+    equals row first[inverse[i]].  Equal bytes give equal verdicts."""
+    rows = np.ascontiguousarray(terms)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str                 # exploitation-oriented | balanced | exploration-oriented | inconclusive
@@ -338,7 +347,9 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     policy explores by construction and is classified exploration-oriented.
 
     States are swept through move-gain tables of `SWEEP_CHUNK` states, so
-    memory is O(chunk * (moves + horizon)) however many states are swept.
+    memory is O(chunk * (moves + horizon)) however many states are swept;
+    a state sampled twice is swept once.  Within a chunk, states whose
+    series are equal byte for byte share one judged `BalanceSeries`.
     """
     if states is None:
         if mdp.n > EXHAUSTIVE_SWEEP_CAP:
@@ -347,7 +358,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
                 f"(got n={mdp.n}); pass an explicit state sample")
         state_list = list(range(mdp.num_states))
     else:
-        state_list = [mdp.check_state(i) for i in states]
+        state_list = list(dict.fromkeys(mdp.check_state(i) for i in states))
     if not state_list:
         raise ValueError("empty state sample")
     _check_series(horizon, tail_tolerance)
@@ -359,10 +370,12 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
         terms = _balance_terms(policy, gain, reached, horizon)
-        for i, up, row in zip(chunk, improving_counts(gain).tolist(), terms.tolist()):
+        first, inverse = _distinct_rows(terms)
+        judged = [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
+        for i, up, k in zip(chunk, improving_counts(gain).tolist(), inverse.tolist()):
             fractions[i] = _fractions(up, moves, i)
             convergence[i] = gamma_from_counts(up, moves)
-            series[i] = _judge_series(row, tail_tolerance)
+            series[i] = judged[k]
     degenerate = [i for i in state_list if series[i].verdict == DEGENERATE]
     inconclusive = [i for i in state_list if series[i].verdict == INCONCLUSIVE]
     converged_limits = [s.limit for s in series.values() if s.verdict == CONVERGED]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lsmdp import coefficients
 from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, ZERO,
                                 UndefinedCoefficientError, balance_series, classify,
                                 convergence_coefficient, convergence_trace, count_fractions,
@@ -251,6 +252,39 @@ class TestClassify:
         assert list(report.csv_rows()) == list(listed.csv_rows())
         with pytest.raises(ValueError, match="out of range"):
             classify(HillClimbing(), mdp, states=np.array([1, 16]))
+
+    def test_repeated_sample_states_sweep_once(self):
+        mdp = LocalSearchMdp(make_onemax(4))
+        policy = SimulatedAnnealing(10.0, 0.99)
+        report = classify(policy, mdp, states=[5, 3, 5, 3, 3])
+        assert report.states == [5, 3]  # first-occurrence order
+        assert report.inconclusive_states == [5, 3]
+        assert [row[0] for row in report.csv_rows()] == [5, 3]
+        assert report.to_json_dict() == classify(policy, mdp, states=[5, 3]).to_json_dict()
+
+    def test_judges_each_distinct_series_once(self, monkeypatch):
+        mdp = LocalSearchMdp(make_onemax(10))
+        policy = SimulatedAnnealing(10.0, 0.99)
+        _, gain, reached = mdp.move_gains(range(mdp.num_states))
+        terms = coefficients._balance_terms(policy, gain, reached, 200)
+        assert len({row.tobytes() for row in terms}) == 11
+        judged = []
+        judge = coefficients._judge_series
+        monkeypatch.setattr(coefficients, "_judge_series",
+                            lambda row, tol: judged.append(row) or judge(row, tol))
+        classify(policy, mdp)
+        assert len(judged) == 11
+
+    def test_distinct_rows_keyed_by_bytes(self):
+        # -0.0 == 0.0 and rows one ulp apart are still distinct keys, each
+        # judged on its own.
+        terms = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)],
+                          [0.0, 1.0], [-0.0, 1.0]])
+        first, inverse = coefficients._distinct_rows(terms)
+        assert sorted(first.tolist()) == [0, 1, 2]
+        assert terms[first][inverse].tobytes() == terms.tobytes()
+        assert inverse[0] == inverse[3] and inverse[1] == inverse[4]
+        assert len({inverse[0], inverse[1], inverse[2]}) == 3
 
     def test_sweep_cap(self):
         calls = []

@@ -12,6 +12,7 @@ counterparts exactly.
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from lsmdp import coefficients
 from lsmdp.cli import main as cli_main
-from lsmdp.coefficients import classify
+from lsmdp.coefficients import balance_series, classify
 from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary, freeze,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
@@ -70,6 +72,18 @@ def test_classify_matches_scalar_sweep(mdp, descriptor, horizon):
         series = report.series[state]
         assert series.verdict == expected.verdict
         assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(), st.sampled_from(POLICIES), st.sampled_from([1, 25, 120]),
+       st.sampled_from([1, 3, 7]))
+def test_classify_series_equal_per_state_series(mdp, descriptor, horizon, chunk):
+    # Small chunks put states with equal series in different chunks.
+    policy = parse_policy(descriptor)
+    with mock.patch.object(coefficients, "SWEEP_CHUNK", chunk):
+        report = classify(policy, mdp, horizon=horizon)
+    for state in range(mdp.num_states):
+        assert report.series[state] == balance_series(policy, mdp, state, horizon)
 
 
 @settings(max_examples=150, deadline=None)
