@@ -24,8 +24,8 @@ from .coefficients import (BalanceSeries, Classification, CoefficientReport,
                            exploration_masses, exploration_ratio, gamma_from_counts,
                            improving, improving_counts)
 from .exact_solver import (DivergentValueError, PolicyMatrices, ValueVector,
-                           enumerate_trajectories, evaluate_nonstationary,
-                           evaluate_stationary, freeze, value_iteration)
+                           enumerate_trajectories, evaluate_nonstationary, evaluate_stationary,
+                           evaluate_stationary_table, freeze, value_iteration)
 from .simulator import (Rollouts, RunSummary, TrajectoryRecord, TrajectoryStep,
                         best_so_far_curve, derive_seed, exploration_fraction_by_bucket,
                         exploration_ratio_by_bucket, generate_records, run_batch,

@@ -1,13 +1,12 @@
-"""Dense ground-truth machinery for small instances.
-
-Frozen per-time transition matrices and reward vectors of a policy, policy
-evaluation (stationary fixed point and exact finite-horizon backward induction),
-optimal values by value iteration, and an exhaustive trajectory-expansion
-oracle that is independent of the matrix path.
-"""
+"""Exact policy evaluation and optimal values on the move-gain table, with no
+N x N matrix: a stationary sweep to its contraction bound, finite-horizon
+backward induction and value iteration.  Dense matrices (`freeze`,
+`evaluate_stationary`) remain as the small-n oracle and the undiscounted
+solve; every solver checks a byte estimate against `MEMORY_BUDGET` first."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,17 +14,23 @@ import numpy as np
 from .policies import Policy
 from .search_space import LocalSearchMdp, Move, ResourceLimitError
 
-DENSE_STATE_CAP = 14            # 2**14 x 2**14 doubles is the dense budget
+MEMORY_BUDGET = 2 << 30         # bytes one exact solve may allocate
 ENUMERATION_LEAF_CAP = 10_000_000
+STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
 
 
 class DivergentValueError(ValueError):
     """Undiscounted evaluation of a policy that keeps collecting reward."""
 
 
-def _check_dense(n: int) -> None:
-    if n > DENSE_STATE_CAP:
-        raise ResourceLimitError(f"dense solvers are capped at n <= {DENSE_STATE_CAP}, got n={n}")
+def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
+    """ResourceLimitError unless the solve's 8-byte arrays fit the budget: three
+    N x N matrices if dense, else eight [N, d] tables (5-6.5 measured, n=16)."""
+    size = mdp.num_states
+    need = 8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n))
+    if need > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{'dense' if dense else 'table'} solve at n={mdp.n} needs "
+                                 f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
 
 
 @dataclass
@@ -47,7 +52,7 @@ def _transitions(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int):
 
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
-    _check_dense(mdp.n)
+    _check_memory(mdp, dense=True)
     states = np.arange(mdp.num_states)
     nbr, gain, reached = mdp.move_gains(states)
     p, stay, r = _transitions(policy, gain, reached, t)
@@ -122,13 +127,43 @@ def evaluate_stationary(matrices: PolicyMatrices, discount: float) -> ValueVecto
     return ValueVector(v=v, discount=discount, method="policy_eval", residual=residual)
 
 
+def evaluate_stationary_table(policy: Policy, mdp: LocalSearchMdp,
+                              discount: float) -> ValueVector:
+    """Discounted value of a stationary policy by sweeping v <- r + discount *
+    (sum(p * v[nbr]) + stay * v) from v = 0 (Puterman 1994, sec. 6.3) until the
+    contraction bound discount * delta / (1 - discount) is STATIONARY_TOLERANCE
+    * |v| or less, or for at most k sweeps with discount**k <= STATIONARY_TOLERANCE:
+    that bounds the error by STATIONARY_TOLERANCE * |v*| whatever rounding does."""
+    if not policy.stationary:
+        raise ValueError("the table sweep evaluates stationary policies only")
+    if not 0.0 <= discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
+    _check_memory(mdp)
+    nbr, gain, reached = mdp.move_gains(np.arange(mdp.num_states))
+    p, stay, r = _transitions(policy, gain, reached, 0)
+
+    def sweep(v):
+        return r + discount * (np.einsum("ij,ij->i", p, v[nbr]) + stay * v)
+
+    v = np.zeros(mdp.num_states)
+    limit = math.ceil(math.log(STATIONARY_TOLERANCE) / math.log(discount)) if discount else 1
+    for _ in range(limit):
+        new = sweep(v)
+        delta = float(np.max(np.abs(new - v)))
+        v = new
+        if discount * delta <= STATIONARY_TOLERANCE * (1.0 - discount) * np.max(np.abs(v)):
+            break
+    residual = float(np.max(np.abs(v - sweep(v))))
+    return ValueVector(v=v, discount=discount, method="policy_eval", residual=residual)
+
+
 def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
                            discount: float) -> ValueVector:
     """Exact finite-horizon value by backward induction (Puterman 1994,
     ch. 4): with the policy frozen at each t, v_t = r_t + discount * P_t v_{t+1}
     from v_horizon = 0 down to t = 0.  P_t v is read off the move-gain
     table, built once: sum(p * v[nbr]) + stay * v, with no N x N matrix."""
-    _check_dense(mdp.n)
+    _check_memory(mdp)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not 0.0 <= discount <= 1.0:
@@ -153,7 +188,7 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
     greedy maps state -> Move, or None for stay; ties prefer stay, then the
     lowest-numbered neighbor.
     """
-    _check_dense(mdp.n)
+    _check_memory(mdp)
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:

@@ -9,6 +9,7 @@ computations, not a transition kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -47,6 +48,9 @@ class HammingNeighborhood:
         """The neighbors of every state in `states`, one ascending row each."""
         masks = np.array(_hamming_masks(n, self.distance), dtype=np.int64)
         return np.sort(states[:, None] ^ masks, axis=1)
+
+    def degree(self, n: int) -> int:
+        return math.comb(n, self.distance)  # neighbors per state, no row built
 
     @property
     def descriptor(self) -> str:

@@ -100,6 +100,22 @@ class TestValue:
             assert abs(float(v_policy)) <= 1e-9
             assert abs(float(v_optimal)) <= 1e-9
 
+    def test_dense_budget_refuses_before_writing(self, tmp_path, capsys):
+        # --discount 1 keeps the dense solve; at n = 14 its matrices would
+        # need about 6 GiB, so the budget refuses it before any allocation.
+        out = tmp_path / "o"
+        assert run_cli(["value", "--objective", "onemax:n=14", "--policy", "walk",
+                        "--discount", "1", "--out", out]) == 3
+        assert "dense" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stationary_value_beyond_the_dense_budget(self, tmp_path):
+        assert run_cli(["value", "--objective", "onemax:n=15", "--policy", "metropolis:T=1",
+                        "--out", tmp_path]) == 0
+        rows = (tmp_path / "value.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2**15
+        assert all(float(row.split(",")[4]) >= -1e-9 for row in rows)
+
     def test_nonstationary_policy_uses_horizon(self, tmp_path):
         assert run_cli(["value", "--objective", "onemax:n=3", "--policy",
                         "sa:T0=1,rate=0.5", "--horizon", "50", "--out", tmp_path]) == 0
@@ -213,3 +229,15 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_discounted_value_leaves_scipy_unloaded(tmp_path):
+    # Only the undiscounted stationary solve imports scipy.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    code = ("import sys; from lsmdp.cli import main; "
+            "code = main(['value', '--objective', 'onemax:n=6', '--policy', 'walk', "
+            f"'--discount', '0.9', '--out', {str(tmp_path / 'o')!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.split()[-2:] == ["0", "False"]

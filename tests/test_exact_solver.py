@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lsmdp.exact_solver import (DivergentValueError, enumerate_trajectories,
+from lsmdp.exact_solver import (DivergentValueError, _check_memory, enumerate_trajectories,
                                 evaluate_nonstationary, evaluate_stationary,
-                                freeze, value_iteration)
+                                evaluate_stationary_table, freeze, value_iteration)
 from lsmdp.objectives import Objective, make_leading_ones, make_onemax
 from lsmdp.policies import (HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
-from lsmdp.search_space import LocalSearchMdp, ResourceLimitError
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
 
 
 @pytest.fixture
@@ -90,6 +90,52 @@ class TestEvaluateStationary:
         vv = evaluate_stationary(freeze(HillClimbing(), mdp, 0), 1.0)
         for i in range(16):
             assert vv.v[i] == pytest.approx(4.0 - mdp.value(i), abs=1e-10)
+
+
+class TestEvaluateStationaryTable:
+    def test_myopic_discount_zero(self, onemax2):
+        vv = evaluate_stationary_table(RandomWalk(), onemax2, 0.0)
+        assert np.array_equal(vv.v, freeze(RandomWalk(), onemax2, 0).r)
+        assert vv.residual == 0.0
+
+    @pytest.mark.parametrize("discount", [1.0, 1.5, -0.1])
+    def test_rejects_discount_outside_unit_interval(self, onemax2, discount):
+        with pytest.raises(ValueError):
+            evaluate_stationary_table(RandomWalk(), onemax2, discount)
+
+    def test_rejects_nonstationary_policy(self, onemax2):
+        with pytest.raises(ValueError):
+            evaluate_stationary_table(SimulatedAnnealing(1.0, 0.5), onemax2, 0.9)
+
+
+class TestMemoryBudget:
+    """Each solver checks a byte estimate of its arrays before it reads the
+    landscape: a refused solve makes no objective call."""
+
+    @staticmethod
+    def counting(n):
+        calls = []
+        return calls, Objective(n, lambda x: calls.append(x) or 0.0, "counting", None)
+
+    @pytest.mark.parametrize("solve", [
+        lambda mdp: evaluate_stationary_table(RandomWalk(), mdp, 0.9),
+        lambda mdp: evaluate_nonstationary(SimulatedAnnealing(1.0, 0.5), mdp, 3, 0.9),
+        lambda mdp: value_iteration(mdp, 0.9),
+    ])
+    @pytest.mark.parametrize("n, distance", [(21, 1), (16, 8)])
+    def test_table_solvers_refuse_before_any_evaluation(self, solve, n, distance):
+        calls, objective = self.counting(n)
+        with pytest.raises(ResourceLimitError):
+            solve(LocalSearchMdp(objective, HammingNeighborhood(distance)))
+        assert calls == []
+
+    def test_budget_edges(self):
+        # The checks alone: table solves reach the exhaustive cap n = 20 under
+        # hamming:1, dense solves stop at n = 13.
+        _check_memory(LocalSearchMdp(make_onemax(20)))
+        _check_memory(LocalSearchMdp(make_onemax(13)), dense=True)
+        with pytest.raises(ResourceLimitError, match="dense"):
+            _check_memory(LocalSearchMdp(make_onemax(14)), dense=True)
 
 
 class TestEvaluateNonstationary:

@@ -4,7 +4,8 @@ Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7
 (n <= 8 for rollouts).  Counts (alpha, beta, gamma) and verdicts must agree
 exactly; sums may differ in the last bits because numpy and `math.fsum` add
 in different orders, so they get tolerances fixed here: partial sums 1e-12
-relative, P and r 1e-12, finite-horizon values 1e-10.  Optimal values,
+relative, P and r 1e-12, finite-horizon values 1e-10, table-swept stationary
+values 1e-11 of their sup norm against the dense solve.  Optimal values,
 batch objective values and lockstep rollouts must equal their scalar
 counterparts exactly.
 """
@@ -23,7 +24,8 @@ import reference
 from lsmdp import coefficients
 from lsmdp.cli import main as cli_main
 from lsmdp.coefficients import balance_series, classify
-from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary, freeze,
+from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
+                                evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap)
@@ -111,6 +113,28 @@ def test_backward_values_match_forward_and_enumeration(mdp, descriptor, horizon,
     expanded = enumerate_trajectories(policy, mdp, start, short, discount)
     assert abs(evaluate_nonstationary(policy, mdp, short, discount).v[start]
                - expanded) <= 1e-10
+
+
+def assert_table_matches_dense(policy, mdp, discount):
+    table = evaluate_stationary_table(policy, mdp, discount)
+    dense = evaluate_stationary(freeze(policy, mdp, 0), discount)
+    scale = max(1.0, float(np.max(np.abs(dense.v))))
+    assert np.max(np.abs(table.v - dense.v)) <= 1e-11 * scale
+    assert table.residual <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(), st.sampled_from(["hc", "hc:literal", "walk", "metropolis:T=1"]),
+       st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+def test_table_sweep_equals_dense_solve(mdp, descriptor, discount):
+    assert_table_matches_dense(parse_policy(descriptor), mdp, discount)
+
+
+def test_table_sweep_on_a_periodic_chain():
+    # Literal hill climbing on trap plateaus alternates between states, so
+    # the sweep converges no faster than discount**k and runs to its limit.
+    assert_table_matches_dense(parse_policy("hc:literal"), LocalSearchMdp(make_trap(8, 4)),
+                               0.999)
 
 
 @settings(max_examples=100, deadline=None)
