@@ -24,8 +24,7 @@ import numpy as np
 from . import __version__
 from .coefficients import (SWEEP_CHUNK, classify, convergence_trace, gamma_from_counts,
                            improving_counts)
-from .exact_solver import (evaluate_nonstationary, evaluate_stationary,
-                           evaluate_stationary_table, freeze, value_iteration)
+from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
@@ -294,15 +293,15 @@ def cmd_value(args) -> int:
         "out": _default_out(),
     })
     formats = _formats(resolved)
+    discount = _float_opt(resolved, "discount")
+    if not 0.0 < discount < 1.0:
+        raise ValueError(f"value needs discount in (0, 1), got {discount!r}")
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
-    discount = _float_opt(resolved, "discount")
-    if not policy.stationary:
-        policy_values = evaluate_nonstationary(policy, mdp, _int_opt(resolved, "horizon"), discount)
-    elif discount == 1.0:
-        policy_values = evaluate_stationary(freeze(policy, mdp, 0), discount)
-    else:
+    if policy.stationary:
         policy_values = evaluate_stationary_table(policy, mdp, discount)
+    else:
+        policy_values = evaluate_nonstationary(policy, mdp, _int_opt(resolved, "horizon"), discount)
     optimal_values, greedy = value_iteration(mdp, discount)
     rows = []
     for i in range(mdp.num_states):

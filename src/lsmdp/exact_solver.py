@@ -1,8 +1,8 @@
 """Exact policy evaluation and optimal values on the move-gain table, with no
 N x N matrix: a stationary sweep to its contraction bound, finite-horizon
-backward induction and value iteration.  Dense matrices (`freeze`,
-`evaluate_stationary`) remain as the small-n oracle and the undiscounted
-solve; every solver checks a byte estimate against `MEMORY_BUDGET` first."""
+backward induction and value iteration.  Dense `freeze`/`evaluate_stationary`
+remain as the small-n oracle and the library's undiscounted solve; every
+solver checks a byte estimate against `MEMORY_BUDGET` first."""
 
 from __future__ import annotations
 
@@ -48,6 +48,11 @@ def _transitions(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int):
     and expected one-step reward of every row of a move-gain table."""
     p = policy.move_probabilities(gain, t, reached)
     return p, np.maximum(0.0, 1.0 - p.sum(axis=1)), (p * gain).sum(axis=1)
+
+
+def _backup(p, stay, r, nbr: np.ndarray, v: np.ndarray, discount: float) -> np.ndarray:
+    """One backup r + discount * (sum(p * v[nbr]) + stay * v) of `_transitions`."""
+    return r + discount * (np.einsum("ij,ij->i", p, v[nbr]) + stay * v)
 
 
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
@@ -129,31 +134,28 @@ def evaluate_stationary(matrices: PolicyMatrices, discount: float) -> ValueVecto
 
 def evaluate_stationary_table(policy: Policy, mdp: LocalSearchMdp,
                               discount: float) -> ValueVector:
-    """Discounted value of a stationary policy by sweeping v <- r + discount *
-    (sum(p * v[nbr]) + stay * v) from v = 0 (Puterman 1994, sec. 6.3) until the
-    contraction bound discount * delta / (1 - discount) is STATIONARY_TOLERANCE
-    * |v| or less, or for at most k sweeps with discount**k <= STATIONARY_TOLERANCE:
-    that bounds the error by STATIONARY_TOLERANCE * |v*| whatever rounding does."""
+    """Discounted value of a stationary policy by repeated backups from v = 0
+    (Puterman 1994, sec. 6.3), stopping when the contraction bound discount *
+    delta / (1 - discount) is STATIONARY_TOLERANCE * |v| or less (chains that
+    keep moving seldom reach it) or after k sweeps with discount**k <=
+    STATIONARY_TOLERANCE: that bounds the truncation error by
+    STATIONARY_TOLERANCE * |v*|; rounding adds about 2**-52 * |v*| / (1 - discount)."""
     if not policy.stationary:
         raise ValueError("the table sweep evaluates stationary policies only")
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     _check_memory(mdp)
     nbr, gain, reached = mdp.move_gains(np.arange(mdp.num_states))
-    p, stay, r = _transitions(policy, gain, reached, 0)
-
-    def sweep(v):
-        return r + discount * (np.einsum("ij,ij->i", p, v[nbr]) + stay * v)
-
+    frozen = _transitions(policy, gain, reached, 0)
     v = np.zeros(mdp.num_states)
     limit = math.ceil(math.log(STATIONARY_TOLERANCE) / math.log(discount)) if discount else 1
     for _ in range(limit):
-        new = sweep(v)
+        new = _backup(*frozen, nbr, v, discount)
         delta = float(np.max(np.abs(new - v)))
         v = new
         if discount * delta <= STATIONARY_TOLERANCE * (1.0 - discount) * np.max(np.abs(v)):
             break
-    residual = float(np.max(np.abs(v - sweep(v))))
+    residual = float(np.max(np.abs(v - _backup(*frozen, nbr, v, discount))))
     return ValueVector(v=v, discount=discount, method="policy_eval", residual=residual)
 
 
@@ -172,8 +174,7 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
     v = np.zeros(mdp.num_states)
     frozen = _transitions(policy, gain, reached, 0) if policy.stationary else None
     for t in reversed(range(horizon)):
-        p, stay, r = frozen if frozen is not None else _transitions(policy, gain, reached, t)
-        v = r + discount * ((p * v[nbr]).sum(axis=1) + stay * v)
+        v = _backup(*(frozen or _transitions(policy, gain, reached, t)), nbr, v, discount)
     return ValueVector(v=v, discount=discount, method="policy_eval_finite", horizon=horizon)
 
 

@@ -100,13 +100,21 @@ class TestValue:
             assert abs(float(v_policy)) <= 1e-9
             assert abs(float(v_optimal)) <= 1e-9
 
-    def test_dense_budget_refuses_before_writing(self, tmp_path, capsys):
-        # --discount 1 keeps the dense solve; at n = 14 its matrices would
-        # need about 6 GiB, so the budget refuses it before any allocation.
+    @pytest.mark.parametrize("discount", ["1", "0", "1.5"])
+    def test_discount_outside_open_interval_refused_before_work(self, tmp_path, capsys,
+                                                                 monkeypatch, discount):
+        # value_iteration needs discount in (0, 1), so value checks it before
+        # it builds the landscape or evaluates the policy.
+        import lsmdp.cli
+
+        def unreachable(resolved):
+            raise AssertionError("landscape built for a discount value rejects")
+
+        monkeypatch.setattr(lsmdp.cli, "_build_mdp", unreachable)
         out = tmp_path / "o"
         assert run_cli(["value", "--objective", "onemax:n=14", "--policy", "walk",
-                        "--discount", "1", "--out", out]) == 3
-        assert "dense" in capsys.readouterr().err
+                        "--discount", discount, "--out", out]) == 1
+        assert "discount in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stationary_value_beyond_the_dense_budget(self, tmp_path):
@@ -232,7 +240,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_discounted_value_leaves_scipy_unloaded(tmp_path):
-    # Only the undiscounted stationary solve imports scipy.
+    # Only the library's undiscounted stationary solve imports scipy.
     src = str(Path(lsmdp.__file__).resolve().parent.parent)
     code = ("import sys; from lsmdp.cli import main; "
             "code = main(['value', '--objective', 'onemax:n=6', '--policy', 'walk', "
