@@ -221,8 +221,7 @@ def cmd_classify(args) -> int:
     if "json" in formats:
         atomic_write_text(outdir / "report.json", dumps_json(report.to_json_dict()))
     if "csv" in formats:
-        atomic_write_text(outdir / "report.csv",
-                          csv_text(report.CSV_HEADER, report.csv_rows()))
+        atomic_write_text(outdir / "report.csv", csv_text(report.CSV_HEADER, report.table()))
     _write_manifest(outdir, "classify", resolved)
     print(report.classification.describe())
     return EXIT_INCONCLUSIVE if report.classification.kind == "inconclusive" else EXIT_OK
@@ -353,13 +352,26 @@ def _sim_resolved(args, multi_policy: bool) -> dict[str, str]:
         if cli_policies:
             policies = list(cli_policies)
         else:
-            keyed = sorted((k, v) for k, v in config_values.items() if k.startswith("policy_"))
-            policies = [v for _, v in keyed]
+            policies = [config_values[k] for k in _policy_keys(config_values)]
         if not policies:
             raise UsageError("missing required option --policy")
+        repeated = sorted({d for d in policies if policies.count(d) > 1})
+        if repeated:
+            raise UsageError(f"policy {repeated[0]!r} is given more than once")
         for idx, descriptor in enumerate(policies):
             resolved[f"policy_{idx}"] = descriptor
     return resolved
+
+
+def _policy_keys(values) -> list[str]:
+    """The `policy_<i>` keys of `values`, in the order of i."""
+    indices = {}
+    for key in values:
+        if key.startswith("policy_"):
+            if not key[7:].isdecimal():
+                raise UsageError(f"config key {key!r} is not policy_<index>")
+            indices[key] = int(key[7:])
+    return sorted(indices, key=indices.__getitem__)
 
 
 def _sim_params(resolved, mdp):
@@ -411,8 +423,8 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
     if emit:
         lines = []
         for descriptor, batch, _ in named_runs:
-            for record in batch.records:
-                payload = record.to_json_dict()
+            for k in range(len(batch)):
+                payload = batch.trajectory_json(k)
                 payload["policy"] = descriptor
                 lines.append(dumps_json_line(payload))
         atomic_write_text(outdir / "trajectories.jsonl", "".join(lines))
@@ -441,7 +453,7 @@ def cmd_compare(args) -> int:
     mdp = _build_mdp(resolved)
     start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved, mdp)
     emit = resolved["emit_trajectories"] == "true"
-    descriptors = [resolved[k] for k in sorted(resolved) if k.startswith("policy_")]
+    descriptors = [resolved[k] for k in _policy_keys(resolved)]
     policies = [parse_policy(descriptor) for descriptor in descriptors]
     named_runs = []
     for descriptor, policy in zip(descriptors, policies):

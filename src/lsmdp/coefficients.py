@@ -23,14 +23,17 @@ Extended-real conventions: x/0 -> +inf for x > 0, and 0/0 -> 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .policies import Policy, step
 from .search_space import LocalSearchMdp, ResourceLimitError
+from .serialize import Table
 
 EXHAUSTIVE_SWEEP_CAP = 20  # exact sweeps enumerate all 2**n states
 # States per move-gain table in `classify`, and trajectories per lockstep
@@ -278,14 +281,38 @@ class Classification:
         return self.kind
 
 
+class _StateView(Mapping):
+    """Read-only state -> value mapping over a report's columns, in sweep
+    order; `value(k)` is the value of the k-th swept state."""
+
+    def __init__(self, index: dict[int, int], value):
+        self._index, self._value = index, value
+
+    def __getitem__(self, state):
+        return self._value(self._index[state])
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
 @dataclass
 class CoefficientReport:
-    """Per-state coefficients plus the aggregate orientation of a policy."""
+    """Per-state coefficients plus the aggregate orientation of a policy.
+
+    Stored as columns: the k-th swept state, `states[k]`, has `up[k]`
+    improving moves out of `moves` and the balance series
+    `judged[series_id[k]]`.  `fractions`, `convergence` and `series` are
+    read-only state -> value views of them.
+    """
 
     states: list[int]
-    fractions: dict[int, CountFractions]
-    convergence: dict[int, float]
-    series: dict[int, BalanceSeries]
+    moves: int
+    up: np.ndarray
+    series_id: np.ndarray
+    judged: list[BalanceSeries]
     series_max: float | None
     classification: Classification
     horizon: int
@@ -295,26 +322,43 @@ class CoefficientReport:
 
     CSV_HEADER = ("state", "alpha", "beta", "gamma", "delta_partial", "verdict")
 
-    def csv_rows(self):
-        for i in self.states:
-            alpha, beta = self.fractions[i]
-            s = self.series[i]
-            yield (i, float(alpha), float(beta), self.convergence[i], s.partial_sum, s.verdict)
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {state: k for k, state in enumerate(self.states)}
+
+    @property
+    def fractions(self) -> Mapping[int, CountFractions]:
+        return _StateView(self._index,
+                          lambda k: _fractions(int(self.up[k]), self.moves, self.states[k]))
+
+    @property
+    def convergence(self) -> Mapping[int, float]:
+        return _StateView(self._index, lambda k: gamma_from_counts(int(self.up[k]), self.moves))
+
+    @property
+    def series(self) -> Mapping[int, BalanceSeries]:
+        return _StateView(self._index, lambda k: self.judged[self.series_id[k]])
+
+    def table(self) -> Table:
+        """The per-state rows keyed by state, one record per distinct
+        (improving count, series) pair; `report.csv` and the `states` of
+        `report.json` are written from it."""
+        width = len(self.judged)
+        pairs, codes = np.unique(self.up * width + self.series_id, return_inverse=True)
+        ups = (pairs // width).tolist()
+        series = [self.judged[k] for k in (pairs % width).tolist()]
+        moves = self.moves
+        # float(Fraction(a, b)) is a / b: both are a/b correctly rounded.
+        return Table({"alpha": [(moves - up) / moves for up in ups],
+                      "beta": [up / moves for up in ups],
+                      "gamma": [gamma_from_counts(up, moves) for up in ups],
+                      "delta_partial": [s.partial_sum for s in series],
+                      "delta_limit": [s.limit for s in series],
+                      "tail_bound": [s.tail_bound for s in series],
+                      "verdict": [s.verdict for s in series]},
+                     codes=codes, keys=self.states)
 
     def to_json_dict(self) -> dict:
-        per_state = {}
-        for i in self.states:
-            alpha, beta = self.fractions[i]
-            s = self.series[i]
-            per_state[str(i)] = {
-                "alpha": float(alpha),
-                "beta": float(beta),
-                "gamma": self.convergence[i],
-                "delta_partial": s.partial_sum,
-                "delta_limit": s.limit,
-                "tail_bound": s.tail_bound,
-                "verdict": s.verdict,
-            }
         return {
             "classification": {"kind": self.classification.kind,
                                "constant": self.classification.constant},
@@ -323,7 +367,7 @@ class CoefficientReport:
             "tail_tolerance": self.tail_tolerance,
             "degenerate_states": self.degenerate_states,
             "inconclusive_states": self.inconclusive_states,
-            "states": per_state,
+            "states": self.table(),
         }
 
 
@@ -362,7 +406,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     if not state_list:
         raise ValueError("empty state sample")
     _check_series(horizon, tail_tolerance)
-    fractions, convergence, series = {}, {}, {}
+    ups, series_ids, judged = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
         chunk = state_list[lo:lo + SWEEP_CHUNK]
         _, gain, reached = mdp.move_gains(chunk)
@@ -371,15 +415,17 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
         terms = _balance_terms(policy, gain, reached, horizon)
         first, inverse = _distinct_rows(terms)
-        judged = [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
-        for i, up, k in zip(chunk, improving_counts(gain).tolist(), inverse.tolist()):
-            fractions[i] = _fractions(up, moves, i)
-            convergence[i] = gamma_from_counts(up, moves)
-            series[i] = judged[k]
-    degenerate = [i for i in state_list if series[i].verdict == DEGENERATE]
-    inconclusive = [i for i in state_list if series[i].verdict == INCONCLUSIVE]
-    converged_limits = [s.limit for s in series.values() if s.verdict == CONVERGED]
-    if any(s.verdict == DIVERGING for s in series.values()):
+        ups.append(improving_counts(gain))
+        series_ids.append(inverse + len(judged))
+        judged += [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
+    series_id = np.concatenate(series_ids)
+    swept = np.array(state_list)
+    verdicts = np.array([s.verdict for s in judged])[series_id]
+    degenerate = swept[verdicts == DEGENERATE].tolist()
+    inconclusive = swept[verdicts == INCONCLUSIVE].tolist()
+    # Every judged series is some swept state's, so the rules can read them.
+    converged_limits = [s.limit for s in judged if s.verdict == CONVERGED]
+    if any(s.verdict == DIVERGING for s in judged):
         label = Classification("exploration-oriented", None)
     elif inconclusive:
         label = Classification("inconclusive", None)
@@ -392,12 +438,12 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     if inconclusive:
         series_max = None
     else:
-        per_state = [0.0 if s.verdict == ZERO
-                     else (s.limit if s.verdict == CONVERGED else math.inf)
-                     for s in series.values()]
-        series_max = max(per_state)
-    return CoefficientReport(state_list, fractions, convergence, series, series_max,
-                             label, horizon, tail_tolerance, degenerate, inconclusive)
+        series_max = max(0.0 if s.verdict == ZERO
+                         else (s.limit if s.verdict == CONVERGED else math.inf)
+                         for s in judged)
+    return CoefficientReport(state_list, moves, np.concatenate(ups), series_id, judged,
+                             series_max, label, horizon, tail_tolerance, degenerate,
+                             inconclusive)
 
 
 def decomposition_residual(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> float:

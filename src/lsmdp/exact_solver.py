@@ -83,7 +83,7 @@ class ValueVector:
             "method": self.method,
             "residual": self.residual,
             "horizon": self.horizon,
-            "values": [float(x) for x in self.v],
+            "values": self.v,
         }
 
 

@@ -9,7 +9,7 @@ together, through one move-gain table per time step and the policy's
 acceptance kernel; each trajectory still draws its uniforms, in blocks, from
 its own generator, so its path does not depend on the batch it runs in.
 The engine reduces online, to per-step move counts and a trajectories x
-(horizon + 1) running-best matrix, and builds per-step records only when
+(horizon + 1) running-best matrix, and keeps per-step arrays only when
 asked to.  Aggregation is a commutative reduction, independent of execution
 order.
 """
@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import SWEEP_CHUNK
 from .policies import Policy, choose_moves
 from .search_space import LocalSearchMdp, Move
+from .serialize import Table
 
 _DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 
@@ -62,18 +64,39 @@ class TrajectoryRecord:
         return self.best_so_far[-1][1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "start": self.start,
-            "terminated_at": self.terminated_at,
-            "steps": [
-                {"t": s.t, "state": s.state,
-                 "move": list(s.move) if s.move is not None else None,
-                 "reward": s.reward, "kind": s.kind}
-                for s in self.steps
-            ],
-            "best_so_far": [[t, b] for t, b in self.best_so_far],
-        }
+        dst = [s.move.dst if s.move is not None else -1 for s in self.steps]
+        return _trajectory_json(self.seed, self.start, self.terminated_at,
+                                [s.state for s in self.steps], dst,
+                                [s.reward for s in self.steps],
+                                [b for _, b in self.best_so_far])
+
+
+def _trajectory_json(seed, start, terminated_at, state, dst, reward, best) -> dict:
+    """The JSON object of one trajectory from its per-step columns: the
+    state at each step, the state moved to (-1: stayed), the reward, and
+    the running best at t = 0..len(state), all lists."""
+    return {
+        "seed": seed,
+        "start": start,
+        "terminated_at": terminated_at,
+        "steps": Table({"t": range(len(state)), "state": state,
+                        "move": [[i, j] if j >= 0 else None for i, j in zip(state, dst)],
+                        "reward": reward,
+                        "kind": [None if j < 0 else "exploration" if r <= 0 else "exploitation"
+                                 for j, r in zip(dst, reward)]}),
+        "best_so_far": list(enumerate(best)),
+    }
+
+
+class Steps(NamedTuple):
+    """The per-step arrays of a batch that kept its steps: trajectory k took
+    `taken[k]` steps; at step t < taken[k] it occupied `state[k, t]`, moved
+    to `dst[k, t]` (-1: stayed) and earned `reward[k, t]`."""
+
+    state: np.ndarray
+    dst: np.ndarray
+    reward: np.ndarray
+    taken: np.ndarray
 
 
 @dataclass
@@ -82,8 +105,8 @@ class Rollouts:
 
     `best[k, t]` is trajectory k's running best at time t, held after the
     trajectory is absorbed; `explore[t]` and `exploit[t]` count the
-    exploration and exploitation moves the batch took at step t.  `records`
-    holds the per-step records when the batch kept them, else None.
+    exploration and exploitation moves the batch took at step t.  `steps`
+    holds the per-step arrays when the batch kept them, else None.
     """
 
     horizon: int
@@ -92,26 +115,66 @@ class Rollouts:
     best: np.ndarray
     explore: np.ndarray
     exploit: np.ndarray
-    records: list[TrajectoryRecord] | None = None
+    steps: Steps | None = None
 
     def __len__(self) -> int:
         return len(self.seeds)
 
+    @property
+    def records(self) -> list[TrajectoryRecord] | None:
+        """Per-step records of every trajectory, built from `steps`."""
+        if self.steps is None:
+            return None
+        return [self._record(k) for k in range(len(self))]
+
+    def _path(self, k: int):
+        """(steps taken, terminated_at, states, moved-to states, rewards,
+        running bests) of trajectory k, as lists."""
+        end = int(self.steps.taken[k])
+        return (end, end if end < self.horizon else None, self.steps.state[k, :end].tolist(),
+                self.steps.dst[k, :end].tolist(), self.steps.reward[k, :end].tolist(),
+                self.best[k, :end + 1].tolist())
+
+    def _record(self, k: int) -> TrajectoryRecord:
+        _, terminated_at, states, dsts, rewards, best = self._path(k)
+        steps = [TrajectoryStep(t, state, None, 0.0, None) if dst < 0 else
+                 TrajectoryStep(t, state, Move(state, dst), reward,
+                                "exploration" if reward <= 0 else "exploitation")
+                 for t, (state, dst, reward) in enumerate(zip(states, dsts, rewards))]
+        return TrajectoryRecord(seed=int(self.seeds[k]), start=self.starts[k], steps=steps,
+                                best_so_far=list(enumerate(best)), terminated_at=terminated_at)
+
+    def trajectory_json(self, k: int) -> dict:
+        """`records[k].to_json_dict()`, from the per-step arrays."""
+        return _trajectory_json(int(self.seeds[k]), self.starts[k], *self._path(k)[1:])
+
     @classmethod
     def from_records(cls, records, horizon: int) -> Rollouts:
         """The same reduction, computed from per-step records."""
-        best = np.empty((len(records), horizon + 1))
+        count = len(records)
+        best = np.empty((count, horizon + 1))
         explore = np.zeros(horizon, dtype=np.int64)
         exploit = np.zeros(horizon, dtype=np.int64)
+        steps = _empty_steps(count, horizon)
         for k, record in enumerate(records):
             series = [b for _, b in record.best_so_far]
             best[k, :len(series)] = series
             best[k, len(series):] = series[-1]
+            steps.taken[k] = len(record.steps)
             for s in record.steps:
+                steps.state[k, s.t] = s.state
+                steps.dst[k, s.t] = s.move.dst if s.move is not None else -1
+                steps.reward[k, s.t] = s.reward
                 if s.kind is not None:
                     (explore if s.kind == "exploration" else exploit)[s.t] += 1
         return cls(horizon, [r.seed for r in records], [r.start for r in records],
-                   best, explore, exploit, list(records))
+                   best, explore, exploit, steps)
+
+
+def _empty_steps(count: int, horizon: int) -> Steps:
+    return Steps(np.zeros((count, horizon), dtype=np.int64),
+                 np.full((count, horizon), -1, dtype=np.int64),
+                 np.zeros((count, horizon)), np.zeros(count, dtype=np.int64))
 
 
 def _check_horizon(horizon: int) -> None:
@@ -142,7 +205,7 @@ def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int
 
     `start_rule` is either a fixed start state (int) or the string
     ``uniform`` for a uniformly random start per trajectory.  The options
-    are checked before any trajectory runs; per-step records are built only
+    are checked before any trajectory runs; per-step arrays are kept only
     with `keep_steps`.
     """
     check_rollout(mdp, start_rule, horizon)
@@ -161,7 +224,7 @@ def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int
 def _lockstep(policy, mdp, starts, seeds, horizon, keep_steps) -> Rollouts:
     batch = Rollouts(horizon, seeds, starts, np.empty((len(seeds), horizon + 1)),
                      np.zeros(horizon, dtype=np.int64), np.zeros(horizon, dtype=np.int64),
-                     [] if keep_steps else None)
+                     _empty_steps(len(seeds), horizon) if keep_steps else None)
     for lo in range(0, len(seeds), SWEEP_CHUNK):
         _advance_chunk(policy, mdp, batch, lo, min(lo + SWEEP_CHUNK, len(seeds)))
     return batch
@@ -179,10 +242,7 @@ def _advance_chunk(policy, mdp, batch, lo, hi) -> None:
     running = current.copy()
     best[:, 0] = running
     ended = np.full(hi - lo, horizon)                    # steps each trajectory took
-    if batch.records is not None:
-        visited = np.empty((hi - lo, horizon), dtype=np.int64)
-        moved_to = np.empty((hi - lo, horizon), dtype=np.int64)  # -1: stayed
-        rewards = np.empty((hi - lo, horizon))
+    kept = None if batch.steps is None else Steps(*(array[lo:hi] for array in batch.steps))
     draws = None
     for t in range(horizon):
         nbr, gain, reached = mdp.move_gains(states)
@@ -207,27 +267,16 @@ def _advance_chunk(policy, mdp, batch, lo, hi) -> None:
         taken = np.where(moved, gain[pick], 0.0)
         batch.explore[t] += np.count_nonzero(moved & (taken <= 0))
         batch.exploit[t] += np.count_nonzero(taken > 0)
-        if batch.records is not None:
-            visited[rows, t] = states
-            moved_to[rows, t] = np.where(moved, nbr[pick], -1)
-            rewards[rows, t] = taken
+        if kept is not None:
+            kept.state[rows, t] = states
+            kept.dst[rows, t] = np.where(moved, nbr[pick], -1)
+            kept.reward[rows, t] = taken
         states = np.where(moved, nbr[pick], states)
         current = np.where(moved, reached[pick], current)
         running = np.where(current > running, current, running)
         best[rows, t + 1] = running
-    if batch.records is not None:
-        for k in range(hi - lo):
-            end = int(ended[k])
-            steps = [TrajectoryStep(t, state, None, 0.0, None) if dst < 0 else
-                     TrajectoryStep(t, state, Move(state, dst), reward,
-                                    "exploration" if reward <= 0 else "exploitation")
-                     for t, (state, dst, reward) in enumerate(zip(
-                         visited[k, :end].tolist(), moved_to[k, :end].tolist(),
-                         rewards[k, :end].tolist()))]
-            batch.records.append(TrajectoryRecord(
-                seed=int(batch.seeds[lo + k]), start=batch.starts[lo + k], steps=steps,
-                best_so_far=list(enumerate(best[k, :end + 1].tolist())),
-                terminated_at=end if end < horizon else None))
+    if kept is not None:
+        kept.taken[:] = ended
 
 
 def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int,

@@ -10,12 +10,20 @@ state by state and move by move, and rollouts advance one trajectory and
 one step at a time, one `rng.random()` call per step.  It
 shares no arithmetic with the library except the series judge, which both
 paths call unchanged.
+
+The output writers are kept too: every value is converted by `to_jsonable`
+and written by `json.dumps` and `csv.writer`, and the classify report and
+trajectory records are turned into per-state and per-step dicts first.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -240,3 +248,109 @@ def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_se
             start = int(np.random.default_rng(seed(index, 1)).integers(mdp.num_states))
         records.append(run_trajectory(policy, mdp, start, horizon, seed(index, 0), hoods))
     return records
+
+
+# ---------------------------------------------------------------- writers
+
+def to_jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [to_jsonable(v) for v in value.tolist()]
+    if isinstance(value, Fraction):
+        value = float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def dumps_json(obj) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def dumps_json_line(obj) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+
+
+def fmt_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        value = float(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_cell(cell) for cell in row])
+    return buf.getvalue()
+
+
+def report_json_dict(report) -> dict:
+    """`report.json`'s object, one dict per state, from the report's views."""
+    per_state = {}
+    for i in report.states:
+        alpha, beta = report.fractions[i]
+        s = report.series[i]
+        per_state[str(i)] = {
+            "alpha": float(alpha),
+            "beta": float(beta),
+            "gamma": report.convergence[i],
+            "delta_partial": s.partial_sum,
+            "delta_limit": s.limit,
+            "tail_bound": s.tail_bound,
+            "verdict": s.verdict,
+        }
+    return {
+        "classification": {"kind": report.classification.kind,
+                           "constant": report.classification.constant},
+        "delta_star": report.series_max,
+        "horizon": report.horizon,
+        "tail_tolerance": report.tail_tolerance,
+        "degenerate_states": report.degenerate_states,
+        "inconclusive_states": report.inconclusive_states,
+        "states": per_state,
+    }
+
+
+def report_csv_rows(report):
+    """`report.csv`'s rows, in sweep order."""
+    for i in report.states:
+        alpha, beta = report.fractions[i]
+        s = report.series[i]
+        yield (i, float(alpha), float(beta), report.convergence[i], s.partial_sum, s.verdict)
+
+
+def trajectory_json_dict(record) -> dict:
+    """One `trajectories.jsonl` object (without its policy), one dict per step."""
+    return {
+        "seed": record.seed,
+        "start": record.start,
+        "terminated_at": record.terminated_at,
+        "steps": [
+            {"t": s.t, "state": s.state,
+             "move": list(s.move) if s.move is not None else None,
+             "reward": s.reward, "kind": s.kind}
+            for s in record.steps
+        ],
+        "best_so_far": [[t, b] for t, b in record.best_so_far],
+    }

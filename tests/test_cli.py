@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -176,12 +177,45 @@ class TestCompare:
                         "--policy", "sa:T0=2,rate=0.9", "--seeds", "5",
                         "--horizon", "30", "--out", tmp_path])
         assert code == 0
-        import csv
         with open(tmp_path / "summary.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 3
         assert rows[1][0] == "hc"
         assert rows[2][0] == "sa:T0=2,rate=0.9"
+
+    def test_eleven_policies_keep_argument_order_on_rerun(self, tmp_path):
+        # policy_10 sorts before policy_2 as text; the order must be 0..10.
+        policies = [f"metropolis:T={t}" for t in range(1, 12)]
+        out = tmp_path / "out"
+        argv = ["compare", "--objective", "onemax:n=5", "--seeds", "2", "--horizon", "5",
+                "--emit-trajectories", "--out", out]
+        for policy in policies:
+            argv += ["--policy", policy]
+        assert run_cli(argv) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            assert [row[0] for row in csv.reader(handle)][1:] == policies
+        lines = (out / "trajectories.jsonl").read_text().splitlines()
+        assert [json.loads(line)["policy"] for line in lines] == [p for p in policies
+                                                                   for _ in range(2)]
+        before = snapshot(out)
+        assert run_cli(["compare", "--config", out / "manifest.ini"]) == 0
+        assert snapshot(out) == before
+
+    def test_repeated_policy_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["compare", "--objective", "onemax:n=4", "--policy", "hc",
+                        "--policy", "walk", "--policy", "hc", "--out", out])
+        assert code == 1
+        assert "'hc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_policy_keys_must_be_indexed(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nobjective = onemax:n=4\npolicy_0 = hc\npolicy_x = walk\n"
+                          f"out = {tmp_path / 'out'}\n")
+        assert run_cli(["compare", "--config", config]) == 1
+        assert "policy_x" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGamma:

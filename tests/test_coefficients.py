@@ -1,9 +1,13 @@
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from lsmdp import coefficients
 from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, ZERO,
                                 UndefinedCoefficientError, balance_series, classify,
@@ -14,11 +18,17 @@ from lsmdp.objectives import Objective, make_leading_ones, make_onemax
 from lsmdp.policies import (HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
+from lsmdp.serialize import csv_text, dumps_json
 
 
 @pytest.fixture
 def onemax3():
     return LocalSearchMdp(make_onemax(3))
+
+
+def written(report):
+    """The text of `report.json` and `report.csv`."""
+    return dumps_json(report.to_json_dict()), csv_text(report.CSV_HEADER, report.table())
 
 
 def split(mdp, state):
@@ -248,8 +258,7 @@ class TestClassify:
         listed = classify(HillClimbing(), mdp, states=[1, 2, 15])
         report = classify(HillClimbing(), mdp, states=sample)
         assert report.states == [1, 2, 15]
-        assert report.to_json_dict() == listed.to_json_dict()
-        assert list(report.csv_rows()) == list(listed.csv_rows())
+        assert written(report) == written(listed)
         with pytest.raises(ValueError, match="out of range"):
             classify(HillClimbing(), mdp, states=np.array([1, 16]))
 
@@ -259,8 +268,8 @@ class TestClassify:
         report = classify(policy, mdp, states=[5, 3, 5, 3, 3])
         assert report.states == [5, 3]  # first-occurrence order
         assert report.inconclusive_states == [5, 3]
-        assert [row[0] for row in report.csv_rows()] == [5, 3]
-        assert report.to_json_dict() == classify(policy, mdp, states=[5, 3]).to_json_dict()
+        assert list(report.series) == [5, 3]
+        assert written(report) == written(classify(policy, mdp, states=[5, 3]))
 
     def test_judges_each_distinct_series_once(self, monkeypatch):
         mdp = LocalSearchMdp(make_onemax(10))
@@ -296,8 +305,9 @@ class TestClassify:
     def test_report_serialization(self):
         mdp = LocalSearchMdp(make_onemax(4))
         report = classify(SimulatedAnnealing(1.0, 0.5), mdp)
-        payload = report.to_json_dict()
-        assert set(payload["states"]) == {str(i) for i in range(16)}
-        rows = list(report.csv_rows())
-        assert len(rows) == 16
-        assert rows[0][0] == 0
+        text, table = written(report)
+        assert text == reference.dumps_json(reference.report_json_dict(report))
+        assert set(json.loads(text)["states"]) == {str(i) for i in range(16)}
+        rows = list(csv.reader(io.StringIO(table)))
+        assert len(rows) == 17
+        assert rows[1][0] == "0"

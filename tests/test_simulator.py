@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ from lsmdp import cli
 from lsmdp.objectives import Objective, make_onemax
 from lsmdp.policies import HillClimbing, RandomWalk, SimulatedAnnealing
 from lsmdp.search_space import LocalSearchMdp
+from lsmdp.serialize import dumps_json_line
 from lsmdp.simulator import (Rollouts, TrajectoryStep, best_so_far_curve, derive_seed,
                              exploration_fraction_by_bucket,
                              exploration_ratio_by_bucket, generate_records,
@@ -62,9 +64,12 @@ class TestRunTrajectory:
                 assert s.kind == ("exploration" if s.reward <= 0 else "exploitation")
 
     def test_json_dict_shape(self, onemax5):
-        payload = run_trajectory(RandomWalk(), onemax5, 0, 3, seed=0).to_json_dict()
+        record = run_trajectory(RandomWalk(), onemax5, 0, 3, seed=0)
+        payload = json.loads(dumps_json_line(record.to_json_dict()))
         assert set(payload) == {"seed", "start", "terminated_at", "steps", "best_so_far"}
         assert len(payload["steps"]) == 3
+        assert dumps_json_line(record.to_json_dict()) == reference.dumps_json_line(
+            reference.trajectory_json_dict(record))
 
 
 class TestSeedDerivation:
