@@ -29,4 +29,5 @@ from .exact_solver import (DivergentValueError, PolicyMatrices, ValueVector,
 from .simulator import (Rollouts, RunSummary, TrajectoryRecord, TrajectoryStep,
                         best_so_far_curve, derive_seed, exploration_fraction_by_bucket,
                         exploration_ratio_by_bucket, generate_records, run_batch,
-                        run_trajectory, simulate_batch, summarize_records)
+                        run_trajectory, simulate_batch, simulate_batches,
+                        summarize_records)

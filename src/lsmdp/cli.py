@@ -28,8 +28,8 @@ from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, val
 from .objectives import parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
-from .serialize import atomic_write_text, csv_text, dumps_json, dumps_json_line
-from .simulator import (best_so_far_curve, check_rollout, simulate_batch,
+from .serialize import Table, atomic_write_text, csv_text, dumps_json, dumps_json_line
+from .simulator import (best_so_far_curve, check_rollout, simulate_batch, simulate_batches,
                         summarize_records)
 
 EXIT_OK = 0
@@ -388,35 +388,38 @@ def _sim_params(resolved, mdp):
     return params
 
 
+def _extend(columns: dict[str, list], **values) -> None:
+    """Append each of `values` to the column of its name."""
+    for name, column in values.items():
+        columns[name].extend(column)
+
+
 def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit):
     """named_runs: list of (descriptor, rollouts, summary)."""
     summary_rows = [(descriptor,) + summary.csv_row() for descriptor, _, summary in named_runs]
     if "csv" in formats:
         header = ("policy",) + named_runs[0][2].CSV_HEADER
         atomic_write_text(outdir / "summary.csv", csv_text(header, summary_rows))
-        best_rows = []
-        explore_rows = []
+        best = {name: [] for name in ("policy", "t", "mean", "p25", "p50", "p75")}
+        explore = {name: [] for name in ("policy", "bucket", "t_lo", "t_hi",
+                                         "exploration_fraction", "exploration_ratio")}
+        seed_columns = {name: [] for name in ("policy", "index", "seed", "start")}
         for descriptor, batch, summary in named_runs:
             means, quartiles = best_so_far_curve(batch, horizon)
-            for t, mean in enumerate(means):
-                best_rows.append((descriptor, t, mean, quartiles["p25"][t],
-                                  quartiles["p50"][t], quartiles["p75"][t]))
-            for b, (frac, ratio) in enumerate(zip(summary.exploration_fraction,
-                                                  summary.exploration_ratio)):
-                explore_rows.append((descriptor, b, b * bucket_width,
-                                     min(horizon, (b + 1) * bucket_width) - 1, frac, ratio))
-        atomic_write_text(outdir / "plot_best.csv",
-                          csv_text(("policy", "t", "mean", "p25", "p50", "p75"), best_rows))
-        atomic_write_text(outdir / "plot_explore.csv",
-                          csv_text(("policy", "bucket", "t_lo", "t_hi",
-                                    "exploration_fraction", "exploration_ratio"),
-                                   explore_rows))
-        seed_rows = []
-        for descriptor, batch, _ in named_runs:
-            for index, (seed, start) in enumerate(zip(batch.seeds, batch.starts)):
-                seed_rows.append((descriptor, index, seed, start))
-        atomic_write_text(outdir / "seeds.csv",
-                          csv_text(("policy", "index", "seed", "start"), seed_rows))
+            _extend(best, policy=[descriptor] * len(means), t=range(len(means)), mean=means,
+                    p25=quartiles.get("p25", ()), p50=quartiles.get("p50", ()),
+                    p75=quartiles.get("p75", ()))
+            buckets = range(len(summary.exploration_fraction))
+            _extend(explore, policy=[descriptor] * len(buckets), bucket=buckets,
+                    t_lo=[b * bucket_width for b in buckets],
+                    t_hi=[min(horizon, (b + 1) * bucket_width) - 1 for b in buckets],
+                    exploration_fraction=summary.exploration_fraction,
+                    exploration_ratio=summary.exploration_ratio)
+            _extend(seed_columns, policy=[descriptor] * len(batch), index=range(len(batch)),
+                    seed=batch.seeds, start=batch.starts)
+        for name, columns in (("plot_best.csv", best), ("plot_explore.csv", explore),
+                              ("seeds.csv", seed_columns)):
+            atomic_write_text(outdir / name, csv_text(tuple(columns), Table(columns)))
     if "json" in formats:
         atomic_write_text(outdir / "summary.json", dumps_json(
             {descriptor: summary.to_json_dict() for descriptor, _, summary in named_runs}))
@@ -455,13 +458,11 @@ def cmd_compare(args) -> int:
     emit = resolved["emit_trajectories"] == "true"
     descriptors = [resolved[k] for k in _policy_keys(resolved)]
     policies = [parse_policy(descriptor) for descriptor in descriptors]
-    named_runs = []
-    for descriptor, policy in zip(descriptors, policies):
-        batch = simulate_batch(policy, mdp, start_rule, horizon, seeds, base_seed,
+    batches = simulate_batches(policies, mdp, start_rule, horizon, seeds, base_seed,
                                keep_steps=emit)
-        summary = summarize_records(batch, horizon, bucket_width,
-                                    mdp.objective.known_optimum)
-        named_runs.append((descriptor, batch, summary))
+    named_runs = [(descriptor, batch, summarize_records(batch, horizon, bucket_width,
+                                                         mdp.objective.known_optimum))
+                  for descriptor, batch in zip(descriptors, batches)]
     outdir = _outdir(resolved)
     _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
     _write_manifest(outdir, "compare", resolved)

@@ -97,12 +97,23 @@ def make_trap(n: int, k: int) -> Objective:
             total += k if u == k else k - 1 - u
         return float(total)
 
+    blocks = n // k
+    lows = sum(1 << lo for lo in range(0, n, k))  # the lowest bit of every block
+
     def batch(x):
-        total = np.zeros(x.shape, dtype=np.int64)
-        for lo in range(0, n, k):
-            u = np.bitwise_count((x >> lo) & block_mask).astype(np.int64)
-            total += np.where(u == k, k, k - 1 - u)
-        return total.astype(float)
+        # A block with u one-bits scores k-1-u, plus k+1 when it is full, so
+        # the B blocks sum to B(k-1) - popcount(x) + (k+1)·(full blocks).
+        # Bit i of `full` is the AND of bits i..i+span-1, with span doubled
+        # up to k, so a block is full exactly when `full` has its lowest bit
+        # set.  Every term is a small integer, so the float sums are exact.
+        full, span = x, 1
+        while 2 * span <= k:
+            full = full & (full >> span)
+            span *= 2
+        if span < k:
+            full = full & (full >> (k - span))
+        return ((k + 1.0) * np.bitwise_count(full & lows) - np.bitwise_count(x)
+                + float(blocks * (k - 1)))
 
     return Objective(n, fn, f"trap:n={n},k={k}", float(n), batch=batch)
 

@@ -4,14 +4,17 @@ Trajectories are independent and reproducible: trajectory k of a batch draws
 its generator seed from the entropy triple (base_seed, k, stream) through
 numpy's SeedSequence, so batches replay identically across machines.
 
-One lockstep engine runs every batch.  All trajectories of a chunk advance
-together, through one move-gain table per time step and the policy's
-acceptance kernel; each trajectory still draws its uniforms, in blocks, from
-its own generator, so its path does not depend on the batch it runs in.
-The engine reduces online, to per-step move counts and a trajectories x
-(horizon + 1) running-best matrix, and keeps per-step arrays only when
-asked to.  Aggregation is a commutative reduction, independent of execution
-order.
+One lockstep engine runs every batch.  A run of G policies over K seeds
+has G·K rows, row g·K + k being trajectory k of policy g, and all rows of a
+chunk advance together: one move-gain table per time step covers every
+running row, each policy's acceptance kernel reads its own contiguous block
+of rows, and one running-sum scan picks every row's move.  Each row draws
+its uniforms, in blocks, from its own generator, so its path depends
+neither on the batch it runs in nor on the other policies.  The engine
+reduces online, to per-step move counts per policy and a rows x
+(horizon + 1) running-best matrix, keeps per-step arrays only when asked
+to, and hands each policy its block of rows as views.  Aggregation is a
+commutative reduction, independent of execution order.
 """
 
 from __future__ import annotations
@@ -106,7 +109,8 @@ class Rollouts:
     `best[k, t]` is trajectory k's running best at time t, held after the
     trajectory is absorbed; `explore[t]` and `exploit[t]` count the
     exploration and exploitation moves the batch took at step t.  `steps`
-    holds the per-step arrays when the batch kept them, else None.
+    holds the per-step arrays when the batch kept them, else None.  A batch
+    from `simulate_batches` holds views into the arrays of its whole run.
     """
 
     horizon: int
@@ -199,14 +203,17 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
     mdp.check_state(start_rule)
 
 
-def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
-                   num_trajectories: int, base_seed: int, keep_steps: bool = False) -> Rollouts:
-    """Run a batch of independently seeded trajectories in lockstep.
+def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
+                     num_trajectories: int, base_seed: int,
+                     keep_steps: bool = False) -> list[Rollouts]:
+    """Run one batch of independently seeded trajectories per policy, all
+    policies in one lockstep.
 
     `start_rule` is either a fixed start state (int) or the string
-    ``uniform`` for a uniformly random start per trajectory.  The options
-    are checked before any trajectory runs; per-step arrays are kept only
-    with `keep_steps`.
+    ``uniform`` for a uniformly random start per trajectory.  Every batch
+    gets the same seeds and starts, and each is what `simulate_batch` gives
+    for its policy alone.  The options are checked before any trajectory
+    runs; per-step arrays are kept only with `keep_steps`.
     """
     check_rollout(mdp, start_rule, horizon)
     if num_trajectories < 0:
@@ -218,65 +225,114 @@ def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int
                       .integers(mdp.num_states)) for index in indices]
     else:
         starts = [start_rule] * num_trajectories
-    return _lockstep(policy, mdp, starts, seeds, horizon, keep_steps)
+    return _lockstep(list(policies), mdp, starts, seeds, horizon, keep_steps)
 
 
-def _lockstep(policy, mdp, starts, seeds, horizon, keep_steps) -> Rollouts:
-    batch = Rollouts(horizon, seeds, starts, np.empty((len(seeds), horizon + 1)),
-                     np.zeros(horizon, dtype=np.int64), np.zeros(horizon, dtype=np.int64),
-                     _empty_steps(len(seeds), horizon) if keep_steps else None)
-    for lo in range(0, len(seeds), SWEEP_CHUNK):
-        _advance_chunk(policy, mdp, batch, lo, min(lo + SWEEP_CHUNK, len(seeds)))
-    return batch
+def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
+                   num_trajectories: int, base_seed: int, keep_steps: bool = False) -> Rollouts:
+    """Run a batch of independently seeded trajectories in lockstep: the
+    batch `simulate_batches` gives for this one policy."""
+    return simulate_batches([policy], mdp, start_rule, horizon, num_trajectories, base_seed,
+                            keep_steps)[0]
 
 
-def _advance_chunk(policy, mdp, batch, lo, hi) -> None:
-    """Roll trajectories lo..hi-1 of `batch` forward together for up to
-    `batch.horizon` steps; a trajectory stops once the policy is absorbed."""
-    horizon = batch.horizon
-    best = batch.best[lo:hi]
-    rngs = [np.random.default_rng(seed) for seed in batch.seeds[lo:hi]]
-    rows = np.arange(hi - lo)                            # trajectories still running
-    states = np.array(batch.starts[lo:hi], dtype=np.int64)
-    current = np.array([mdp.value(s) for s in batch.starts[lo:hi]], dtype=float)
+class _Run(NamedTuple):
+    """The arrays every row of a lockstep run writes into: row g·K + k is
+    trajectory k of policy g, and `explore[g]`/`exploit[g]` are policy g's
+    per-step move counts."""
+
+    policies: list
+    seeds: list[int]
+    starts: np.ndarray
+    start_values: np.ndarray
+    best: np.ndarray
+    explore: np.ndarray
+    exploit: np.ndarray
+    steps: Steps | None
+
+
+def _lockstep(policies, mdp, starts, seeds, horizon, keep_steps) -> list[Rollouts]:
+    """Advance trajectory k of every policy together, in chunks of
+    `SWEEP_CHUNK` rows, and return each policy's block of rows as views."""
+    count, total = len(seeds), len(policies) * len(seeds)
+    run = _Run(policies, seeds, np.array(starts, dtype=np.int64),
+               np.array([mdp.value(s) for s in starts], dtype=float),
+               np.empty((total, horizon + 1)), np.zeros((len(policies), horizon), dtype=np.int64),
+               np.zeros((len(policies), horizon), dtype=np.int64),
+               _empty_steps(total, horizon) if keep_steps else None)
+    for lo in range(0, total, SWEEP_CHUNK):
+        _advance_chunk(run, mdp, lo, min(lo + SWEEP_CHUNK, total))
+    blocks = [slice(g * count, (g + 1) * count) for g in range(len(policies))]
+    return [Rollouts(horizon, list(seeds), list(starts), run.best[block], run.explore[g],
+                     run.exploit[g], None if run.steps is None else
+                     Steps(*(array[block] for array in run.steps)))
+            for g, block in enumerate(blocks)]
+
+
+def _policy_spans(policies, group):
+    """(policy, first row, end row) of each policy with a row in `group`,
+    the sorted policy index of every running row."""
+    bounds = np.searchsorted(group, np.arange(len(policies) + 1)).tolist()
+    return [(policy, a, b) for policy, a, b in zip(policies, bounds, bounds[1:]) if a < b]
+
+
+def _per_policy(spans, kernel):
+    """`kernel(policy, rows)` over each policy's rows, stacked in row order."""
+    parts = [kernel(policy, slice(a, b)) for policy, a, b in spans]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _advance_chunk(run, mdp, lo, hi) -> None:
+    """Roll rows lo..hi-1 of `run` forward together for up to the horizon;
+    a row stops once its policy is absorbed."""
+    horizon = run.best.shape[1] - 1
+    rows = np.arange(lo, hi)                             # rows still running
+    group, trajectory = np.divmod(rows, len(run.seeds))
+    spans = _policy_spans(run.policies, group)
+    rngs = [np.random.default_rng(run.seeds[k]) for k in trajectory.tolist()]
+    states = run.starts[trajectory]
+    current = run.start_values[trajectory]
     running = current.copy()
-    best[:, 0] = running
-    ended = np.full(hi - lo, horizon)                    # steps each trajectory took
-    kept = None if batch.steps is None else Steps(*(array[lo:hi] for array in batch.steps))
+    run.best[lo:hi, 0] = running
+    if run.steps is not None:
+        run.steps.taken[lo:hi] = horizon
     draws = None
     for t in range(horizon):
         nbr, gain, reached = mdp.move_gains(states)
-        stop = policy.absorbed(gain)
+        stop = _per_policy(spans, lambda policy, own: policy.absorbed(gain[own]))
         if stop.any():
-            best[rows[stop], t + 1:] = running[stop, None]
-            ended[rows[stop]] = t
+            run.best[rows[stop], t + 1:] = running[stop, None]
+            if run.steps is not None:
+                run.steps.taken[rows[stop]] = t
             go = ~stop
-            rows, states, current, running = rows[go], states[go], current[go], running[go]
+            rows, group, states, current, running = (rows[go], group[go], states[go],
+                                                     current[go], running[go])
             nbr, gain, reached = nbr[go], gain[go], reached[go]
             if draws is not None:
                 draws = draws[go]
             if not rows.size:
                 break
-        # Trajectory k's i-th uniform drives its i-th step, whatever the block.
+            spans = _policy_spans(run.policies, group)
+        # A row's i-th uniform drives its i-th step, whatever the block.
         if t % _DRAW_BLOCK == 0:
             width = min(_DRAW_BLOCK, horizon - t)
-            draws = np.array([rngs[k].random(width) for k in rows.tolist()])
-        j = choose_moves(policy.move_probabilities(gain, t, reached), draws[:, t % _DRAW_BLOCK])
+            draws = np.array([rngs[r - lo].random(width) for r in rows.tolist()])
+        probabilities = _per_policy(
+            spans, lambda policy, own: policy.move_probabilities(gain[own], t, reached[own]))
+        j = choose_moves(probabilities, draws[:, t % _DRAW_BLOCK])
         moved = j >= 0
         pick = (np.arange(rows.size), np.maximum(j, 0))
         taken = np.where(moved, gain[pick], 0.0)
-        batch.explore[t] += np.count_nonzero(moved & (taken <= 0))
-        batch.exploit[t] += np.count_nonzero(taken > 0)
-        if kept is not None:
-            kept.state[rows, t] = states
-            kept.dst[rows, t] = np.where(moved, nbr[pick], -1)
-            kept.reward[rows, t] = taken
+        run.explore[:, t] += np.bincount(group[moved & (taken <= 0)], minlength=len(run.policies))
+        run.exploit[:, t] += np.bincount(group[taken > 0], minlength=len(run.policies))
+        if run.steps is not None:
+            run.steps.state[rows, t] = states
+            run.steps.dst[rows, t] = np.where(moved, nbr[pick], -1)
+            run.steps.reward[rows, t] = taken
         states = np.where(moved, nbr[pick], states)
         current = np.where(moved, reached[pick], current)
         running = np.where(current > running, current, running)
-        best[rows, t + 1] = running
-    if kept is not None:
-        kept.taken[:] = ended
+        run.best[rows, t + 1] = running
 
 
 def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int,
@@ -286,7 +342,7 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     a given seed: a batch of one."""
     _check_horizon(horizon)
     mdp.check_state(start)
-    return _lockstep(policy, mdp, [start], [int(seed)], horizon, keep_steps=True).records[0]
+    return _lockstep([policy], mdp, [start], [int(seed)], horizon, keep_steps=True)[0].records[0]
 
 
 def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,

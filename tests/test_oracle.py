@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lsmdp import coefficients
+from lsmdp import coefficients, simulator
 from lsmdp.cli import main as cli_main
 from lsmdp.coefficients import balance_series, classify
 from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
@@ -31,7 +31,8 @@ from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leadin
                               make_nk_landscape, make_onemax, make_trap)
 from lsmdp.policies import parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
-from lsmdp.simulator import generate_records, run_trajectory
+from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
+                             simulate_batches)
 
 POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
             "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.9", "sa:T0=10,rate=0.99"]
@@ -243,16 +244,26 @@ def test_batch_objective_equals_scalar(objective, raw):
 
 
 @pytest.mark.parametrize("objective", [
-    make_onemax(63), make_leading_ones(63), make_trap(63, 7), make_trap(63, 63),
+    make_onemax(63), make_leading_ones(63), make_trap(63, 1), make_trap(63, 7),
+    make_trap(63, 9), make_trap(63, 63), make_trap(62, 31),
     cnf_objective(CnfInstance(63, ((63,), (-63, 1), (62, -62), (-1, -2, -63)))),
     make_nk_landscape(10, 9, 4), make_nk_landscape(1, 0, 4),
 ])
 def test_batch_objective_edges(objective):
     rng = np.random.default_rng(11)
-    top = (1 << objective.n) - 1
+    n = objective.n
+    top = (1 << n) - 1
     states = [int(s) & top for s in rng.integers(0, 2**63 - 1, 200, dtype=np.int64)]
-    if objective.n == 63:
+    if n == 63:
         states += [s | (1 << 62) for s in states] + [1 << 62, top, top ^ 1]
+    # Random states almost never fill a wide block, so add states made of
+    # whole aligned blocks, for every width that divides n, alone and over
+    # random bits.
+    noisy = states[:20]
+    for width in [w for w in range(1, n + 1) if n % w == 0]:
+        for pick, noise in zip(rng.integers(0, 2, (20, n // width)), noisy):
+            filled = sum(((1 << width) - 1) << (b * width) for b in np.flatnonzero(pick).tolist())
+            states += [filled, filled | noise, filled ^ (1 << int(rng.integers(n)))]
     assert_batch_matches_scalar(objective, states + [0, top])
 
 
@@ -289,3 +300,29 @@ def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, ba
         assert record.terminated_at == oracle.terminated_at
         # A batch of one walks the same path as the batch it came from.
         assert run_trajectory(policy, mdp, record.start, horizon, record.seed) == record
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(max_bits=8), st.lists(st.sampled_from(ROLLOUT_POLICIES), min_size=1,
+                                        max_size=4),
+       st.booleans(), st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32),
+       st.sampled_from([1, 3, 7, simulator.SWEEP_CHUNK]), st.data())
+def test_fused_batches_equal_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
+                                                  base_seed, chunk, data):
+    start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
+    policies = [parse_policy(descriptor) for descriptor in descriptors]
+    policies += data.draw(st.sampled_from([[], policies[:1]]))  # the same object twice
+    alone = [simulate_batch(policy, mdp, start, horizon, count, base_seed, keep_steps)
+             for policy in policies]
+    # Small chunks end inside a policy's block of rows.
+    with mock.patch.object(simulator, "SWEEP_CHUNK", chunk):
+        fused = simulate_batches(policies, mdp, start, horizon, count, base_seed, keep_steps)
+    assert len(fused) == len(policies)
+    for batch, expected in zip(fused, alone):
+        assert (batch.seeds, batch.starts) == (expected.seeds, expected.starts)
+        for name in ("best", "explore", "exploit"):
+            assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+        assert (batch.steps is None) == (not keep_steps)
+        if keep_steps:
+            for name, array, oracle in zip(batch.steps._fields, batch.steps, expected.steps):
+                assert np.array_equal(array, oracle), name

@@ -195,11 +195,13 @@ class TestOnlineReduction:
         assert built == []
 
         # The records-based path: keep every step, then reduce the records.
-        def from_records(policy, mdp, start_rule, horizon, count, base_seed, keep_steps=False):
-            records = generate_records(policy, mdp, start_rule, horizon, count, base_seed)
-            return Rollouts.from_records(records, horizon)
+        def from_records(policies, mdp, start_rule, horizon, count, base_seed,
+                         keep_steps=False):
+            return [Rollouts.from_records(generate_records(policy, mdp, start_rule, horizon,
+                                                           count, base_seed), horizon)
+                    for policy in policies]
 
-        monkeypatch.setattr(cli, "simulate_batch", from_records)
+        monkeypatch.setattr(cli, "simulate_batches", from_records)
         assert cli.main(self.ARGV + ["--out", str(tmp_path / "records")]) == 0
         assert built
         for name in self.OUTPUTS:
