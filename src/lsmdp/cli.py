@@ -239,42 +239,45 @@ def cmd_gamma(args) -> int:
         "out": _default_out(),
     })
     formats = _formats(resolved)
+    policy = parse_policy(resolved["policy"]) if resolved["policy"] else None
+    if resolved["start"] and policy is None:
+        raise UsageError("option --start needs --policy")
+    seed, t_max = _int_opt(resolved, "seed"), _int_opt(resolved, "t_max")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp = _build_mdp(resolved)
     if mdp.n > 20:
         raise ResourceLimitError(f"per-state table is capped at n <= 20, got n={mdp.n}")
-    rows = []
-    table = {}
+    trace = None
+    if resolved["start"]:  # traced first: a start outside the space leaves no output behind
+        trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
+                                  np.random.default_rng(seed))
+    f, ups = [], []
     for lo in range(0, mdp.num_states, SWEEP_CHUNK):
         chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))
         _, gain, _ = mdp.move_gains(chunk)
         moves = gain.shape[1]
-        f = mdp.objective.values(chunk).tolist()
-        for i, fi, up in zip(chunk.tolist(), f, improving_counts(gain).tolist()):
-            gamma = gamma_from_counts(up, moves)
-            rows.append((i, fi, up, moves - up, gamma, up == 0))
-            table[str(i)] = {"f": fi, "improving": up, "non_improving": moves - up,
-                             "gamma": gamma, "local_max": up == 0}
+        f += mdp.objective.values(chunk).tolist()
+        ups += improving_counts(gain).tolist()
+    local_max = [up == 0 for up in ups]
+    table = Table({"f": f, "improving": ups, "non_improving": [moves - up for up in ups],
+                   "gamma": [gamma_from_counts(up, moves) for up in ups],
+                   "local_max": local_max}, keys=range(mdp.num_states))
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
     if "csv" in formats:
-        atomic_write_text(outdir / "gamma.csv", csv_text(header, rows))
+        atomic_write_text(outdir / "gamma.csv", csv_text(header, table))
     payload = {"states": table}
-    if resolved["policy"] and resolved["start"]:
-        policy = parse_policy(resolved["policy"])
-        rng = np.random.default_rng(_int_opt(resolved, "seed"))
-        trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"),
-                                  _int_opt(resolved, "t_max"), rng)
+    if trace is not None:
         payload["trace"] = {"states": list(trace.states), "gamma": list(trace.values),
-                            "first_zero": trace.first_zero,
-                            "seed": _int_opt(resolved, "seed")}
+                            "first_zero": trace.first_zero, "seed": seed}
         if "csv" in formats:
-            trace_rows = [(t, s, g) for t, (s, g) in enumerate(zip(trace.states, trace.values))]
-            atomic_write_text(outdir / "trace.csv",
-                              csv_text(("t", "state", "gamma"), trace_rows))
+            steps = Table({"state": trace.states, "gamma": trace.values},
+                          keys=range(len(trace.states)))
+            atomic_write_text(outdir / "trace.csv", csv_text(("t", "state", "gamma"), steps))
         print(f"trace first_zero={trace.first_zero}")
     else:
-        local_maxima = sum(1 for row in rows if row[5])
-        print(f"{local_maxima} local maxima over {mdp.num_states} states")
+        print(f"{sum(local_max)} local maxima over {mdp.num_states} states")
     if "json" in formats:
         atomic_write_text(outdir / "gamma.json", dumps_json(payload))
     _write_manifest(outdir, "gamma", resolved)
@@ -295,34 +298,34 @@ def cmd_value(args) -> int:
     discount = _float_opt(resolved, "discount")
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value needs discount in (0, 1), got {discount!r}")
+    horizon = _int_opt(resolved, "horizon")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
     if policy.stationary:
         policy_values = evaluate_stationary_table(policy, mdp, discount)
     else:
-        policy_values = evaluate_nonstationary(policy, mdp, _int_opt(resolved, "horizon"), discount)
-    optimal_values, greedy = value_iteration(mdp, discount)
-    rows = []
-    for i in range(mdp.num_states):
-        vp = float(policy_values.v[i])
-        vo = float(optimal_values.v[i])
-        rows.append((i, mdp.value(i), vp, vo, vo - vp))
+        policy_values = evaluate_nonstationary(policy, mdp, horizon, discount)
+    optimal_values, next_state = value_iteration(mdp, discount)
+    states = range(mdp.num_states)
+    gap = (optimal_values.v - policy_values.v).tolist()
     outdir = _outdir(resolved)
     if "csv" in formats:
+        values = Table({"f": [mdp.value(i) for i in states], "v_policy": policy_values.v.tolist(),
+                        "v_optimal": optimal_values.v.tolist(), "gap": gap}, keys=states)
         atomic_write_text(outdir / "value.csv",
-                          csv_text(("state", "f", "v_policy", "v_optimal", "gap"), rows))
-        greedy_rows = [(i, move.dst if move is not None else i) for i, move in greedy.items()]
-        atomic_write_text(outdir / "greedy.csv",
-                          csv_text(("state", "next_state"), greedy_rows))
+                          csv_text(("state", "f", "v_policy", "v_optimal", "gap"), values))
+        atomic_write_text(outdir / "greedy.csv", csv_text(
+            ("state", "next_state"), Table({"next_state": next_state.tolist()}, keys=states)))
     if "json" in formats:
         atomic_write_text(outdir / "value.json", dumps_json({
             "policy": policy_values.to_json_dict(),
             "optimal": optimal_values.to_json_dict(),
-            "greedy": {str(i): (list(m) if m is not None else None) for i, m in greedy.items()},
+            "greedy": {i: [i, j] if j != i else None for i, j in enumerate(next_state.tolist())},
         }))
     _write_manifest(outdir, "value", resolved)
-    worst_gap = max(row[4] for row in rows)
-    print(f"max optimality gap {worst_gap!r}")
+    print(f"max optimality gap {max(gap)!r}")
     return EXIT_OK
 
 

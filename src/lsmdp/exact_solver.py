@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policies import Policy
-from .search_space import LocalSearchMdp, Move, ResourceLimitError
+from .search_space import LocalSearchMdp, ResourceLimitError
 
 MEMORY_BUDGET = 2 << 30         # bytes one exact solve may allocate
 ENUMERATION_LEAF_CAP = 10_000_000
@@ -179,15 +179,15 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
 
 
 def value_iteration(mdp: LocalSearchMdp, discount: float,
-                    tolerance: float = 1e-10) -> tuple[ValueVector, dict[int, Move | None]]:
+                    tolerance: float = 1e-10) -> tuple[ValueVector, np.ndarray]:
     """Optimal values over all moves plus an explicit stay action (reward 0).
 
     The stay action realizes voluntary termination, so every randomization
     over moving and staying — hence every built-in policy — is dominated by
     the returned values.  Iterates until the contraction bound guarantees the
-    sup-norm error is below `tolerance`.  Returns (values, greedy) where
-    greedy maps state -> Move, or None for stay; ties prefer stay, then the
-    lowest-numbered neighbor.
+    sup-norm error is below `tolerance`.  Returns (values, next_state):
+    next_state[i] is the state the greedy action moves i to, i itself for
+    stay; ties prefer stay, then the lowest-numbered neighbor.
     """
     _check_memory(mdp)
     if not 0.0 < discount < 1.0:
@@ -208,13 +208,13 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
     # The first maximal move in ascending neighbor order, and only when it
     # beats staying strictly.
     q = gain + discount * v[nbr]
-    greedy: dict[int, Move | None] = dict.fromkeys(range(mdp.num_states))
+    next_state = np.arange(mdp.num_states)  # stay
     if q.shape[1]:
         best = q.argmax(axis=1)
-        for i in np.flatnonzero(q[np.arange(len(v)), best] > discount * v).tolist():
-            greedy[i] = Move(i, int(nbr[i, best[i]]))
+        move = q.max(axis=1) > discount * v
+        next_state[move] = nbr[move, best[move]]
     vec = ValueVector(v=v, discount=discount, method="value_iteration", residual=delta)
-    return vec, greedy
+    return vec, next_state
 
 
 def enumerate_trajectories(policy: Policy, mdp: LocalSearchMdp, start: int,

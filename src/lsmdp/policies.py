@@ -27,9 +27,6 @@ class ActionDistribution:
     entries: tuple[tuple[Move, float], ...]
     stay_probability: float
 
-    def move_mass(self) -> float:
-        return math.fsum(p for _, p in self.entries)
-
     def total_mass(self) -> float:
         return math.fsum([p for _, p in self.entries] + [self.stay_probability])
 
@@ -73,11 +70,6 @@ class Policy:
         probs = self.move_probabilities(gain[0], t, reached[0]).tolist()
         entries = tuple((Move(state, j), p) for j, p in zip(nbr[0].tolist(), probs) if p > 0.0)
         return ActionDistribution(entries, max(0.0, 1.0 - math.fsum(probs)))
-
-    def is_terminal(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> bool:
-        """True when the policy keeps all mass on `state` at every time >= t."""
-        _check_time(t)
-        return bool(self.absorbed(mdp.move_gains([state])[1])[0])
 
     @property
     def descriptor(self) -> str:
@@ -137,7 +129,7 @@ def _metropolis_probabilities(gain: np.ndarray, temperature: float) -> np.ndarra
 class SimulatedAnnealing(Policy):
     """Metropolis acceptance under geometric cooling T_t = cooling_rate**t * t0.
 
-    `is_terminal` is always False: at any finite time the mathematical
+    `absorbed` is always False: at any finite time the mathematical
     acceptance probability is positive (float underflow of the temperature is
     not modeled as absorption).
     """

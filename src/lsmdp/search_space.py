@@ -2,9 +2,8 @@
 
 States are plain ints in [0, 2**n).  A move i -> j is available exactly when
 j lies in the neighborhood of i; executing it has deterministic effect and
-pays the objective gain f(j) - f(i).  The uniform weight 1/|A(i)| returned by
-`action_weight` is the action-averaging weight used by the coefficient
-computations, not a transition kernel.
+pays the objective gain f(j) - f(i).  The move-gain table of `move_gains`
+holds every move of a set of states and its reward.
 """
 
 from __future__ import annotations
@@ -118,16 +117,3 @@ class LocalSearchMdp:
         f = self.objective.values(np.concatenate([states, nbr.ravel()]))
         current, reached = f[:len(states)], f[len(states):].reshape(nbr.shape)
         return nbr, reached - current[:, None], reached
-
-    def actions(self, state: int) -> tuple[Move, ...]:
-        return tuple(Move(state, j) for j in self.neighbors(state))
-
-    def reward(self, move: Move) -> float:
-        return self.value(move.dst) - self.value(move.src)
-
-    def action_weight(self, state: int, move: Move) -> float:
-        """Uniform 1/|A(state)| weight of an available move."""
-        nbrs = self.neighbors(state)
-        if move.src != state or move.dst not in nbrs:
-            raise ValueError(f"move {move} is not available in state {state}")
-        return 1.0 / len(nbrs)

@@ -125,6 +125,7 @@ def _json_table(table: Table, nl, inner) -> str:
     template = _json_wrap("{", fields, "}", inner, field_nl)
     columns = [_json_items(table.columns[name], field_nl) for name in names]
     entries = _entries(table, list(map(template.__mod__, zip(*columns))))
+    del columns  # every field is in `entries` now; free them before the keyed text
     if table.keys is None:
         return _json_wrap("[", entries, "]", nl, inner)
     keys = [str(key) for key in table.keys]

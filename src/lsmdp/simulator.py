@@ -25,12 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import SWEEP_CHUNK
+from .coefficients import SWEEP_CHUNK, improving
 from .policies import Policy, choose_moves
 from .search_space import LocalSearchMdp, Move
 from .serialize import Table
 
 _DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
+_KINDS = ("exploration", "exploitation")  # a move's kind, indexed by `improving`
 
 
 def derive_seed(base_seed: int, index: int, stream: int = 0) -> int:
@@ -55,40 +56,6 @@ class TrajectoryRecord:
     steps: list[TrajectoryStep]
     best_so_far: list[tuple[int, float]]
     terminated_at: int | None
-
-    @property
-    def final_state(self) -> int:
-        for s in reversed(self.steps):
-            return s.move.dst if s.move is not None else s.state
-        return self.start
-
-    @property
-    def final_best(self) -> float:
-        return self.best_so_far[-1][1]
-
-    def to_json_dict(self) -> dict:
-        dst = [s.move.dst if s.move is not None else -1 for s in self.steps]
-        return _trajectory_json(self.seed, self.start, self.terminated_at,
-                                [s.state for s in self.steps], dst,
-                                [s.reward for s in self.steps],
-                                [b for _, b in self.best_so_far])
-
-
-def _trajectory_json(seed, start, terminated_at, state, dst, reward, best) -> dict:
-    """The JSON object of one trajectory from its per-step columns: the
-    state at each step, the state moved to (-1: stayed), the reward, and
-    the running best at t = 0..len(state), all lists."""
-    return {
-        "seed": seed,
-        "start": start,
-        "terminated_at": terminated_at,
-        "steps": Table({"t": range(len(state)), "state": state,
-                        "move": [[i, j] if j >= 0 else None for i, j in zip(state, dst)],
-                        "reward": reward,
-                        "kind": [None if j < 0 else "exploration" if r <= 0 else "exploitation"
-                                 for j, r in zip(dst, reward)]}),
-        "best_so_far": list(enumerate(best)),
-    }
 
 
 class Steps(NamedTuple):
@@ -132,47 +99,37 @@ class Rollouts:
         return [self._record(k) for k in range(len(self))]
 
     def _path(self, k: int):
-        """(steps taken, terminated_at, states, moved-to states, rewards,
-        running bests) of trajectory k, as lists."""
+        """(terminated_at, states, moved-to states (-1: stayed), rewards,
+        kinds, running bests) of trajectory k, as lists; a step's kind is
+        "exploration" or "exploitation", None when it stayed."""
         end = int(self.steps.taken[k])
-        return (end, end if end < self.horizon else None, self.steps.state[k, :end].tolist(),
-                self.steps.dst[k, :end].tolist(), self.steps.reward[k, :end].tolist(),
-                self.best[k, :end + 1].tolist())
+        dst = self.steps.dst[k, :end].tolist()
+        reward = self.steps.reward[k, :end]
+        kind = [None if j < 0 else _KINDS[up] for j, up in zip(dst, improving(reward).tolist())]
+        return (end if end < self.horizon else None, self.steps.state[k, :end].tolist(),
+                dst, reward.tolist(), kind, self.best[k, :end + 1].tolist())
 
     def _record(self, k: int) -> TrajectoryRecord:
-        _, terminated_at, states, dsts, rewards, best = self._path(k)
-        steps = [TrajectoryStep(t, state, None, 0.0, None) if dst < 0 else
-                 TrajectoryStep(t, state, Move(state, dst), reward,
-                                "exploration" if reward <= 0 else "exploitation")
-                 for t, (state, dst, reward) in enumerate(zip(states, dsts, rewards))]
+        terminated_at, states, dsts, rewards, kinds, best = self._path(k)
+        steps = [TrajectoryStep(t, state, None if dst < 0 else Move(state, dst), reward, kind)
+                 for t, (state, dst, reward, kind)
+                 in enumerate(zip(states, dsts, rewards, kinds))]
         return TrajectoryRecord(seed=int(self.seeds[k]), start=self.starts[k], steps=steps,
                                 best_so_far=list(enumerate(best)), terminated_at=terminated_at)
 
     def trajectory_json(self, k: int) -> dict:
-        """`records[k].to_json_dict()`, from the per-step arrays."""
-        return _trajectory_json(int(self.seeds[k]), self.starts[k], *self._path(k)[1:])
-
-    @classmethod
-    def from_records(cls, records, horizon: int) -> Rollouts:
-        """The same reduction, computed from per-step records."""
-        count = len(records)
-        best = np.empty((count, horizon + 1))
-        explore = np.zeros(horizon, dtype=np.int64)
-        exploit = np.zeros(horizon, dtype=np.int64)
-        steps = _empty_steps(count, horizon)
-        for k, record in enumerate(records):
-            series = [b for _, b in record.best_so_far]
-            best[k, :len(series)] = series
-            best[k, len(series):] = series[-1]
-            steps.taken[k] = len(record.steps)
-            for s in record.steps:
-                steps.state[k, s.t] = s.state
-                steps.dst[k, s.t] = s.move.dst if s.move is not None else -1
-                steps.reward[k, s.t] = s.reward
-                if s.kind is not None:
-                    (explore if s.kind == "exploration" else exploit)[s.t] += 1
-        return cls(horizon, [r.seed for r in records], [r.start for r in records],
-                   best, explore, exploit, steps)
+        """The `trajectories.jsonl` object of trajectory k (without its
+        policy), from the per-step arrays."""
+        terminated_at, states, dsts, rewards, kinds, best = self._path(k)
+        return {
+            "seed": int(self.seeds[k]),
+            "start": self.starts[k],
+            "terminated_at": terminated_at,
+            "steps": Table({"t": range(len(states)), "state": states,
+                            "move": [[i, j] if j >= 0 else None for i, j in zip(states, dsts)],
+                            "reward": rewards, "kind": kinds}),
+            "best_so_far": list(enumerate(best)),
+        }
 
 
 def _empty_steps(count: int, horizon: int) -> Steps:
@@ -323,8 +280,9 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
         moved = j >= 0
         pick = (np.arange(rows.size), np.maximum(j, 0))
         taken = np.where(moved, gain[pick], 0.0)
-        run.explore[:, t] += np.bincount(group[moved & (taken <= 0)], minlength=len(run.policies))
-        run.exploit[:, t] += np.bincount(group[taken > 0], minlength=len(run.policies))
+        up = improving(taken)  # a stay takes gain 0, so it is never improving
+        run.explore[:, t] += np.bincount(group[moved & ~up], minlength=len(run.policies))
+        run.exploit[:, t] += np.bincount(group[up], minlength=len(run.policies))
         if run.steps is not None:
             run.steps.state[rows, t] = states
             run.steps.dst[rows, t] = np.where(moved, nbr[pick], -1)
@@ -352,14 +310,9 @@ def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: i
                           keep_steps=True).records
 
 
-def _as_rollouts(records, horizon: int) -> Rollouts:
-    """The aggregates below take a `Rollouts` batch or a list of records."""
-    return records if isinstance(records, Rollouts) else Rollouts.from_records(records, horizon)
-
-
-def _bucket_counts(records, bucket_width: int, horizon: int) -> tuple[list[int], list[int]]:
+def _bucket_counts(batch: Rollouts, bucket_width: int,
+                   horizon: int) -> tuple[list[int], list[int]]:
     _check_bucket_width(bucket_width)
-    batch = _as_rollouts(records, horizon)
     starts = np.arange(0, horizon, bucket_width)
     if not starts.size:
         return [], []
@@ -367,10 +320,10 @@ def _bucket_counts(records, bucket_width: int, horizon: int) -> tuple[list[int],
             np.add.reduceat(batch.exploit, starts).tolist())
 
 
-def exploration_ratio_by_bucket(records, bucket_width: int, horizon: int) -> list[float]:
+def exploration_ratio_by_bucket(batch: Rollouts, bucket_width: int, horizon: int) -> list[float]:
     """Per-bucket (#exploration moves / #exploitation moves); stays excluded.
     Extended-real conventions: x/0 -> +inf for x > 0 and 0/0 -> 0."""
-    explore, exploit = _bucket_counts(records, bucket_width, horizon)
+    explore, exploit = _bucket_counts(batch, bucket_width, horizon)
     out = []
     for e, x in zip(explore, exploit):
         if x > 0:
@@ -380,17 +333,17 @@ def exploration_ratio_by_bucket(records, bucket_width: int, horizon: int) -> lis
     return out
 
 
-def exploration_fraction_by_bucket(records, bucket_width: int, horizon: int) -> list[float | None]:
+def exploration_fraction_by_bucket(batch: Rollouts, bucket_width: int,
+                                   horizon: int) -> list[float | None]:
     """Per-bucket fraction of moves that are exploration; None when the bucket
     contains no moves at all."""
-    explore, exploit = _bucket_counts(records, bucket_width, horizon)
+    explore, exploit = _bucket_counts(batch, bucket_width, horizon)
     return [e / (e + x) if e + x > 0 else None for e, x in zip(explore, exploit)]
 
 
-def best_so_far_curve(records, horizon: int):
+def best_so_far_curve(batch: Rollouts, horizon: int):
     """Across-trajectory mean and quartiles of the running best at each t;
     early-terminated trajectories hold their final best."""
-    batch = _as_rollouts(records, horizon)
     if not len(batch):
         return [], {}
     matrix = batch.best
@@ -402,12 +355,12 @@ def best_so_far_curve(records, horizon: int):
 
 @dataclass
 class RunSummary:
-    """Order-independent aggregate of a batch of trajectory records."""
+    """Order-independent aggregate of a batch of trajectories."""
 
     num_trajectories: int
     horizon: int
     bucket_width: int
-    hit_rate: float | None              # None without a known optimum or records
+    hit_rate: float | None              # None without a known optimum or trajectories
     best_final_mean: float | None
     best_final_quantiles: dict[str, float] | None
     exploration_fraction: list[float | None]
@@ -435,12 +388,10 @@ class RunSummary:
                 q.get("p0"), q.get("p25"), q.get("p50"), q.get("p75"), q.get("p100"))
 
 
-def summarize_records(records, horizon: int, bucket_width: int = 1,
+def summarize_records(batch: Rollouts, horizon: int, bucket_width: int = 1,
                       known_optimum: float | None = None) -> RunSummary:
-    """Aggregate a batch, given as `Rollouts` or as a list of trajectory
-    records (order-independent)."""
+    """Aggregate a batch (order-independent)."""
     _check_bucket_width(bucket_width)
-    batch = _as_rollouts(records, horizon)
     count = len(batch)
     if count == 0:
         return RunSummary(0, horizon, bucket_width, None, None, None, [], [])

@@ -7,9 +7,9 @@ balance series is summed state by state with `math.fsum`, transition
 matrices are filled entry by entry, finite-horizon values are pushed
 forward through products of the frozen matrices, optimal values are swept
 state by state and move by move, and rollouts advance one trajectory and
-one step at a time, one `rng.random()` call per step.  It
-shares no arithmetic with the library except the series judge, which both
-paths call unchanged.
+one step at a time, one `rng.random()` call per step, and are reduced to
+a `Rollouts` batch from their per-step records.  It shares no arithmetic
+with the library except the series judge, which both paths call unchanged.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -31,7 +31,7 @@ from lsmdp.coefficients import _judge_series
 from lsmdp.policies import (ActionDistribution, HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
 from lsmdp.search_space import Move
-from lsmdp.simulator import TrajectoryRecord, TrajectoryStep
+from lsmdp.simulator import Rollouts, Steps, TrajectoryRecord, TrajectoryStep
 
 
 def neighborhoods(mdp):
@@ -153,7 +153,8 @@ def evaluate_nonstationary(policy, mdp, horizon, discount):
 
 
 def value_iteration(mdp, discount, tolerance=1e-10):
-    """Optimal values with a stay action, one state and one move at a time;
+    """Optimal values with a stay action, one state and one move at a time,
+    and the state each greedy action leads to (the state itself for stay);
     ties prefer stay, then the lowest-numbered neighbor."""
     size = mdp.num_states
     values = [mdp.value(i) for i in range(size)]
@@ -180,18 +181,18 @@ def value_iteration(mdp, discount, tolerance=1e-10):
             break
     else:
         raise RuntimeError("value iteration failed to converge")
-    greedy = {}
+    next_state = []
     for i in range(size):
         fi = values[i]
         best_q = discount * v[i]
-        best_move = None
+        best_next = i
         for j in nbrs[i]:
             q = values[j] - fi + discount * v[j]
             if q > best_q:
                 best_q = q
-                best_move = Move(i, j)
-        greedy[i] = best_move
-    return v, delta, greedy
+                best_next = j
+        next_state.append(best_next)
+    return v, delta, next_state
 
 
 def run_trajectory(policy, mdp, start, horizon, seed, hoods=None):
@@ -248,6 +249,32 @@ def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_se
             start = int(np.random.default_rng(seed(index, 1)).integers(mdp.num_states))
         records.append(run_trajectory(policy, mdp, start, horizon, seed(index, 0), hoods))
     return records
+
+
+def rollouts_from_records(records, horizon):
+    """The batch reduction of `simulate_batch`, computed from per-step
+    records: running bests held after absorption, per-step counts of each
+    record's tagged exploration and exploitation moves, and the steps."""
+    count = len(records)
+    best = np.empty((count, horizon + 1))
+    explore = np.zeros(horizon, dtype=np.int64)
+    exploit = np.zeros(horizon, dtype=np.int64)
+    steps = Steps(np.zeros((count, horizon), dtype=np.int64),
+                  np.full((count, horizon), -1, dtype=np.int64),
+                  np.zeros((count, horizon)), np.zeros(count, dtype=np.int64))
+    for k, record in enumerate(records):
+        series = [b for _, b in record.best_so_far]
+        best[k, :len(series)] = series
+        best[k, len(series):] = series[-1]
+        steps.taken[k] = len(record.steps)
+        for s in record.steps:
+            steps.state[k, s.t] = s.state
+            steps.dst[k, s.t] = s.move.dst if s.move is not None else -1
+            steps.reward[k, s.t] = s.reward
+            if s.kind is not None:
+                (explore if s.kind == "exploration" else exploit)[s.t] += 1
+    return Rollouts(horizon, [r.seed for r in records], [r.start for r in records],
+                    best, explore, exploit, steps)
 
 
 # ---------------------------------------------------------------- writers

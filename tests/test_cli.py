@@ -1,14 +1,22 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lsmdp
+import reference
 from lsmdp.cli import main
+from lsmdp.coefficients import convergence_trace
+from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
+from lsmdp.objectives import parse_objective
+from lsmdp.policies import parse_policy
+from lsmdp.search_space import LocalSearchMdp, parse_criterion
 
 
 def run_cli(args):
@@ -116,6 +124,24 @@ class TestValue:
         assert run_cli(["value", "--objective", "onemax:n=14", "--policy", "walk",
                         "--discount", discount, "--out", out]) == 1
         assert "discount in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["walk", "sa:T0=2,rate=0.8"])
+    @pytest.mark.parametrize("horizon", ["abc", "-1"])
+    def test_horizon_checked_for_every_policy_before_work(self, tmp_path, capsys, monkeypatch,
+                                                          policy, horizon):
+        # A stationary policy does not use the horizon, but it goes into
+        # manifest.ini all the same.
+        import lsmdp.cli
+
+        def unreachable(resolved):
+            raise AssertionError("landscape built for a horizon value rejects")
+
+        monkeypatch.setattr(lsmdp.cli, "_build_mdp", unreachable)
+        out = tmp_path / "o"
+        assert run_cli(["value", "--objective", "onemax:n=4", "--policy", policy,
+                        "--horizon", horizon, "--out", out]) == 1
+        assert "horizon" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stationary_value_beyond_the_dense_budget(self, tmp_path):
@@ -234,6 +260,105 @@ class TestGamma:
         payload = json.loads((tmp_path / "gamma.json").read_text())
         assert payload["trace"]["first_zero"] <= 5
         assert (tmp_path / "trace.csv").is_file()
+
+    @pytest.mark.parametrize("options", [
+        ["--policy", "hc", "--start", "99"],
+        ["--policy", "hc", "--start", "3", "--t-max", "-2"],
+        ["--policy", "bogus", "--start", "3"],
+        ["--policy", "bogus"],
+        ["--start", "3"],
+        ["--t-max", "-2"],
+        ["--seed", "abc"],
+    ], ids=["start-out-of-range", "negative-t-max", "bogus-policy-with-start",
+            "bogus-policy-without-start", "start-without-policy", "negative-t-max-without-start",
+            "bad-seed-without-start"])
+    def test_bad_trace_options_fail_before_any_output(self, tmp_path, capsys, options):
+        out = tmp_path / "out"
+        assert run_cli(["gamma", "--objective", "onemax:n=4", *options, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def _old_value_files(mdp, policy, discount, horizon):
+    """value's --out files as the per-state rows and dicts of the old writer
+    give them, through the reference writers."""
+    if policy.stationary:
+        policy_values = evaluate_stationary_table(policy, mdp, discount)
+    else:
+        policy_values = evaluate_nonstationary(policy, mdp, horizon, discount)
+    optimal_values, next_state = value_iteration(mdp, discount)
+    rows = []
+    for i in range(mdp.num_states):
+        vp = float(policy_values.v[i])
+        vo = float(optimal_values.v[i])
+        rows.append((i, mdp.value(i), vp, vo, vo - vp))
+    greedy = {i: (i, j) if j != i else None for i, j in enumerate(next_state.tolist())}
+    return {
+        "value.csv": reference.csv_text(("state", "f", "v_policy", "v_optimal", "gap"), rows),
+        "greedy.csv": reference.csv_text(("state", "next_state"),
+                                         [(i, move[1] if move else i) for i, move in greedy.items()]),
+        "value.json": reference.dumps_json({
+            "policy": policy_values.to_json_dict(),
+            "optimal": optimal_values.to_json_dict(),
+            "greedy": {str(i): list(m) if m is not None else None for i, m in greedy.items()},
+        }),
+    }
+
+
+def _old_gamma_files(mdp, policy, start, t_max, seed):
+    """gamma's --out files from per-state rows and dicts, counts from the
+    scalar reference, through the reference writers."""
+    rows, table = [], {}
+    for i in range(mdp.num_states):
+        up, total = reference.count_fractions(mdp, i)
+        gamma = 0.0 if up == 0 else math.inf if up == total else up / (total - up)
+        rows.append((i, mdp.value(i), up, total - up, gamma, up == 0))
+        table[str(i)] = {"f": mdp.value(i), "improving": up, "non_improving": total - up,
+                         "gamma": gamma, "local_max": up == 0}
+    header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
+    files = {"gamma.csv": reference.csv_text(header, rows)}
+    payload = {"states": table}
+    if start is not None:
+        trace = convergence_trace(policy, mdp, start, t_max, np.random.default_rng(seed))
+        payload["trace"] = {"states": list(trace.states), "gamma": list(trace.values),
+                            "first_zero": trace.first_zero, "seed": seed}
+        files["trace.csv"] = reference.csv_text(
+            ("t", "state", "gamma"),
+            [(t, s, g) for t, (s, g) in enumerate(zip(trace.states, trace.values))])
+    files["gamma.json"] = reference.dumps_json(payload)
+    return files
+
+
+def _out_files(out: Path) -> dict[str, str]:
+    files = {p.name: p.read_text() for p in out.iterdir()}
+    assert "manifest.ini" in files
+    del files["manifest.ini"]
+    return files
+
+
+@pytest.mark.parametrize("neighborhood", ["hamming:1", "hamming:2"])
+@pytest.mark.parametrize("objective,policy", [("trap:n=6,k=3", "metropolis:T=1"),
+                                              ("nk:n=6,k=2,seed=4", "hc"),
+                                              ("trap:n=6,k=3", "sa:T0=2,rate=0.8"),
+                                              ("nk:n=6,k=2,seed=4", "sa:T0=1,rate=0.5")])
+def test_value_writers_equal_the_per_state_writers(tmp_path, neighborhood, objective, policy):
+    assert run_cli(["value", "--objective", objective, "--neighborhood", neighborhood,
+                    "--policy", policy, "--discount", "0.8", "--horizon", "30",
+                    "--out", tmp_path]) == 0
+    mdp = LocalSearchMdp(parse_objective(objective), parse_criterion(neighborhood))
+    assert _out_files(tmp_path) == _old_value_files(mdp, parse_policy(policy), 0.8, 30)
+
+
+# onemax's all-zero state improves on every move: its gamma is inf.
+@pytest.mark.parametrize("options,start", [([], None),
+                                           (["--policy", "sa:T0=2,rate=0.9", "--start", "0",
+                                             "--t-max", "40", "--seed", "7"], 0)])
+def test_gamma_writers_equal_the_per_state_writers(tmp_path, options, start):
+    assert run_cli(["gamma", "--objective", "onemax:n=6", *options, "--out", tmp_path]) == 0
+    mdp = LocalSearchMdp(parse_objective("onemax:n=6"))
+    expected = _old_gamma_files(mdp, parse_policy("sa:T0=2,rate=0.9"), start, 40, 7)
+    assert '"inf"' in expected["gamma.json"]
+    assert _out_files(tmp_path) == expected
 
 
 class TestConfigHandling:

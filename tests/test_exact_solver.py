@@ -184,20 +184,20 @@ class TestEvaluateNonstationary:
 class TestValueIteration:
     def test_greedy_improves_on_every_non_optimal_state(self):
         mdp = LocalSearchMdp(make_onemax(3))
-        _, greedy = value_iteration(mdp, 0.9)
+        _, next_state = value_iteration(mdp, 0.9)
         for i in range(8):
-            move = greedy[i]
+            j = int(next_state[i])
             if i == 0b111:
-                assert move is None
+                assert j == i
             else:
-                assert move is not None
-                assert mdp.value(move.dst) > mdp.value(i)
+                assert j in mdp.neighbors(i)
+                assert mdp.value(j) > mdp.value(i)
 
     def test_constant_objective_all_zero(self):
         flat = LocalSearchMdp(Objective(3, lambda x: 1.0, "flat", None))
-        vv, greedy = value_iteration(flat, 0.9)
+        vv, next_state = value_iteration(flat, 0.9)
         assert np.allclose(vv.v, 0.0, atol=1e-10)
-        assert all(move is None for move in greedy.values())
+        assert next_state.tolist() == list(range(8))
 
     def test_dominates_policy_values(self):
         mdp = LocalSearchMdp(make_onemax(3))

@@ -141,11 +141,11 @@ def test_table_sweep_on_a_periodic_chain():
 @settings(max_examples=100, deadline=None)
 @given(landscapes(), st.sampled_from([0.5, 0.9, 0.99]))
 def test_value_iteration_equals_scalar_sweep(mdp, discount):
-    optimal, greedy = value_iteration(mdp, discount)
-    v, residual, expected_greedy = reference.value_iteration(mdp, discount)
+    optimal, next_state = value_iteration(mdp, discount)
+    v, residual, expected_next_state = reference.value_iteration(mdp, discount)
     assert optimal.v.tolist() == v
     assert optimal.residual == residual
-    assert greedy == expected_greedy
+    assert next_state.tolist() == expected_next_state
 
 
 def test_zero_temperature_plateaus(tmp_path):

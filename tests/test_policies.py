@@ -20,6 +20,10 @@ def distribution_dict(dist):
     return {move.dst: p for move, p in dist.entries}
 
 
+def absorbed_at(policy, mdp, state):
+    return bool(policy.absorbed(mdp.move_gains([state])[1])[0])
+
+
 class TestHillClimbing:
     def test_strict_unique_improving_argmax(self, onemax3):
         dist = HillClimbing().action_distribution(onemax3, 0b011, 0)
@@ -43,9 +47,9 @@ class TestHillClimbing:
 
     def test_is_terminal(self, onemax3):
         hc = HillClimbing()
-        assert hc.is_terminal(onemax3, 0b111, 0)
-        assert not hc.is_terminal(onemax3, 0b011, 0)
-        assert not HillClimbing("literal").is_terminal(onemax3, 0b111, 0)
+        assert absorbed_at(hc, onemax3, 0b111)
+        assert not absorbed_at(hc, onemax3, 0b011)
+        assert not absorbed_at(HillClimbing("literal"), onemax3, 0b111)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -86,9 +90,11 @@ class TestSimulatedAnnealing:
         assert distribution_dict(dist) == {0b111: pytest.approx(1 / 3)}
 
     def test_never_terminal(self, onemax3):
+        # Even when cooled until acceptance underflows to 0 off the improving
+        # moves, annealing is never absorbed.
         sa = SimulatedAnnealing(1.0, 0.5)
-        assert not sa.is_terminal(onemax3, 0b111, 0)
-        assert not sa.is_terminal(onemax3, 0b111, 10_000)
+        assert not absorbed_at(sa, onemax3, 0b111)
+        assert sa.action_distribution(onemax3, 0b111, 10_000).stay_probability == 1.0
 
     @pytest.mark.parametrize("t0,rate", [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, -0.1)])
     def test_rejects_bad_parameters(self, t0, rate):
@@ -181,7 +187,7 @@ def test_hill_climbing_trajectories_monotone(seed):
     state = 0
     previous = mdp.value(state)
     for t in range(12):
-        if hc.is_terminal(mdp, state, t):
+        if absorbed_at(hc, mdp, state):
             break
         state, move, _ = step(hc, mdp, state, t, rng)
         assert move is not None

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lsmdp.objectives import make_leading_ones, make_nk_landscape, make_onemax
-from lsmdp.search_space import (HammingNeighborhood, LocalSearchMdp, Move,
-                                parse_criterion)
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, parse_criterion
 
 
 @pytest.fixture
@@ -52,51 +49,38 @@ class TestValue:
         assert [mdp.value(s) for s in (0, 15, np.int64(7), np.uint8(3))] == [0.0, 4.0, 3.0, 2.0]
 
 
+def gain_of(mdp, i, j):
+    """The reward of move i -> j, read off the move-gain table of i."""
+    nbr, gain, _ = mdp.move_gains([i])
+    return float(gain[0, nbr[0].tolist().index(j)])
+
+
 class TestActions:
+    # The actions of a state are the moves of its row of the move-gain table.
     def test_action_per_neighbor(self, onemax3):
-        acts = onemax3.actions(0b011)
-        assert len(acts) == 3
-        assert all(a.src == 0b011 and a.dst in onemax3.neighbors(0b011) for a in acts)
+        nbr, gain, reached = onemax3.move_gains([0b011])
+        assert nbr.shape == gain.shape == reached.shape == (1, 3)
+        assert tuple(nbr[0].tolist()) == onemax3.neighbors(0b011)
 
     def test_single_bit_space(self):
-        mdp = LocalSearchMdp(make_onemax(1))
-        assert mdp.actions(0) == (Move(0, 1),)
+        nbr, gain, _ = LocalSearchMdp(make_onemax(1)).move_gains([0])
+        assert nbr.tolist() == [[1]] and gain.tolist() == [[1.0]]
 
     def test_total_action_count(self, onemax3):
-        assert sum(len(onemax3.actions(i)) for i in range(8)) == 24
+        assert onemax3.move_gains(np.arange(8))[0].size == 24
 
 
 class TestReward:
     def test_gain(self, onemax3):
-        assert onemax3.reward(Move(0b011, 0b111)) == 1.0
+        assert gain_of(onemax3, 0b011, 0b111) == 1.0
 
     def test_loss(self, onemax3):
-        assert onemax3.reward(Move(0b011, 0b001)) == -1.0
+        assert gain_of(onemax3, 0b011, 0b001) == -1.0
 
     def test_plateau(self):
         mdp = LocalSearchMdp(make_leading_ones(4))
         # 1100 -> 1101 flips a bit after the broken prefix
-        assert mdp.reward(Move(0b1100, 0b1101)) == 0.0
-
-
-class TestActionWeight:
-    def test_uniform(self, onemax3):
-        assert onemax3.action_weight(0b011, Move(0b011, 0b111)) == pytest.approx(1 / 3)
-
-    def test_singleton(self):
-        mdp = LocalSearchMdp(make_onemax(1))
-        assert mdp.action_weight(0, Move(0, 1)) == 1.0
-
-    def test_unavailable_move_rejected(self, onemax3):
-        with pytest.raises(ValueError):
-            onemax3.action_weight(0b011, Move(0b011, 0b100))
-        with pytest.raises(ValueError):
-            onemax3.action_weight(0b011, Move(0b010, 0b011))
-
-    def test_weights_form_distribution(self, onemax3):
-        for i in range(8):
-            total = math.fsum(onemax3.action_weight(i, a) for a in onemax3.actions(i))
-            assert total == pytest.approx(1.0, abs=1e-12)
+        assert gain_of(mdp, 0b1100, 0b1101) == 0.0
 
 
 @given(st.integers(1, 8), st.integers(1, 3), st.data())
@@ -107,7 +91,7 @@ def test_symmetry_and_reward_antisymmetry(n, distance, data):
     i = data.draw(st.integers(0, (1 << n) - 1))
     for j in mdp.neighbors(i):
         assert i in mdp.neighbors(j)
-        assert mdp.reward(Move(i, j)) == -mdp.reward(Move(j, i))
+        assert gain_of(mdp, i, j) == -gain_of(mdp, j, i)
 
 
 def test_exhaustive_symmetry_up_to_twelve_bits():

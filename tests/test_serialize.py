@@ -169,4 +169,3 @@ def test_trajectory_lines_equal_reference(mdp, descriptor, horizon, count, base_
     for k, record in enumerate(batch.records):
         expected = reference.dumps_json_line(reference.trajectory_json_dict(record))
         assert dumps_json_line(batch.trajectory_json(k)) == expected
-        assert dumps_json_line(record.to_json_dict()) == expected

@@ -11,10 +11,17 @@ from lsmdp.objectives import Objective, make_onemax
 from lsmdp.policies import HillClimbing, RandomWalk, SimulatedAnnealing
 from lsmdp.search_space import LocalSearchMdp
 from lsmdp.serialize import dumps_json_line
-from lsmdp.simulator import (Rollouts, TrajectoryStep, best_so_far_curve, derive_seed,
+from lsmdp.simulator import (TrajectoryStep, best_so_far_curve, derive_seed,
                              exploration_fraction_by_bucket,
                              exploration_ratio_by_bucket, generate_records,
                              run_batch, run_trajectory, simulate_batch, summarize_records)
+
+
+def final_state(record):
+    """The state a trajectory record ends in."""
+    for s in reversed(record.steps):
+        return s.move.dst if s.move is not None else s.state
+    return record.start
 
 
 @pytest.fixture
@@ -26,7 +33,7 @@ class TestRunTrajectory:
     def test_hill_climb_reaches_optimum(self, onemax5):
         record = run_trajectory(HillClimbing(), onemax5, 0, 20, seed=1)
         assert record.terminated_at is not None and record.terminated_at <= 5
-        assert record.final_state == 0b11111
+        assert final_state(record) == 0b11111
         assert math.fsum(s.reward for s in record.steps) == 5.0
 
     def test_zero_horizon(self, onemax5):
@@ -53,7 +60,7 @@ class TestRunTrajectory:
             record = run_trajectory(SimulatedAnnealing(3.0, 0.9), onemax5, 7, 40, seed=seed)
             total = math.fsum(s.reward for s in record.steps)
             assert total == pytest.approx(
-                onemax5.value(record.final_state) - onemax5.value(record.start), abs=1e-12)
+                onemax5.value(final_state(record)) - onemax5.value(record.start), abs=1e-12)
 
     def test_sigma_tags_round_trip(self, onemax5):
         record = run_trajectory(SimulatedAnnealing(3.0, 0.9), onemax5, 0, 40, seed=3)
@@ -64,12 +71,13 @@ class TestRunTrajectory:
                 assert s.kind == ("exploration" if s.reward <= 0 else "exploitation")
 
     def test_json_dict_shape(self, onemax5):
-        record = run_trajectory(RandomWalk(), onemax5, 0, 3, seed=0)
-        payload = json.loads(dumps_json_line(record.to_json_dict()))
+        batch = simulate_batch(RandomWalk(), onemax5, 0, 3, 1, base_seed=0, keep_steps=True)
+        line = dumps_json_line(batch.trajectory_json(0))
+        payload = json.loads(line)
         assert set(payload) == {"seed", "start", "terminated_at", "steps", "best_so_far"}
         assert len(payload["steps"]) == 3
-        assert dumps_json_line(record.to_json_dict()) == reference.dumps_json_line(
-            reference.trajectory_json_dict(record))
+        assert line == reference.dumps_json_line(
+            reference.trajectory_json_dict(batch.records[0]))
 
 
 class TestSeedDerivation:
@@ -83,10 +91,12 @@ class TestSeedDerivation:
 class TestBatches:
     def test_summary_invariant_to_record_order(self, onemax5):
         records = generate_records(RandomWalk(), onemax5, "uniform", 40, 30, base_seed=9)
-        base = summarize_records(records, 40, 5, onemax5.objective.known_optimum)
+        base = summarize_records(reference.rollouts_from_records(records, 40), 40, 5,
+                                 onemax5.objective.known_optimum)
         shuffled = list(records)
         random.Random(0).shuffle(shuffled)
-        assert summarize_records(shuffled, 40, 5, onemax5.objective.known_optimum) == base
+        assert summarize_records(reference.rollouts_from_records(shuffled, 40), 40, 5,
+                                 onemax5.objective.known_optimum) == base
 
     def test_hill_climbing_from_uniform_starts_always_hits(self):
         # onemax has no strict local optimum besides the global one
@@ -122,20 +132,20 @@ class TestBatches:
 
 class TestBuckets:
     def test_hill_climbing_ratios_all_zero(self, onemax5):
-        records = generate_records(HillClimbing(), onemax5, "uniform", 20, 20, base_seed=2)
-        assert all(r == 0.0 for r in exploration_ratio_by_bucket(records, 5, 20))
+        batch = simulate_batch(HillClimbing(), onemax5, "uniform", 20, 20, base_seed=2)
+        assert all(r == 0.0 for r in exploration_ratio_by_bucket(batch, 5, 20))
 
     def test_plateau_walk_is_all_exploration(self):
         flat = LocalSearchMdp(Objective(4, lambda x: 0.0, "flat", None))
-        records = generate_records(RandomWalk(), flat, 0, 20, 5, base_seed=0)
-        assert all(r == math.inf for r in exploration_ratio_by_bucket(records, 5, 20))
-        assert all(f == 1.0 for f in exploration_fraction_by_bucket(records, 5, 20))
+        batch = simulate_batch(RandomWalk(), flat, 0, 20, 5, base_seed=0)
+        assert all(r == math.inf for r in exploration_ratio_by_bucket(batch, 5, 20))
+        assert all(f == 1.0 for f in exploration_fraction_by_bucket(batch, 5, 20))
 
     def test_empty_bucket_conventions(self, onemax5):
-        records = generate_records(HillClimbing(), onemax5, 0, 40, 3, base_seed=0)
+        batch = simulate_batch(HillClimbing(), onemax5, 0, 40, 3, base_seed=0)
         # absorbed after <= 5 steps: later buckets hold no moves at all
-        ratios = exploration_ratio_by_bucket(records, 10, 40)
-        fractions = exploration_fraction_by_bucket(records, 10, 40)
+        ratios = exploration_ratio_by_bucket(batch, 10, 40)
+        fractions = exploration_fraction_by_bucket(batch, 10, 40)
         assert ratios[-1] == 0.0
         assert fractions[-1] is None
 
@@ -146,8 +156,8 @@ class TestBuckets:
         sa = SimulatedAnnealing(2.0, 0.8)
         per_seed = []
         for seed in range(100):
-            records = generate_records(sa, mdp, "uniform", 60, 1, base_seed=seed)
-            per_seed.append(exploration_ratio_by_bucket(records, 10, 60))
+            batch = simulate_batch(sa, mdp, "uniform", 60, 1, base_seed=seed)
+            per_seed.append(exploration_ratio_by_bucket(batch, 10, 60))
         medians = [float(np.median([row[b] for row in per_seed])) for b in range(6)]
         for a, b in zip(medians[1:], medians[2:]):
             assert b <= a + 1e-12
@@ -159,8 +169,8 @@ class TestBuckets:
         sa = SimulatedAnnealing(5.0, 0.9)
         first, last = [], []
         for seed in range(100):
-            records = generate_records(sa, mdp, "uniform", 100, 1, base_seed=seed)
-            fractions = exploration_fraction_by_bucket(records, 20, 100)
+            batch = simulate_batch(sa, mdp, "uniform", 100, 1, base_seed=seed)
+            fractions = exploration_fraction_by_bucket(batch, 20, 100)
             first.append(fractions[0] if fractions[0] is not None else 0.0)
             last.append(fractions[-1] if fractions[-1] is not None else 0.0)
         assert float(np.median(first)) > float(np.median(last))
@@ -168,8 +178,8 @@ class TestBuckets:
 
 class TestCurves:
     def test_padding_and_shape(self, onemax5):
-        records = generate_records(HillClimbing(), onemax5, "uniform", 15, 10, base_seed=3)
-        means, quartiles = best_so_far_curve(records, 15)
+        batch = simulate_batch(HillClimbing(), onemax5, "uniform", 15, 10, base_seed=3)
+        means, quartiles = best_so_far_curve(batch, 15)
         assert len(means) == 16
         assert set(quartiles) == {"p25", "p50", "p75"}
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
@@ -197,9 +207,9 @@ class TestOnlineReduction:
         # The records-based path: keep every step, then reduce the records.
         def from_records(policies, mdp, start_rule, horizon, count, base_seed,
                          keep_steps=False):
-            return [Rollouts.from_records(generate_records(policy, mdp, start_rule, horizon,
-                                                           count, base_seed), horizon)
-                    for policy in policies]
+            return [reference.rollouts_from_records(
+                        generate_records(policy, mdp, start_rule, horizon, count, base_seed),
+                        horizon) for policy in policies]
 
         monkeypatch.setattr(cli, "simulate_batches", from_records)
         assert cli.main(self.ARGV + ["--out", str(tmp_path / "records")]) == 0
@@ -244,4 +254,5 @@ class TestOnlineReduction:
             simulate_batch(RandomWalk(), onemax5, args["start_rule"], args["horizon"], 0,
                            base_seed=0)
         with pytest.raises(ValueError):
-            summarize_records([], 10, bucket_width=0)
+            summarize_records(simulate_batch(RandomWalk(), onemax5, 0, 10, 0, base_seed=0), 10,
+                              bucket_width=0)
