@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (SWEEP_CHUNK, classify, convergence_trace, gamma_from_counts,
-                           improving_counts)
+from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_trace,
+                           gamma_from_counts, improving_counts)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import parse_objective
 from .policies import parse_policy
@@ -210,13 +210,16 @@ def cmd_classify(args) -> int:
         "out": _default_out(),
     })
     formats = _formats(resolved)
+    horizon = _int_opt(resolved, "horizon")
+    tail_tolerance = _float_opt(resolved, "tail_tolerance")
+    _check_series(horizon, tail_tolerance)
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
     states = None
     if resolved["reachable_from"]:
         states = _reachable_states(mdp, _int_opt(resolved, "reachable_from"))
-    report = classify(policy, mdp, horizon=_int_opt(resolved, "horizon"),
-                      tail_tolerance=_float_opt(resolved, "tail_tolerance"), states=states)
+    report = classify(policy, mdp, horizon=horizon, tail_tolerance=tail_tolerance,
+                      states=states)
     outdir = _outdir(resolved)
     if "json" in formats:
         atomic_write_text(outdir / "report.json", dumps_json(report.to_json_dict()))

@@ -31,7 +31,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .policies import Policy, step
+from .exact_solver import MEMORY_BUDGET
+from .policies import Policy, SeriesCertificate, step
 from .search_space import LocalSearchMdp, ResourceLimitError
 from .serialize import Table
 
@@ -152,8 +153,6 @@ def _ratios(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int) -> np
 def _balance_terms(policy: Policy, gain: np.ndarray, reached: np.ndarray,
                    horizon: int) -> np.ndarray:
     """[rows, horizon] exploration ratios at t = 0..horizon-1."""
-    if policy.stationary:
-        return np.repeat(_ratios(policy, gain, reached, 0)[:, None], horizon, axis=1)
     return np.stack([_ratios(policy, gain, reached, t) for t in range(horizon)], axis=1)
 
 
@@ -173,11 +172,13 @@ def exploration_ratio(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -
 
 @dataclass(frozen=True)
 class BalanceSeries:
-    """Truncated time series of per-step exploration/exploitation ratios.
+    """A per-state balance series: the per-step exploration/exploitation
+    ratios summed over t, with its verdict and the rule that decided it.
 
-    `limit` is the estimated series value when the verdict is `converged`
-    (the partial sum; the geometric tail bound is below the tolerance) and
-    0.0 for the `zero` verdict.
+    `partial_sum` is the sum of the first `horizon` terms.  `limit` is the
+    series value when the verdict is `converged` (the sum of every term for
+    a certified series, the partial sum for a judged one), with `tail_bound`
+    bounding what it leaves out, and 0.0 for `zero`.
     """
 
     partial_sum: float
@@ -185,56 +186,113 @@ class BalanceSeries:
     limit: float | None
     tail_bound: float | None
     horizon: int
+    rule: str
 
 
 _EXTINCT_SUFFIX = 10      # this many trailing exact zeros count as a dead tail
 _DIVERGENCE_WINDOW = 20   # moving-average window of the divergence rule
 _DIVERGENCE_SPAN = 100    # trailing span over which the average must not fall
+# The fallback holds this many bytes per term: the per-step arrays, the
+# [rows, horizon] matrix, its distinct rows and their list of Python floats.
+_JUDGED_TERM_BYTES = 56
 
 
 def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
                    horizon: int = DEFAULT_HORIZON,
                    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> BalanceSeries:
-    """Sum the exploration ratio over t = 0..horizon-1 and judge the series.
+    """The balance series of one state: the exploration ratio summed over
+    t = 0..horizon-1, and its verdict.
 
     The ratio is a per-state quantity (identical for every available action),
     so the uniform action average of per-action series collapses to the
-    per-state series summed here.  Verdicts:
+    per-state series.  Verdicts:
 
     * ``zero``         every term is 0;
     * ``degenerate``   some term is +inf (exploration mass with no improving
                        move available, i.e. the state is a local maximum);
-    * ``converged``    term ratios fall and stay below 1 with a geometric
-                       tail bound under `tail_tolerance`, or the terms die
-                       out to an exact-zero tail;
-    * ``diverging``    the trailing moving average of the terms never falls;
-    * ``inconclusive`` anything else — never silently classified.
+    * ``converged``    the series has a finite sum;
+    * ``diverging``    it has none;
+    * ``inconclusive`` the first `horizon` terms cannot tell — never silently
+                       classified.
+
+    A stationary policy's terms are one constant c, which decides ``zero``,
+    ``degenerate`` or ``diverging``; a policy with a `balance_certificate`
+    states its series in closed form.  Only a nonstationary policy without
+    one is judged from its first `horizon` terms (`_judge_series`).
     """
     _check_series(horizon, tail_tolerance)
     _, gain, reached = mdp.move_gains([state])
-    return _judge_series(_balance_terms(policy, gain, reached, horizon)[0].tolist(),
-                         tail_tolerance)
+    inverse, series = _chunk_series(policy, gain, reached, horizon, tail_tolerance)
+    return series[inverse[0]]
 
 
 def _check_series(horizon: int, tail_tolerance: float) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not tail_tolerance > 0:
-        raise ValueError(f"tail tolerance must be positive, got {tail_tolerance!r}")
+    if not (tail_tolerance > 0 and math.isfinite(tail_tolerance)):
+        raise ValueError(f"tail tolerance must be positive and finite, got {tail_tolerance!r}")
+
+
+def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray, horizon: int,
+                  tail_tolerance: float) -> tuple[np.ndarray, list[BalanceSeries]]:
+    """(inverse, series): row i of a move-gain table has the balance series
+    series[inverse[i]].  A stationary policy is decided once per distinct
+    constant term, any other once per distinct sorted gain row."""
+    if policy.stationary:
+        c, inverse = np.unique(_ratios(policy, gain, reached, 0), return_inverse=True)
+        # c * horizon is the correctly rounded sum of `horizon` copies of c.
+        certificate = SeriesCertificate(c, c * horizon, np.where(c > 0.0, math.inf, 0.0),
+                                        np.zeros_like(c), "constant-term", "")
+    else:
+        profiles = np.sort(gain, axis=1)
+        first, inverse = _distinct_rows(profiles)
+        certificate = policy.balance_certificate(profiles[first], horizon)
+        if certificate is None:
+            return _judged_series(policy, gain, reached, horizon, tail_tolerance)
+    return inverse, [_certified(horizon, certificate, *row)
+                     for row in zip(*(a.tolist() for a in certificate[:4]))]
+
+
+def _certified(horizon: int, certificate: SeriesCertificate, floor: float, partial: float,
+               limit: float, tail_bound: float) -> BalanceSeries:
+    if floor == math.inf:
+        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon, "no-improving-move")
+    if limit == 0.0:
+        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "no-exploration")
+    if floor > 0.0:
+        return BalanceSeries(partial, DIVERGING, None, None, horizon, certificate.floor_rule)
+    return BalanceSeries(partial, CONVERGED, limit, tail_bound, horizon, certificate.limit_rule)
+
+
+def _judged_series(policy: Policy, gain: np.ndarray, reached: np.ndarray, horizon: int,
+                   tail_tolerance: float) -> tuple[np.ndarray, list[BalanceSeries]]:
+    """The fallback: every row's first `horizon` terms, each distinct row
+    judged once; its memory is checked against the budget first."""
+    need = _JUDGED_TERM_BYTES * gain.shape[0] * horizon
+    if need > MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"judging {gain.shape[0]} series of {horizon} terms needs {need / 2**30:.3g} GiB, "
+            f"over the {MEMORY_BUDGET >> 30} GiB budget; {policy!r} has no balance certificate")
+    terms = _balance_terms(policy, gain, reached, horizon)
+    first, inverse = _distinct_rows(terms)
+    return inverse, [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
 
 
 def _judge_series(terms: list[float], tail_tolerance: float) -> BalanceSeries:
+    """The heuristic verdict on a truncated series: an exact-zero tail or a
+    geometric tail bound under `tail_tolerance` converges, a trailing moving
+    average that never falls diverges, anything else is inconclusive."""
     horizon = len(terms)
     if any(math.isinf(term) for term in terms):
-        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon)
+        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon, "infinite-term")
     if all(term == 0.0 for term in terms):
-        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon)
+        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "zero-terms")
     partial = math.fsum(terms)
     live = horizon
     while live > 0 and terms[live - 1] == 0.0:
         live -= 1
     if horizon - live >= _EXTINCT_SUFFIX:
-        return BalanceSeries(partial, CONVERGED, partial, 0.0, horizon)
+        return BalanceSeries(partial, CONVERGED, partial, 0.0, horizon, "extinct-tail")
     ratios = [b / a for a, b in zip(terms, terms[1:]) if a > 0.0]
     window = min(len(ratios), max(5, horizon // 10))
     if window:
@@ -242,10 +300,10 @@ def _judge_series(terms: list[float], tail_tolerance: float) -> BalanceSeries:
         if recent < 1.0:
             bound = terms[-1] * recent / (1.0 - recent)
             if bound < tail_tolerance:
-                return BalanceSeries(partial, CONVERGED, partial, bound, horizon)
+                return BalanceSeries(partial, CONVERGED, partial, bound, horizon, "ratio-test")
     if _trailing_average_nondecreasing(terms):
-        return BalanceSeries(partial, DIVERGING, None, None, horizon)
-    return BalanceSeries(partial, INCONCLUSIVE, None, None, horizon)
+        return BalanceSeries(partial, DIVERGING, None, None, horizon, "trailing-average")
+    return BalanceSeries(partial, INCONCLUSIVE, None, None, horizon, "undecided")
 
 
 def _trailing_average_nondecreasing(terms: list[float]) -> bool:
@@ -355,7 +413,8 @@ class CoefficientReport:
                       "delta_partial": [s.partial_sum for s in series],
                       "delta_limit": [s.limit for s in series],
                       "tail_bound": [s.tail_bound for s in series],
-                      "verdict": [s.verdict for s in series]},
+                      "verdict": [s.verdict for s in series],
+                      "rule": [s.rule for s in series]},
                      codes=codes, keys=self.states)
 
     def to_json_dict(self) -> dict:
@@ -375,7 +434,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
              horizon: int = DEFAULT_HORIZON,
              tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
              states: Iterable[int] | None = None) -> CoefficientReport:
-    """Sweep states, judge every balance series, and classify the policy.
+    """Sweep states, decide every balance series, and classify the policy.
 
     Orientation rules over the per-state verdicts:
 
@@ -390,11 +449,16 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     excluded from the orientation; if every swept state is degenerate the
     policy explores by construction and is classified exploration-oriented.
 
-    States are swept through move-gain tables of `SWEEP_CHUNK` states, so
-    memory is O(chunk * (moves + horizon)) however many states are swept;
-    a state sampled twice is swept once.  Within a chunk, states whose
-    series are equal byte for byte share one judged `BalanceSeries`.
+    States are swept through move-gain tables of `SWEEP_CHUNK` states, and
+    a state sampled twice is swept once.  Each series is decided as in
+    `balance_series`, once per chunk for all states with the same constant
+    term (stationary policies) or the same sorted gain row (certified
+    policies), so memory is O(chunk * moves) whatever the horizon.  Only
+    the fallback judge holds O(chunk * horizon) terms, and it checks them
+    against `MEMORY_BUDGET` first; it judges each distinct row of terms
+    once.
     """
+    _check_series(horizon, tail_tolerance)
     if states is None:
         if mdp.n > EXHAUSTIVE_SWEEP_CAP:
             raise ResourceLimitError(
@@ -405,7 +469,6 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         state_list = list(dict.fromkeys(mdp.check_state(i) for i in states))
     if not state_list:
         raise ValueError("empty state sample")
-    _check_series(horizon, tail_tolerance)
     ups, series_ids, judged = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
         chunk = state_list[lo:lo + SWEEP_CHUNK]
@@ -413,11 +476,10 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         moves = gain.shape[1]
         if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
-        terms = _balance_terms(policy, gain, reached, horizon)
-        first, inverse = _distinct_rows(terms)
+        inverse, series = _chunk_series(policy, gain, reached, horizon, tail_tolerance)
         ups.append(improving_counts(gain))
         series_ids.append(inverse + len(judged))
-        judged += [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
+        judged += series
     series_id = np.concatenate(series_ids)
     swept = np.array(state_list)
     verdicts = np.array([s.verdict for s in judged])[series_id]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,32 @@ class ActionDistribution:
 
     def total_mass(self) -> float:
         return math.fsum([p for _, p in self.entries] + [self.stay_probability])
+
+
+class SeriesCertificate(NamedTuple):
+    """The closed form of the balance series (per-step exploration mass over
+    exploitation mass, summed over t) of each row of a gain table.
+
+    Every term is at least `floor` for ever (+inf: a term is +inf).  When
+    `floor` is 0 the terms vanish for good and the series sums to `limit`,
+    within `tail_bound`; otherwise `limit` is +inf.  `partial` is the sum of
+    the first `horizon` terms.  `floor_rule` and `limit_rule` name the
+    argument behind a positive floor and behind a finite limit.
+    """
+
+    floor: np.ndarray
+    partial: np.ndarray
+    limit: np.ndarray
+    tail_bound: np.ndarray
+    floor_rule: str
+    limit_rule: str
+
+
+# Exponentials one annealing certificate may evaluate (about 4 s), counting
+# 1,000 for the overhead of each time step, estimated for the longest-lived
+# entry of the table; a table that needs more (on onemax n=10 at T0 = 10, a
+# cooling rate above about 0.99996) gets no certificate.
+CERTIFICATE_WORK_CAP = 1 << 28
 
 
 def _check_time(t: int) -> None:
@@ -57,6 +84,13 @@ class Policy:
         """Per row of `gain`: True when the policy keeps all mass on that
         state at every time from now on."""
         return np.zeros(gain.shape[:-1], dtype=bool)
+
+    def balance_certificate(self, gain: np.ndarray, horizon: int) -> SeriesCertificate | None:
+        """The closed form of the balance series of each row of `gain` (a
+        table of sorted, distinct gain rows), or None when the policy has
+        none: the caller then judges the first `horizon` terms one by one.
+        Stationary policies need none, since their terms are constant."""
+        return None
 
     def action_distribution(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> ActionDistribution:
         """The kernel applied to the moves out of one state, as (move,
@@ -150,6 +184,79 @@ class SimulatedAnnealing(Policy):
 
     def move_probabilities(self, gain, t, reached):
         return _metropolis_probabilities(gain, self.temperature(t))
+
+    def balance_certificate(self, gain, horizon):
+        """A row with u improving moves, z plateau moves and negative gains g
+        has the term (z + sum_g exp(g / T_t)) / u at time t, each move
+        weighted 1/d as the kernel weighs it.  So:
+
+        * u = 0 and exploration at t = 0: every term is +inf;
+        * z > 0 (rate > 0): the terms never fall below z / u, since T_t > 0;
+        * otherwise the series converges.  The exponential part is summed
+          explicitly, exponentiating only the entries still above 0, until
+          every one underflows; each term shrinks by at most
+          q_t = exp(g_max (1/r - 1) / T_t) a step, which bounds the rest by
+          last term * q / (1 - q).  At rate 0, T_t = 0 from t = 1 on and the
+          first term is the whole series.
+
+        The sums are compensated: the terms of a row never grow, so each
+        step is a Fast2Sum.
+        """
+        k, d = gain.shape
+        w = 1.0 / d
+        exploit = np.count_nonzero(gain > 0, axis=1) * w
+        plateau = np.count_nonzero(gain == 0, axis=1) * w
+        stuck = exploit == 0.0
+        exploit[stuck] = 1.0  # their terms are all +inf or all 0; set below
+        rows, cols = np.nonzero((gain < 0) & ~stuck[:, None])
+        g = gain[rows, cols]
+        r = self.cooling_rate
+        with np.errstate(divide="ignore"):
+            top = np.where(stuck, gain.max(axis=1), -math.inf)
+            degenerate = w * np.exp(top / self.t0) > 0.0
+            # Steps until the last entry underflows, g / T_t < -746.
+            steps = np.log(g.max() / (-746.0 * self.t0)) / np.log(r) if g.size and r else 1
+        if steps * (g.size + 1000) > CERTIFICATE_WORK_CAP:
+            return None
+        if not r:
+            first = (plateau + np.bincount(rows, w * np.exp(g / self.t0), k)) / exploit
+            first[degenerate] = math.inf
+            floor = np.where(degenerate, math.inf, 0.0)
+            return SeriesCertificate(floor, first, first, np.zeros(k), "plateau-floor",
+                                     "explicit-sum")
+        floor = plateau / exploit
+        hi, lo = np.zeros(k), np.zeros(k)  # compensated running sum of the rest
+        last, last_t = np.zeros(k), np.ones(k)  # last nonzero term and its temperature
+        head = None
+        t = 0
+        while g.size:
+            if t == horizon:
+                head = hi + lo
+                keep = floor[rows] == 0.0  # a positive floor decides without the tail
+                rows, g = rows[keep], g[keep]
+            temperature = self.temperature(t)
+            with np.errstate(divide="ignore"):
+                p = w * np.exp(g / temperature)
+            x = np.bincount(rows, p, k) / exploit
+            total = hi + x
+            lo += x - (total - hi)
+            hi = total
+            nonzero = x > 0.0
+            np.copyto(last, x, where=nonzero)
+            np.copyto(last_t, temperature, where=nonzero)
+            alive = p > 0.0
+            if not alive.all():
+                rows, g = rows[alive], g[alive]
+            t += 1
+        total = hi + lo
+        partial = floor * horizon + (total if head is None else head)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(gain < 0, gain, -math.inf).max(axis=1) * ((1.0 - r) / r) / last_t
+            tail = np.where(last > 0.0, last * np.exp(a) / -np.expm1(a), 0.0)
+        partial[degenerate] = math.inf
+        floor[degenerate] = math.inf
+        return SeriesCertificate(floor, partial, np.where(floor > 0.0, math.inf, total), tail,
+                                 "plateau-floor", "explicit-sum")
 
     action_distribution = Policy.action_distribution
 

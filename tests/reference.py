@@ -28,10 +28,17 @@ from fractions import Fraction
 import numpy as np
 
 from lsmdp.coefficients import _judge_series
-from lsmdp.policies import (ActionDistribution, HillClimbing, Metropolis, RandomWalk,
-                            SimulatedAnnealing)
+from lsmdp.policies import (ActionDistribution, HillClimbing, Metropolis, Policy,
+                            RandomWalk, SimulatedAnnealing)
 from lsmdp.search_space import Move
 from lsmdp.simulator import Rollouts, Steps, TrajectoryRecord, TrajectoryStep
+
+
+class UncertifiedAnnealing(SimulatedAnnealing):
+    """Annealing without its balance certificate: a nonstationary policy
+    whose series the library judges from their first terms."""
+
+    balance_certificate = Policy.balance_certificate
 
 
 def neighborhoods(mdp):
@@ -346,6 +353,7 @@ def report_json_dict(report) -> dict:
             "delta_limit": s.limit,
             "tail_bound": s.tail_bound,
             "verdict": s.verdict,
+            "rule": s.rule,
         }
     return {
         "classification": {"kind": report.classification.kind,

@@ -11,11 +11,12 @@ import pytest
 
 import lsmdp
 import reference
+from lsmdp import cli
 from lsmdp.cli import main
 from lsmdp.coefficients import convergence_trace
 from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from lsmdp.objectives import parse_objective
-from lsmdp.policies import parse_policy
+from lsmdp.policies import Policy, SimulatedAnnealing, parse_policy
 from lsmdp.search_space import LocalSearchMdp, parse_criterion
 
 
@@ -64,12 +65,31 @@ class TestClassify:
                         "--out", tmp_path])
         assert code == 3
 
-    def test_inconclusive_exit_code(self, tmp_path, capsys):
-        # cooling too slow for the horizon: the tail cannot be bounded yet
+    def test_inconclusive_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Without its certificate, annealing is judged from its first 120
+        # terms, where cooling is too slow for the tail to be bounded yet.
+        monkeypatch.setattr(SimulatedAnnealing, "balance_certificate",
+                            Policy.balance_certificate)
         code = run_cli(["classify", "--objective", "onemax:n=4", "--policy",
                         "sa:T0=10,rate=0.99", "--horizon", "120", "--out", tmp_path])
         assert code == 2
         assert capsys.readouterr().out.strip() == "inconclusive"
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
+    def test_bad_tail_tolerance_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                        tolerance):
+        def sweep(*args):
+            raise AssertionError("the reachable set was swept")
+
+        monkeypatch.setattr(cli, "_reachable_states", sweep)
+        code = run_cli(["classify", "--objective", "onemax:n=4", "--policy",
+                        "sa:T0=10,rate=0.99", "--horizon", "120", "--tail-tolerance", tolerance,
+                        "--reachable-from", "0", "--out", tmp_path / "out"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tail tolerance" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LSMDP_OUT", str(tmp_path / "from_env"))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import reference
 from lsmdp import coefficients
-from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, ZERO,
+from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, INCONCLUSIVE, ZERO,
                                 UndefinedCoefficientError, balance_series, classify,
                                 convergence_coefficient, convergence_trace, count_fractions,
                                 decomposition_residual, exploration_masses,
@@ -189,6 +190,36 @@ class TestBalanceSeries:
             balance_series(HillClimbing(), onemax3, 0, horizon=0)
         with pytest.raises(ValueError):
             balance_series(HillClimbing(), onemax3, 0, tail_tolerance=0.0)
+        with pytest.raises(ValueError):
+            balance_series(HillClimbing(), onemax3, 0, tail_tolerance=math.inf)
+
+    def test_rules(self, onemax3):
+        sa = SimulatedAnnealing(1.0, 0.5)
+        plateaus = LocalSearchMdp(make_leading_ones(4))
+        assert balance_series(HillClimbing(), onemax3, 0b011).rule == "no-exploration"
+        assert balance_series(RandomWalk(), onemax3, 0b011).rule == "constant-term"
+        assert balance_series(RandomWalk(), onemax3, 0b111).rule == "no-improving-move"
+        assert balance_series(sa, onemax3, 0b011).rule == "explicit-sum"
+        assert balance_series(sa, onemax3, 0b000).rule == "no-exploration"
+        assert balance_series(sa, onemax3, 0b111).rule == "no-improving-move"
+        series = balance_series(sa, plateaus, 0b1100)
+        assert (series.verdict, series.rule) == (DIVERGING, "plateau-floor")
+        judged = balance_series(reference.UncertifiedAnnealing(10.0, 0.99), onemax3, 0b011,
+                                horizon=120)
+        assert (judged.verdict, judged.rule) == (INCONCLUSIVE, "undecided")
+
+    def test_constant_terms_decided_at_horizon_one(self, onemax3):
+        # One constant term is enough: no ratio or window is needed.
+        result = balance_series(RandomWalk(), onemax3, 0b011, horizon=1)
+        assert (result.verdict, result.partial_sum) == (DIVERGING, 2.0)
+
+    def test_cooling_too_slow_to_sum_gets_no_certificate(self, onemax3):
+        _, gain, _ = onemax3.move_gains(range(8))
+        profiles = np.unique(np.sort(gain, axis=1), axis=0)
+        assert SimulatedAnnealing(10.0, 1 - 1e-9).balance_certificate(profiles, 200) is None
+        assert SimulatedAnnealing(10.0, 0.999).balance_certificate(profiles, 200) is not None
+        result = balance_series(SimulatedAnnealing(10.0, 1 - 1e-9), onemax3, 0b011)
+        assert (result.verdict, result.rule) == (INCONCLUSIVE, "undecided")
 
 
 class TestDecompositionResidual:
@@ -264,7 +295,7 @@ class TestClassify:
 
     def test_repeated_sample_states_sweep_once(self):
         mdp = LocalSearchMdp(make_onemax(4))
-        policy = SimulatedAnnealing(10.0, 0.99)
+        policy = reference.UncertifiedAnnealing(10.0, 0.99)
         report = classify(policy, mdp, states=[5, 3, 5, 3, 3])
         assert report.states == [5, 3]  # first-occurrence order
         assert report.inconclusive_states == [5, 3]
@@ -273,7 +304,7 @@ class TestClassify:
 
     def test_judges_each_distinct_series_once(self, monkeypatch):
         mdp = LocalSearchMdp(make_onemax(10))
-        policy = SimulatedAnnealing(10.0, 0.99)
+        policy = reference.UncertifiedAnnealing(10.0, 0.99)
         _, gain, reached = mdp.move_gains(range(mdp.num_states))
         terms = coefficients._balance_terms(policy, gain, reached, 200)
         assert len({row.tobytes() for row in terms}) == 11
@@ -283,6 +314,54 @@ class TestClassify:
                             lambda row, tol: judged.append(row) or judge(row, tol))
         classify(policy, mdp)
         assert len(judged) == 11
+
+    def test_certifies_each_gain_profile_once(self, monkeypatch):
+        mdp = LocalSearchMdp(make_onemax(10))
+        certified = []
+        certify = SimulatedAnnealing.balance_certificate
+        monkeypatch.setattr(SimulatedAnnealing, "balance_certificate",
+                            lambda self, gain, horizon:
+                            certified.append(gain) or certify(self, gain, horizon))
+        monkeypatch.setattr(coefficients, "_judge_series", None)
+        report = classify(SimulatedAnnealing(10.0, 0.99), mdp)
+        assert [len(gain) for gain in certified] == [11]
+        assert report.classification.kind == "balanced"
+        assert report.inconclusive_states == []
+
+    def test_fallback_checks_memory_before_allocating(self, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("the [rows, horizon] terms were built")
+
+        monkeypatch.setattr(coefficients, "_balance_terms", allocate)
+        mdp = LocalSearchMdp(make_onemax(10))
+        with pytest.raises(ResourceLimitError, match="no balance certificate"):
+            classify(reference.UncertifiedAnnealing(10.0, 0.99), mdp, horizon=10**6)
+        with pytest.raises(ResourceLimitError):
+            balance_series(reference.UncertifiedAnnealing(10.0, 0.99), mdp, 3, horizon=10**9)
+
+    @pytest.mark.parametrize("policy", [HillClimbing(), SimulatedAnnealing(10.0, 0.99)],
+                             ids=lambda policy: policy.descriptor)
+    def test_memory_does_not_grow_with_horizon(self, policy):
+        mdp = LocalSearchMdp(make_onemax(6))
+
+        def traced(horizon):
+            tracemalloc.start()
+            try:
+                report = classify(policy, mdp, horizon=horizon)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, short_peak = traced(200)
+        long, long_peak = traced(10**9)
+        assert long_peak <= 2 * short_peak
+        assert long.classification == short.classification
+        assert long.inconclusive_states == []
+        for state in range(mdp.num_states):
+            a, b = short.series[state], long.series[state]
+            assert (a.verdict, a.limit) == (b.verdict, b.limit)
+            if a.verdict == CONVERGED:
+                assert b.partial_sum == b.limit
 
     def test_distinct_rows_keyed_by_bytes(self):
         # -0.0 == 0.0 and rows one ulp apart are still distinct keys, each

@@ -2,7 +2,8 @@
 
 Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7
 (n <= 8 for rollouts).  Counts (alpha, beta, gamma) and verdicts must agree
-exactly; sums may differ in the last bits because numpy and `math.fsum` add
+exactly (a certified series also decides where the heuristic judge is
+inconclusive); sums may differ in the last bits because numpy and `math.fsum` add
 in different orders, so they get tolerances fixed here: partial sums 1e-12
 relative, P and r 1e-12, finite-horizon values 1e-10, table-swept stationary
 values 1e-11 of their sup norm against the dense solve.  Optimal values,
@@ -23,13 +24,13 @@ from hypothesis import strategies as st
 import reference
 from lsmdp import coefficients, simulator
 from lsmdp.cli import main as cli_main
-from lsmdp.coefficients import balance_series, classify
+from lsmdp.coefficients import CONVERGED, DIVERGING, INCONCLUSIVE, balance_series, classify
 from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap)
-from lsmdp.policies import parse_policy
+from lsmdp.policies import SimulatedAnnealing, parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
                              simulate_batches)
@@ -61,20 +62,121 @@ def landscapes(draw, max_bits=7):
     return LocalSearchMdp(objective, HammingNeighborhood(distance))
 
 
-@settings(max_examples=150, deadline=None)
-@given(landscapes(), st.sampled_from(POLICIES), st.sampled_from([1, 25, 120]))
-def test_classify_matches_scalar_sweep(mdp, descriptor, horizon):
+def uncertified(policy):
+    if isinstance(policy, SimulatedAnnealing):
+        return reference.UncertifiedAnnealing(policy.t0, policy.cooling_rate)
+    return policy
+
+
+def extinct_step(policy):
+    """The first t at which an annealing temperature T0 * rate**t underflows
+    to 0.0 (rate > 0), else inf.  From there on the float kernel accepts no
+    plateau or worsening move, so the terms the judge sees die out, while
+    the mathematical series the certificate states has T_t > 0 for every t:
+    horizons past this step are outside the comparison."""
+    if not isinstance(policy, SimulatedAnnealing) or policy.cooling_rate == 0.0:
+        return math.inf
+    hi = 1
+    while policy.temperature(hi) > 0.0:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if policy.temperature(mid) > 0.0 else (lo, mid)
+    return hi
+
+
+def assert_agrees_with_judge(series, expected):
+    """A certified series against the heuristic judge on the same horizon:
+    the certificate always decides, and wherever the judge decides too the
+    verdicts are equal.  A converged limit lies within the judge's tail
+    bound (plus a few ulps) of the judge's partial sum."""
+    assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+    assert series.verdict != INCONCLUSIVE
+    if expected.verdict == INCONCLUSIVE:
+        return
+    assert series.verdict == expected.verdict
+    if expected.verdict == CONVERGED:
+        assert (abs(series.limit - expected.partial_sum)
+                <= expected.tail_bound + 4 * math.ulp(expected.partial_sum))
+
+
+def assert_series_match_reference(report, policy, mdp, horizon):
+    """Every state's series in `report` against the scalar judge: the same
+    verdict and rule for the fallback, the same verdict, limit and tail bound
+    for stationary policies wherever the judge decides (one constant term
+    decides nothing at horizon 1), and the property above for certified
+    annealing.  The masses are summed in another order, so partial sums
+    agree to 1e-12."""
+    for state in range(mdp.num_states):
+        expected = reference.balance_series(policy, mdp, state, horizon, 1e-9)
+        series = report.series[state]
+        if isinstance(policy, reference.UncertifiedAnnealing):
+            assert (series.verdict, series.rule) == (expected.verdict, expected.rule)
+            assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+        elif policy.stationary:
+            assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+            if expected.verdict == INCONCLUSIVE:
+                assert (horizon, series.verdict) == (1, DIVERGING)
+            else:
+                assert (series.verdict, series.limit, series.tail_bound) == \
+                    (expected.verdict, expected.limit, expected.tail_bound)
+        else:
+            assert_agrees_with_judge(series, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(landscapes(), st.sampled_from(POLICIES), st.sampled_from([1, 2, 25, 120, 300]),
+       st.booleans())
+def test_classify_matches_scalar_sweep(mdp, descriptor, horizon, certified):
+    # Certified annealing is held to `assert_agrees_with_judge`: wherever
+    # the judge decides, the verdicts agree.
     policy = parse_policy(descriptor)
+    assert horizon <= extinct_step(policy)
+    if not certified:
+        policy = uncertified(policy)
     report = classify(policy, mdp, horizon=horizon)
     for state in range(mdp.num_states):
         up, total = reference.count_fractions(mdp, state)
         assert report.fractions[state] == (Fraction(total - up, total), Fraction(up, total))
         expected_gamma = (0.0 if up == 0 else math.inf if up == total else up / (total - up))
         assert report.convergence[state] == expected_gamma
-        expected = reference.balance_series(policy, mdp, state, horizon, 1e-9)
-        series = report.series[state]
-        assert series.verdict == expected.verdict
-        assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
+    assert_series_match_reference(report, policy, mdp, horizon)
+
+
+def scaled_onemax(n, scale):
+    """onemax with every gain scaled: moves gain +-scale."""
+    return Objective(n, lambda x: scale * x.bit_count(), f"onemax*{scale!r}", None)
+
+
+@pytest.mark.parametrize("objective, policy", [
+    # Cooling rate 0: T_t = 0 from t = 1 on, on plateaus too.
+    (make_leading_ones(5), SimulatedAnnealing(2.0, 0.0)),
+    (make_trap(6, 3), SimulatedAnnealing(2.0, 0.0)),
+    (make_onemax(5), SimulatedAnnealing(2.0, 0.0)),
+    # Plateaus: the floor z/u.
+    (make_leading_ones(6), SimulatedAnnealing(2.0, 0.5)),
+    (make_trap(6, 3), SimulatedAnnealing(10.0, 0.9)),
+    (make_trap(6, 6), SimulatedAnnealing(1.0, 0.7)),
+    # Local maxima: degenerate states.
+    (make_nk_landscape(6, 2, 3), SimulatedAnnealing(1.0, 0.8)),
+    (make_nk_landscape(7, 6, 11), SimulatedAnnealing(0.05, 0.95)),
+    # exp(g / T0) around its underflow: subnormal terms, and terms that are
+    # 0 from the start.
+    (make_onemax(5), SimulatedAnnealing(1 / 740, 0.99)),
+    (make_onemax(5), SimulatedAnnealing(1 / 720, 0.999)),
+    (make_onemax(5), SimulatedAnnealing(1 / 700, 0.99)),
+    (make_onemax(5), SimulatedAnnealing(1 / 746, 0.9)),
+    (scaled_onemax(5, 730.0), SimulatedAnnealing(1.0, 0.99)),
+    (scaled_onemax(5, 1e-300), SimulatedAnnealing(1e-303, 0.5)),
+    (make_leading_ones(5), SimulatedAnnealing(1e-300, 0.5)),
+], ids=lambda value: getattr(value, "descriptor", None))
+def test_certificate_edges_agree_with_the_judge(objective, policy):
+    mdp = LocalSearchMdp(objective)
+    for horizon in [h for h in (1, 2, 12, 60, 400) if h <= extinct_step(policy)]:
+        report = classify(policy, mdp, horizon=horizon)
+        assert report.inconclusive_states == []
+        assert_series_match_reference(report, policy, mdp, horizon)
 
 
 @settings(max_examples=150, deadline=None)
