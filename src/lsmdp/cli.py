@@ -172,6 +172,8 @@ def _default_out() -> str:
 def _build_mdp(resolved) -> LocalSearchMdp:
     objective = parse_objective(resolved["objective"])
     criterion = parse_criterion(resolved["neighborhood"])
+    if not criterion.degree(objective.n):
+        raise ValueError(f"neighborhood {criterion.descriptor} gives no moves at n={objective.n}")
     return LocalSearchMdp(objective, criterion)
 
 
@@ -249,21 +251,19 @@ def cmd_gamma(args) -> int:
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp = _build_mdp(resolved)
-    if mdp.n > 20:
-        raise ResourceLimitError(f"per-state table is capped at n <= 20, got n={mdp.n}")
+    f = mdp.landscape  # checks the exhaustive cap before the trace evaluates anything
     trace = None
     if resolved["start"]:  # traced first: a start outside the space leaves no output behind
         trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
                                   np.random.default_rng(seed))
-    f, ups = [], []
+    ups = []
     for lo in range(0, mdp.num_states, SWEEP_CHUNK):
         chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))
-        _, gain, _ = mdp.move_gains(chunk)
+        _, gain, _ = mdp.move_gains(chunk, f)
         moves = gain.shape[1]
-        f += mdp.objective.values(chunk).tolist()
         ups += improving_counts(gain).tolist()
     local_max = [up == 0 for up in ups]
-    table = Table({"f": f, "improving": ups, "non_improving": [moves - up for up in ups],
+    table = Table({"f": f.tolist(), "improving": ups, "non_improving": [moves - up for up in ups],
                    "gamma": [gamma_from_counts(up, moves) for up in ups],
                    "local_max": local_max}, keys=range(mdp.num_states))
     outdir = _outdir(resolved)
@@ -315,6 +315,7 @@ def cmd_value(args) -> int:
     gap = (optimal_values.v - policy_values.v).tolist()
     outdir = _outdir(resolved)
     if "csv" in formats:
+        # Scalar `mdp.value`, not the landscape: bench/run.py --trace 1 divides by their count.
         values = Table({"f": [mdp.value(i) for i in states], "v_policy": policy_values.v.tolist(),
                         "v_optimal": optimal_values.v.tolist(), "gap": gap}, keys=states)
         atomic_write_text(outdir / "value.csv",

@@ -36,7 +36,6 @@ from .policies import Policy, SeriesCertificate, step
 from .search_space import LocalSearchMdp, ResourceLimitError
 from .serialize import Table
 
-EXHAUSTIVE_SWEEP_CAP = 20  # exact sweeps enumerate all 2**n states
 # States per move-gain table in `classify`, and trajectories per lockstep
 # batch in the simulator: memory O(chunk * (d + horizon)).
 SWEEP_CHUNK = 1 << 12
@@ -449,30 +448,26 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     excluded from the orientation; if every swept state is degenerate the
     policy explores by construction and is classified exploration-oriented.
 
-    States are swept through move-gain tables of `SWEEP_CHUNK` states, and
-    a state sampled twice is swept once.  Each series is decided as in
-    `balance_series`, once per chunk for all states with the same constant
-    term (stationary policies) or the same sorted gain row (certified
-    policies), so memory is O(chunk * moves) whatever the horizon.  Only
-    the fallback judge holds O(chunk * horizon) terms, and it checks them
-    against `MEMORY_BUDGET` first; it judges each distinct row of terms
-    once.
+    States are swept through move-gain tables of `SWEEP_CHUNK` states (read
+    from the landscape when sweeping all), a state sampled twice once.  Each
+    series is decided as in `balance_series`, once per chunk for all states
+    with the same constant term (stationary policies) or the same sorted gain
+    row (certified policies), so memory is O(chunk * moves) whatever the
+    horizon.  Only the fallback judge holds O(chunk * horizon) terms, and it
+    checks them against `MEMORY_BUDGET` first; it judges each distinct row
+    of terms once.
     """
     _check_series(horizon, tail_tolerance)
     if states is None:
-        if mdp.n > EXHAUSTIVE_SWEEP_CAP:
-            raise ResourceLimitError(
-                f"exhaustive sweep is capped at n <= {EXHAUSTIVE_SWEEP_CAP} "
-                f"(got n={mdp.n}); pass an explicit state sample")
-        state_list = list(range(mdp.num_states))
+        f, state_list = mdp.landscape, list(range(mdp.num_states))
     else:
-        state_list = list(dict.fromkeys(mdp.check_state(i) for i in states))
+        f, state_list = None, list(dict.fromkeys(mdp.check_state(i) for i in states))
     if not state_list:
         raise ValueError("empty state sample")
     ups, series_ids, judged = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
         chunk = state_list[lo:lo + SWEEP_CHUNK]
-        _, gain, reached = mdp.move_gains(chunk)
+        _, gain, reached = mdp.move_gains(chunk, f)
         moves = gain.shape[1]
         if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")

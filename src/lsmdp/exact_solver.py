@@ -25,7 +25,8 @@ class DivergentValueError(ValueError):
 
 def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
     """ResourceLimitError unless the solve's 8-byte arrays fit the budget: three
-    N x N matrices if dense, else eight [N, d] tables (5-6.5 measured, n=16)."""
+    N x N matrices if dense, else eight [N, d] tables (5-6.5 measured, n=16).
+    Runs before the landscape is read, so a refused solve evaluates nothing."""
     size = mdp.num_states
     need = 8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n))
     if need > MEMORY_BUDGET:
@@ -58,12 +59,11 @@ def _backup(p, stay, r, nbr: np.ndarray, v: np.ndarray, discount: float) -> np.n
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
     _check_memory(mdp, dense=True)
-    states = np.arange(mdp.num_states)
-    nbr, gain, reached = mdp.move_gains(states)
+    nbr, gain, reached = mdp.move_gains()
     p, stay, r = _transitions(policy, gain, reached, t)
-    P = np.zeros((len(states), len(states)))
-    P[states[:, None], nbr] = p
-    P[states, states] = stay
+    P = np.zeros((mdp.num_states, mdp.num_states))
+    np.put_along_axis(P, nbr, p, axis=1)
+    np.fill_diagonal(P, stay)
     return PolicyMatrices(P=P, r=r, t=t)
 
 
@@ -145,7 +145,7 @@ def evaluate_stationary_table(policy: Policy, mdp: LocalSearchMdp,
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     _check_memory(mdp)
-    nbr, gain, reached = mdp.move_gains(np.arange(mdp.num_states))
+    nbr, gain, reached = mdp.move_gains()
     frozen = _transitions(policy, gain, reached, 0)
     v = np.zeros(mdp.num_states)
     limit = math.ceil(math.log(STATIONARY_TOLERANCE) / math.log(discount)) if discount else 1
@@ -170,7 +170,7 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not 0.0 <= discount <= 1.0:
         raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
-    nbr, gain, reached = mdp.move_gains(np.arange(mdp.num_states))
+    nbr, gain, reached = mdp.move_gains()
     v = np.zeros(mdp.num_states)
     frozen = _transitions(policy, gain, reached, 0) if policy.stationary else None
     for t in reversed(range(horizon)):
@@ -194,7 +194,7 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    nbr, gain, _ = mdp.move_gains(np.arange(mdp.num_states))
+    nbr, gain, _ = mdp.move_gains()
     v = np.zeros(mdp.num_states)
     threshold = tolerance * (1.0 - discount) / discount
     for _ in range(1_000_000):

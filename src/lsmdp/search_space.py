@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .objectives import Objective
+
+EXHAUSTIVE_CAP = 20  # exhaustive analyses enumerate all 2**n states
 
 
 class ResourceLimitError(RuntimeError):
@@ -71,9 +73,8 @@ def parse_criterion(descriptor: str) -> HammingNeighborhood:
 class LocalSearchMdp:
     """Immutable pairing of an objective with a neighborhood criterion.
 
-    All operations are pure and nothing is cached: the analyses build one
-    move-gain table (`move_gains`) per sweep, and the per-state accessors
-    below are for single states.
+    It keeps one thing, the `landscape`: every full move-gain table is read
+    from it; samples, rollouts and the per-state accessors evaluate what they touch.
     """
 
     def __init__(self, objective: Objective, criterion=None):
@@ -81,6 +82,16 @@ class LocalSearchMdp:
         self.criterion = criterion if criterion is not None else HammingNeighborhood(1)
         self.n = objective.n
         self.num_states = 1 << objective.n
+
+    @cached_property
+    def landscape(self) -> np.ndarray:
+        """f[2**n], read-only, from one batch objective call, refused past EXHAUSTIVE_CAP."""
+        if self.n > EXHAUSTIVE_CAP:
+            raise ResourceLimitError(f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP} "
+                                     f"(got n={self.n})")
+        f = self.objective.values(np.arange(self.num_states))
+        f.flags.writeable = False  # one array serves every caller of this MDP
+        return f
 
     def check_state(self, state: int) -> int:
         """`state` as a Python int; ValueError unless it is an int (numpy
@@ -97,15 +108,17 @@ class LocalSearchMdp:
         row = np.array([self.check_state(state)], dtype=np.int64)
         return tuple(self.criterion.neighbor_array(row, self.n)[0].tolist())
 
-    def move_gains(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def move_gains(self, states=None, f=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The move-gain table of `states`: (nbr, gain, reached), each [k, d].
 
         Row i of `nbr` lists the neighbors of states[i] in ascending order,
         `reached` holds their objective values and `gain` the move gains
-        f(nbr) - f(state).  One batch objective call covers every state
-        involved, so the same call serves a full sweep, a sample of a huge
-        space and one lockstep step of a batch of rollouts.
+        f(nbr) - f(state).  Values are gathered from the landscape `f` when
+        given, and for every state (`states` None); else one batch objective
+        call covers a sample of a huge space or one lockstep rollout step.
         """
+        if states is None:
+            states, f = np.arange(self.num_states), self.landscape
         states = np.asarray(states)
         if states.ndim != 1 or (states.size and states.dtype.kind not in "iu"):
             raise ValueError("states must be a flat sequence of ints")
@@ -114,6 +127,7 @@ class LocalSearchMdp:
             raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
         states = states.astype(np.int64)
         nbr = self.criterion.neighbor_array(states, self.n)
-        f = self.objective.values(np.concatenate([states, nbr.ravel()]))
-        current, reached = f[:len(states)], f[len(states):].reshape(nbr.shape)
+        involved = np.concatenate([states, nbr.ravel()])
+        values = self.objective.values(involved) if f is None else f[involved]
+        current, reached = values[:len(states)], values[len(states):].reshape(nbr.shape)
         return nbr, reached - current[:, None], reached

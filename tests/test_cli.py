@@ -15,7 +15,7 @@ from lsmdp import cli
 from lsmdp.cli import main
 from lsmdp.coefficients import convergence_trace
 from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
-from lsmdp.objectives import parse_objective
+from lsmdp.objectives import Objective, parse_objective
 from lsmdp.policies import Policy, SimulatedAnnealing, parse_policy
 from lsmdp.search_space import LocalSearchMdp, parse_criterion
 
@@ -215,6 +215,51 @@ def test_bad_rollout_options_fail_before_any_output(tmp_path, capsys, command, s
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, policies", [
+    ("classify", ["--policy", "hc"]), ("gamma", []), ("value", ["--policy", "hc"]),
+    ("simulate", ["--policy", "walk"]), ("compare", ["--policy", "walk", "--policy", "hc"])])
+def test_neighborhood_without_moves_fails_before_any_output(tmp_path, capsys, command, policies):
+    # hamming:3 on two bits leaves every state with no move at all.
+    out = tmp_path / "out"
+    code = run_cli([command, "--objective", "onemax:n=2", "--neighborhood", "hamming:3",
+                    *policies, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no moves" in err
+    assert not out.exists()
+
+
+class TestSingleSweep:
+    """An exhaustive command evaluates the objective once per state: one
+    batch call over exactly the 2**n states, plus `value`'s scalar f column."""
+
+    N_BITS = 9
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        batches, scalars = [], []
+        onemax = parse_objective(f"onemax:n={self.N_BITS}")
+        counting = Objective(self.N_BITS, lambda x: scalars.append(x) or onemax(x), onemax.name,
+                             onemax.known_optimum,
+                             batch=lambda x: batches.append(x.copy()) or onemax.values(x))
+        monkeypatch.setattr(cli, "parse_objective", lambda descriptor: counting)
+        return batches, scalars
+
+    @pytest.mark.parametrize("command, options, scalar_calls", [
+        ("classify", ["--policy", "sa:T0=10,rate=0.9"], 0),
+        ("gamma", [], 0),
+        ("value", ["--policy", "metropolis:T=1"], 2**N_BITS),
+        ("value", ["--policy", "sa:T0=10,rate=0.9", "--horizon", "20"], 2**N_BITS),
+    ], ids=["classify", "gamma", "value-stationary", "value-nonstationary"])
+    def test_one_batch_call_over_every_state(self, tmp_path, calls, command, options,
+                                             scalar_calls):
+        batches, scalars = calls
+        assert run_cli([command, "--objective", "counted", *options, "--out", tmp_path]) == 0
+        assert len(batches) == 1
+        assert np.array_equal(np.sort(batches[0]), np.arange(2**self.N_BITS))
+        assert len(scalars) == scalar_calls
 
 
 class TestCompare:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lsmdp import cli
+from lsmdp.coefficients import classify
 from lsmdp.exact_solver import (DivergentValueError, _check_memory, enumerate_trajectories,
                                 evaluate_nonstationary, evaluate_stationary,
                                 evaluate_stationary_table, freeze, value_iteration)
@@ -129,6 +131,36 @@ class TestMemoryBudget:
             solve(LocalSearchMdp(objective, HammingNeighborhood(distance)))
         assert calls == []
 
+    @pytest.mark.parametrize("solve", [
+        lambda mdp: evaluate_stationary_table(RandomWalk(), mdp, 0.9),
+        lambda mdp: evaluate_nonstationary(SimulatedAnnealing(1.0, 0.5), mdp, 3, 0.9),
+        lambda mdp: value_iteration(mdp, 0.9),
+        lambda mdp: classify(HillClimbing(), mdp),
+    ])
+    def test_exhaustive_cap_refuses_before_any_evaluation(self, solve):
+        # hamming:21 has one move per state, so the table solves fit the
+        # budget; the exhaustive cap n <= 20 refuses them all the same.
+        calls, objective = self.counting(21)
+        with pytest.raises(ResourceLimitError, match="capped"):
+            solve(LocalSearchMdp(objective, HammingNeighborhood(21)))
+        assert calls == []
+
+    def test_exhaustive_classify_refused_at_21_bits(self):
+        calls, objective = self.counting(21)
+        with pytest.raises(ResourceLimitError):
+            classify(SimulatedAnnealing(10.0, 0.9), LocalSearchMdp(objective))
+        assert calls == []
+
+    @pytest.mark.parametrize("options", [[], ["--policy", "hc", "--start", "0"]])
+    def test_gamma_refused_at_21_bits(self, tmp_path, monkeypatch, capsys, options):
+        calls, objective = self.counting(21)
+        monkeypatch.setattr(cli, "parse_objective", lambda descriptor: objective)
+        out = tmp_path / "out"
+        assert cli.main(["gamma", "--objective", "counted", *options, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not out.exists()
+
     def test_budget_edges(self):
         # The checks alone: table solves reach the exhaustive cap n = 20 under
         # hamming:1, dense solves stop at n = 13.
@@ -136,6 +168,41 @@ class TestMemoryBudget:
         _check_memory(LocalSearchMdp(make_onemax(13)), dense=True)
         with pytest.raises(ResourceLimitError, match="dense"):
             _check_memory(LocalSearchMdp(make_onemax(14)), dense=True)
+
+
+class TestLandscape:
+    @staticmethod
+    def counting(n):
+        batches = []
+        onemax = make_onemax(n)
+        return batches, Objective(n, onemax.fn, "counting", float(n),
+                                  batch=lambda x: batches.append(len(x)) or onemax.values(x))
+
+    def test_building_an_mdp_evaluates_nothing(self):
+        batches, objective = self.counting(6)
+        LocalSearchMdp(objective)
+        LocalSearchMdp(objective, HammingNeighborhood(2))
+        assert batches == []
+
+    def test_repeated_freeze_evaluates_once(self):
+        batches, objective = self.counting(6)
+        mdp = LocalSearchMdp(objective)
+        first = freeze(SimulatedAnnealing(1.0, 0.5), mdp, 0)
+        assert batches == [2**6]
+        for t in (0, 1, 7):
+            again = freeze(SimulatedAnnealing(1.0, 0.5), mdp, t)
+        assert batches == [2**6]
+        assert np.array_equal(freeze(SimulatedAnnealing(1.0, 0.5), mdp, 0).P, first.P)
+        assert not np.array_equal(again.P, first.P)
+
+    def test_solvers_share_one_evaluation(self):
+        batches, objective = self.counting(7)
+        mdp = LocalSearchMdp(objective)
+        evaluate_stationary_table(Metropolis(1.0), mdp, 0.9)
+        evaluate_nonstationary(SimulatedAnnealing(10.0, 0.9), mdp, 20, 0.9)
+        value_iteration(mdp, 0.9)
+        classify(HillClimbing(), mdp)
+        assert batches == [2**7]
 
 
 class TestEvaluateNonstationary:

@@ -274,6 +274,20 @@ def test_zero_temperature_plateaus(tmp_path):
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(landscapes(), st.data())
+def test_gathered_table_equals_evaluated_table(mdp, data):
+    # The table gathered from the landscape, for a sample or for every state,
+    # is bit for bit the table of one batch objective call.
+    sample = data.draw(st.lists(st.integers(0, mdp.num_states - 1), max_size=20))
+    for states, gathered in ((sample, mdp.move_gains(sample, mdp.landscape)),
+                             (range(mdp.num_states), mdp.move_gains())):
+        evaluated = mdp.move_gains(list(states))
+        for mine, theirs in zip(gathered, evaluated):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("bad", [-1, 2**6])
 def test_sample_states_checked_before_indexing(bad):
     mdp = LocalSearchMdp(make_onemax(6))
