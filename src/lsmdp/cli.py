@@ -28,7 +28,8 @@ from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, val
 from .objectives import parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
-from .serialize import Table, atomic_write_text, csv_text, dumps_json, dumps_json_line
+from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
+                        json_fragments)
 from .simulator import (best_so_far_curve, check_rollout, simulate_batch, simulate_batches,
                         summarize_records)
 
@@ -224,9 +225,9 @@ def cmd_classify(args) -> int:
                       states=states)
     outdir = _outdir(resolved)
     if "json" in formats:
-        atomic_write_text(outdir / "report.json", dumps_json(report.to_json_dict()))
+        atomic_write(outdir / "report.json", json_fragments(report.to_json_dict()))
     if "csv" in formats:
-        atomic_write_text(outdir / "report.csv", csv_text(report.CSV_HEADER, report.table()))
+        atomic_write(outdir / "report.csv", csv_fragments(report.CSV_HEADER, report.table()))
     _write_manifest(outdir, "classify", resolved)
     print(report.classification.describe())
     return EXIT_INCONCLUSIVE if report.classification.kind == "inconclusive" else EXIT_OK
@@ -261,15 +262,16 @@ def cmd_gamma(args) -> int:
         chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))
         _, gain, _ = mdp.move_gains(chunk, f)
         moves = gain.shape[1]
-        ups += improving_counts(gain).tolist()
-    local_max = [up == 0 for up in ups]
-    table = Table({"f": f.tolist(), "improving": ups, "non_improving": [moves - up for up in ups],
-                   "gamma": [gamma_from_counts(up, moves) for up in ups],
+        ups.append(improving_counts(gain))
+    ups = np.concatenate(ups)
+    local_max = (ups == 0).tolist()
+    table = Table({"f": f, "improving": ups, "non_improving": moves - ups,
+                   "gamma": [gamma_from_counts(up, moves) for up in ups.tolist()],
                    "local_max": local_max}, keys=range(mdp.num_states))
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
     if "csv" in formats:
-        atomic_write_text(outdir / "gamma.csv", csv_text(header, table))
+        atomic_write(outdir / "gamma.csv", csv_fragments(header, table))
     payload = {"states": table}
     if trace is not None:
         payload["trace"] = {"states": list(trace.states), "gamma": list(trace.values),
@@ -277,12 +279,12 @@ def cmd_gamma(args) -> int:
         if "csv" in formats:
             steps = Table({"state": trace.states, "gamma": trace.values},
                           keys=range(len(trace.states)))
-            atomic_write_text(outdir / "trace.csv", csv_text(("t", "state", "gamma"), steps))
+            atomic_write(outdir / "trace.csv", csv_fragments(("t", "state", "gamma"), steps))
         print(f"trace first_zero={trace.first_zero}")
     else:
         print(f"{sum(local_max)} local maxima over {mdp.num_states} states")
     if "json" in formats:
-        atomic_write_text(outdir / "gamma.json", dumps_json(payload))
+        atomic_write(outdir / "gamma.json", json_fragments(payload))
     _write_manifest(outdir, "gamma", resolved)
     return EXIT_OK
 
@@ -312,24 +314,25 @@ def cmd_value(args) -> int:
         policy_values = evaluate_nonstationary(policy, mdp, horizon, discount)
     optimal_values, next_state = value_iteration(mdp, discount)
     states = range(mdp.num_states)
-    gap = (optimal_values.v - policy_values.v).tolist()
+    gap = optimal_values.v - policy_values.v
     outdir = _outdir(resolved)
     if "csv" in formats:
         # Scalar `mdp.value`, not the landscape: bench/run.py --trace 1 divides by their count.
-        values = Table({"f": [mdp.value(i) for i in states], "v_policy": policy_values.v.tolist(),
-                        "v_optimal": optimal_values.v.tolist(), "gap": gap}, keys=states)
-        atomic_write_text(outdir / "value.csv",
-                          csv_text(("state", "f", "v_policy", "v_optimal", "gap"), values))
-        atomic_write_text(outdir / "greedy.csv", csv_text(
-            ("state", "next_state"), Table({"next_state": next_state.tolist()}, keys=states)))
+        values = Table({"f": [mdp.value(i) for i in states], "v_policy": policy_values.v,
+                        "v_optimal": optimal_values.v, "gap": gap}, keys=states)
+        atomic_write(outdir / "value.csv",
+                     csv_fragments(("state", "f", "v_policy", "v_optimal", "gap"), values))
+        atomic_write(outdir / "greedy.csv", csv_fragments(
+            ("state", "next_state"), Table({"next_state": next_state}, keys=states)))
     if "json" in formats:
-        atomic_write_text(outdir / "value.json", dumps_json({
+        greedy = [(i, j) if j != i else None for i, j in enumerate(next_state.tolist())]
+        atomic_write(outdir / "value.json", json_fragments({
             "policy": policy_values.to_json_dict(),
             "optimal": optimal_values.to_json_dict(),
-            "greedy": {i: [i, j] if j != i else None for i, j in enumerate(next_state.tolist())},
+            "greedy": Table(greedy, keys=states),
         }))
     _write_manifest(outdir, "value", resolved)
-    print(f"max optimality gap {max(gap)!r}")
+    print(f"max optimality gap {max(gap.tolist())!r}")
     return EXIT_OK
 
 
@@ -406,7 +409,7 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
     summary_rows = [(descriptor,) + summary.csv_row() for descriptor, _, summary in named_runs]
     if "csv" in formats:
         header = ("policy",) + named_runs[0][2].CSV_HEADER
-        atomic_write_text(outdir / "summary.csv", csv_text(header, summary_rows))
+        atomic_write(outdir / "summary.csv", csv_fragments(header, summary_rows))
         best = {name: [] for name in ("policy", "t", "mean", "p25", "p50", "p75")}
         explore = {name: [] for name in ("policy", "bucket", "t_lo", "t_hi",
                                          "exploration_fraction", "exploration_ratio")}
@@ -426,18 +429,14 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
                     seed=batch.seeds, start=batch.starts)
         for name, columns in (("plot_best.csv", best), ("plot_explore.csv", explore),
                               ("seeds.csv", seed_columns)):
-            atomic_write_text(outdir / name, csv_text(tuple(columns), Table(columns)))
+            atomic_write(outdir / name, csv_fragments(tuple(columns), Table(columns)))
     if "json" in formats:
-        atomic_write_text(outdir / "summary.json", dumps_json(
+        atomic_write(outdir / "summary.json", json_fragments(
             {descriptor: summary.to_json_dict() for descriptor, _, summary in named_runs}))
-    if emit:
-        lines = []
-        for descriptor, batch, _ in named_runs:
-            for k in range(len(batch)):
-                payload = batch.trajectory_json(k)
-                payload["policy"] = descriptor
-                lines.append(dumps_json_line(payload))
-        atomic_write_text(outdir / "trajectories.jsonl", "".join(lines))
+    if emit:  # one trajectory's line at a time
+        atomic_write(outdir / "trajectories.jsonl",
+                     (dumps_json_line(dict(batch.trajectory_json(k), policy=descriptor))
+                      for descriptor, batch, _ in named_runs for k in range(len(batch))))
 
 
 def cmd_simulate(args) -> int:

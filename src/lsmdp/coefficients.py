@@ -33,7 +33,7 @@ import numpy as np
 
 from .exact_solver import MEMORY_BUDGET
 from .policies import Policy, SeriesCertificate, step
-from .search_space import LocalSearchMdp, ResourceLimitError
+from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError
 from .serialize import Table
 
 # States per move-gain table in `classify`, and trajectories per lockstep
@@ -462,6 +462,8 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         f, state_list = mdp.landscape, list(range(mdp.num_states))
     else:
         f, state_list = None, list(dict.fromkeys(mdp.check_state(i) for i in states))
+        if len(state_list) == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
+            f = mdp.landscape  # a sample of every state is gathered as the full sweep is
     if not state_list:
         raise ValueError("empty state sample")
     ups, series_ids, judged = [], [], []

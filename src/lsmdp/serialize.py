@@ -1,14 +1,17 @@
-"""Deterministic serialization: canonical JSON/CSV text and atomic file writes.
+"""Deterministic serialization: canonical JSON/CSV text, streamed atomically to files.
 
 All writers are byte-deterministic for equal inputs: floats go through repr
 (shortest round-trip), JSON keys are sorted, CSV uses bare "\\n" line ends,
 and extended reals are encoded as the strings "inf"/"-inf"/"nan" in JSON.
 
 The text is byte for byte what `json.dumps(..., sort_keys=True, indent=2)`
-(or compact separators) and `csv.writer` with QUOTE_MINIMAL quoting write,
-but it is built by joining preformatted fragments: every leaf is formatted by
-one `repr`, one C string escape or one table lookup, and a `Table` formats
-each distinct record once however many entries share it.
+(or compact separators) and `csv.writer` with QUOTE_MINIMAL quoting write.
+`json_fragments` and `csv_fragments` yield it in fragments, lists and tables
+`CHUNK` items at a time: every leaf is one `repr`, one C string escape or
+one table lookup, and a `Table` formats each distinct record of a chunk once.
+`atomic_write` streams the fragments through a temporary file, then renames
+it, so a file is written in O(CHUNK) memory, plus 8 bytes per entry of a
+keyed table for its key order.  `dumps_json` and `csv_text` join them.
 """
 
 from __future__ import annotations
@@ -22,42 +25,78 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 _escape = json.encoder.encode_basestring_ascii  # json's own string encoder (C)
 
+CHUNK = 1 << 10  # table entries, list items or CSV rows formatted per fragment
+
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Records stored column-wise, each distinct record formatted once.
+    """Records stored column-wise, formatted `CHUNK` entries at a time.
 
     `columns` maps each field name to a sequence holding that field of every
-    distinct record.  Entry j of the table is record `codes[j]` (record j
-    when `codes` is None).  The JSON writers write a table as the list of
-    its entries' objects, or, with `keys`, as the object
-    {str(keys[j]): entry j} (the keys must be distinct).  `csv_text` writes
-    one row per entry: the entry's key first when the table has keys (under
-    the header's first name), then the fields the other header names name.
+    distinct record, or is the sequence of records itself (a keyed list,
+    JSON only).  Entry j is record `codes[j]` (record j when `codes` is
+    None).  In JSON a table is the list of its entries, or with `keys` the
+    object {str(keys[j]): entry j} (distinct keys).  `csv_text` writes one
+    row per entry: its key first when the table has keys (under the
+    header's first name), then the fields the other header names name.
     """
 
-    columns: dict
+    columns: dict | Sequence
     codes: Sequence[int] | None = None
     keys: Sequence | None = None
 
     def __post_init__(self):
-        if not self.columns:
+        if isinstance(self.columns, dict) and not self.columns:
             raise ValueError("a table needs at least one column")
 
 
-def _entries(table: Table, records: list[str]) -> list[str]:
-    """The text of every entry of `table`, from that of every distinct record."""
-    if table.codes is None:
-        return records
-    codes = table.codes.tolist() if isinstance(table.codes, np.ndarray) else table.codes
-    return [records[code] for code in codes]
+def _take(column, index):
+    """The items of `column` at `index`, a slice or an int array."""
+    if isinstance(index, slice) or isinstance(column, np.ndarray):
+        return column[index]
+    return [column[i] for i in index.tolist()]
+
+
+def _key_order(keys) -> np.ndarray:
+    """Entry indices in the order of str(key).  Int keys in [0, 10**17) are
+    ordered without text: by their digits left-aligned, then their length."""
+    array = np.asarray(np.arange(keys.start, keys.stop, keys.step)
+                       if isinstance(keys, range) else keys)
+    if (array.ndim != 1 or array.dtype.kind != "i"
+            or not 0 <= array.min(initial=0) <= array.max(initial=0) < 10**17):
+        return np.array(sorted(range(len(keys)), key=lambda j: str(keys[j])), dtype=np.int64)
+    width = len(str(array.max(initial=0)))
+    digits = np.searchsorted(10 ** np.arange(1, width), array, side="right").astype(np.int8) + 1
+    order = np.power(10, width - digits, dtype=np.int64) * (width + 1)
+    order *= array
+    order += digits
+    del array  # the sort holds `order` and its result, 8 bytes a key each
+    return np.argsort(order, kind="stable")
+
+
+def _table_entries(table: Table, records, order=None):
+    """(keys or None, texts) of `CHUNK` entries at a time, in `order` or in
+    entry order; `records` formats the distinct records the entries use from
+    a map of column name (None: a keyed list) to those records' fields."""
+    columns = table.columns if isinstance(table.columns, dict) else {None: table.columns}
+    codes = None if table.codes is None else np.asarray(table.codes, dtype=np.int64)
+    size = len(codes) if codes is not None else len(next(iter(columns.values())))
+    for lo in range(0, size, CHUNK):
+        index = slice(lo, lo + CHUNK) if order is None else order[lo:lo + CHUNK]
+        used, inverse = (index, None) if codes is None else np.unique(codes[index],
+                                                                       return_inverse=True)
+        texts = records({name: _take(column, used) for name, column in columns.items()})
+        if inverse is not None:
+            texts = [texts[code] for code in inverse.tolist()]
+        yield None if table.keys is None else _take(table.keys, index), texts
 
 
 # ---------------------------------------------------------------- JSON
@@ -104,62 +143,85 @@ def _json_rows(rows, nl):
     """JSON text of each of equal-length, non-empty lists: formatted column
     by column, then filled into one template."""
     inner = None if nl is None else nl + "  "
-    template = _json_wrap("[", ["%s"] * len(rows[0]), "]", nl, inner)
+    template = "".join(_json_seq("[", [["%s"] * len(rows[0])], "]", nl, inner))
     columns = [_json_items(column, inner) for column in zip(*rows)]
     return list(map(template.__mod__, zip(*columns)))
 
 
-def _json_wrap(open_, parts, close, nl, inner) -> str:
-    if not parts:
-        return open_ + close
-    if nl is None:
-        return open_ + ",".join(parts) + close
-    return open_ + inner + ("," + inner).join(parts) + nl + close
+def _json_seq(open_, chunks, close, nl, inner) -> Iterator[str]:
+    """A JSON array or object at level `nl` of the item texts in `chunks`."""
+    lead = "" if nl is None else inner
+    sep, head = "," + lead, open_ + lead
+    for texts in chunks:
+        yield head + sep.join(texts)
+        head = sep
+    yield ("" if nl is None else nl) + close if head is sep else open_ + close
 
 
-def _json_table(table: Table, nl, inner) -> str:
-    names = sorted(table.columns)
-    field_nl = None if nl is None else inner + "  "
+def _json_table(table: Table, nl, inner) -> Iterator[str]:
     colon = ":" if nl is None else ": "
-    fields = [_escape(name).replace("%", "%%") + colon + "%s" for name in names]
-    template = _json_wrap("{", fields, "}", inner, field_nl)
-    columns = [_json_items(table.columns[name], field_nl) for name in names]
-    entries = _entries(table, list(map(template.__mod__, zip(*columns))))
-    del columns  # every field is in `entries` now; free them before the keyed text
-    if table.keys is None:
-        return _json_wrap("[", entries, "]", nl, inner)
-    keys = [str(key) for key in table.keys]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return _json_wrap("{", [_escape(keys[j]) + colon + entries[j] for j in order], "}", nl, inner)
+    names, field_nl, template = [None], inner, "%s"  # a keyed list: each record as it is
+    if isinstance(table.columns, dict):
+        names, field_nl = sorted(table.columns), None if nl is None else inner + "  "
+        fields = [_escape(name).replace("%", "%%") + colon + "%s" for name in names]
+        template = "".join(_json_seq("{", [fields], "}", inner, field_nl))
+
+    def records(fields):
+        return list(map(template.__mod__, zip(*[_json_items(fields[name], field_nl)
+                                                for name in names])))
+    order = None if table.keys is None else _key_order(table.keys)
+    chunks = (texts if keys is None else [_escape(str(key)) + colon + text
+                                          for key, text in zip(keys, texts)]
+              for keys, texts in _table_entries(table, records, order))
+    open_, close = "[]" if order is None else "{}"
+    yield from _json_seq(open_, chunks, close, nl, inner)
 
 
-def _json(obj, nl) -> str:
+def _json_parts(obj, nl) -> Iterator[str]:
     """JSON text of `obj` at the nesting level whose newline and indentation
-    is `nl` (None: compact)."""
+    is `nl` (None: compact), in fragments."""
     leaf = _JSON_LEAF.get(type(obj))
     if leaf is not None:
-        return leaf(obj)
+        yield leaf(obj)
+        return
     inner = None if nl is None else nl + "  "
     if isinstance(obj, dict):
         items = {str(key): value for key, value in obj.items()}
         colon = ":" if nl is None else ": "
-        parts = [_escape(key) + colon + _json(items[key], inner) for key in sorted(items)]
-        return _json_wrap("{", parts, "}", nl, inner)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return _json_wrap("[", _json_items(obj, inner), "]", nl, inner)
-    if isinstance(obj, Table):
-        return _json_table(obj, nl, inner)
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, (float, Fraction, np.floating)):
-        return _json_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        lead = "" if nl is None else inner
+        head = "{" + lead
+        for key in sorted(items):
+            yield head + _escape(key) + colon
+            yield from _json_parts(items[key], inner)
+            head = "," + lead
+        yield "{}" if not items else ("" if nl is None else nl) + "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield from _json_seq("[", (_json_items(obj[lo:lo + CHUNK], inner)
+                                   for lo in range(0, len(obj), CHUNK)), "]", nl, inner)
+    elif isinstance(obj, Table):
+        yield from _json_table(obj, nl, inner)
+    elif isinstance(obj, str):
+        yield _escape(obj)
+    elif isinstance(obj, (float, Fraction, np.floating)):
+        yield _json_float(float(obj))
+    elif isinstance(obj, (int, np.integer)):
+        yield int.__repr__(int(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json(obj, nl) -> str:
+    return "".join(_json_parts(obj, nl))
+
+
+def json_fragments(obj) -> Iterator[str]:
+    """The indented JSON text of `obj`, then a newline, in fragments."""
+    yield from _json_parts(obj, "\n")
+    yield "\n"
 
 
 def dumps_json(obj) -> str:
-    return _json(obj, "\n") + "\n"
+    return "".join(json_fragments(obj))
 
 
 def dumps_json_line(obj) -> str:
@@ -205,6 +267,8 @@ _CSV_CELL = {
 
 
 def _csv_cells(values) -> list[str]:
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        values = values.tolist()  # the cells of numpy ints and floats are their Python values'
     return [cell(v) if (cell := _CSV_CELL.get(type(v))) else _csv_other(v) for v in values]
 
 
@@ -213,31 +277,50 @@ def _csv_line(fields: list[str]) -> str:
     return '""' if len(fields) == 1 and not fields[0] else ",".join(fields)
 
 
-def _csv_table(header, table: Table) -> list[str]:
+def _csv_table(header, table: Table) -> Iterator[list[str]]:
     names = list(header[1:] if table.keys is not None else header)
     if not names:
         raise ValueError("the header names no column of the table")
-    fields = zip(*[_csv_cells(table.columns[name]) for name in names])
-    if table.keys is None:
-        return _entries(table, list(map(_csv_line, fields)))
-    entries = _entries(table, list(map(",".join, fields)))
-    return [key + "," + entry for key, entry in zip(_csv_cells(table.keys), entries)]
+    join = _csv_line if table.keys is None else ",".join
+
+    def records(fields):
+        return list(map(join, zip(*[_csv_cells(fields[name]) for name in names])))
+    for keys, texts in _table_entries(table, records):
+        yield texts if keys is None else [key + "," + text
+                                          for key, text in zip(_csv_cells(keys), texts)]
+
+
+def csv_fragments(header, rows) -> Iterator[str]:
+    """Header line, then one line per row, in fragments of `CHUNK` rows;
+    `rows` is an iterable of cell sequences or a `Table`."""
+    yield _csv_writer_line(header) + "\n"  # the header's cells are not formatted
+    if isinstance(rows, Table):
+        chunks = _csv_table(header, rows)
+    else:
+        rows = iter(rows)
+        chunks = iter(lambda: [_csv_line(_csv_cells(row)) for row in islice(rows, CHUNK)], [])
+    for lines in chunks:
+        yield "\n".join(lines) + "\n"
 
 
 def csv_text(header, rows) -> str:
-    """Header line, then one line per row; `rows` is an iterable of cell
-    sequences or a `Table`."""
-    lines = [_csv_writer_line(header)]  # the header's cells are not formatted
-    if isinstance(rows, Table):
-        lines += _csv_table(header, rows)
-    else:
-        lines += [_csv_line(_csv_cells(row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(csv_fragments(header, rows))
+
+
+def atomic_write(path, fragments: Iterable[str]) -> None:
+    """Stream `fragments` through a temporary file, then rename it over
+    `path`; if one fails, remove the temporary file and leave `path` as is."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(fragments)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """`atomic_write` of one fragment, the whole text."""
+    atomic_write(path, (text,))

@@ -261,6 +261,21 @@ class TestSingleSweep:
         assert np.array_equal(np.sort(batches[0]), np.arange(2**self.N_BITS))
         assert len(scalars) == scalar_calls
 
+    def test_closure_of_every_state_reads_the_landscape(self, tmp_path, calls):
+        # hamming:1 reaches every state from 0: the sample is the whole space,
+        # so it is swept from one landscape and writes what the full sweep writes.
+        batches, scalars = calls
+        assert run_cli(["classify", "--objective", "counted", "--policy", "sa:T0=10,rate=0.9",
+                        "--reachable-from", "0", "--out", tmp_path / "closure"]) == 0
+        assert len(batches) == 1
+        assert np.array_equal(np.sort(batches[0]), np.arange(2**self.N_BITS))
+        assert not scalars
+        assert run_cli(["classify", "--objective", "counted", "--policy", "sa:T0=10,rate=0.9",
+                        "--out", tmp_path / "full"]) == 0
+        for name in ("report.json", "report.csv"):
+            assert ((tmp_path / "closure" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+
 
 class TestCompare:
     def test_one_summary_row_per_policy(self, tmp_path):

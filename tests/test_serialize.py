@@ -3,17 +3,20 @@
 be equal byte for byte."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
 from lsmdp.coefficients import classify
 from lsmdp.policies import parse_policy
-from lsmdp.serialize import Table, csv_text, dumps_json, dumps_json_line
+from lsmdp import serialize
+from lsmdp.serialize import (Table, atomic_write, csv_fragments, csv_text, dumps_json,
+                             dumps_json_line, json_fragments)
 from lsmdp.simulator import simulate_batch
 from test_oracle import POLICIES, ROLLOUT_POLICIES, landscapes
 
@@ -169,3 +172,126 @@ def test_trajectory_lines_equal_reference(mdp, descriptor, horizon, count, base_
     for k, record in enumerate(batch.records):
         expected = reference.dumps_json_line(reference.trajectory_json_dict(record))
         assert dumps_json_line(batch.trajectory_json(k)) == expected
+
+
+# ---------------------------------------------------------------- streamed files
+
+NEEDS_QUOTING = ["a,b", 'say "hi"', "new\nline", "cr\ronly", "", " lead", "é,€"]
+
+
+@st.composite
+def any_tables(draw):
+    """Keyed, coded, plain and empty tables, keyed lists among them, with
+    non-finite floats and cells that CSV must quote."""
+    cells = st.one_of(leaves, st.sampled_from(NEEDS_QUOTING))
+    records = draw(st.integers(1, 7))
+    column = st.one_of(st.lists(cells, min_size=records, max_size=records),
+                       st.lists(floats, min_size=records, max_size=records).map(np.array))
+    if draw(st.booleans()):
+        columns = {name: draw(column)
+                   for name in draw(st.lists(text, min_size=1, max_size=3, unique=True))}
+    else:  # a keyed list: the records themselves
+        columns = draw(st.lists(st.one_of(cells, st.lists(cells, max_size=3)),
+                                min_size=records, max_size=records))
+    codes = draw(st.one_of(st.none(), st.lists(st.integers(0, records - 1), max_size=9)))
+    entries = len(codes) if codes is not None else records
+    keys = draw(st.one_of(st.none(), st.lists(st.integers(-30, 3000), min_size=entries,
+                                              max_size=entries, unique=True)))
+    return Table(columns, codes, keys)
+
+
+def plain(table):
+    """`expanded` for keyed lists too."""
+    if isinstance(table.columns, dict):
+        return expanded(table)
+    codes = table.codes if table.codes is not None else range(len(table.columns))
+    entries = [table.columns[code] for code in codes]
+    return entries if table.keys is None else dict(zip(table.keys, entries))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, serialize.CHUNK])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=any_tables(), leaf=leaves, data=st.data())
+def test_streamed_files_equal_reference(tmp_path, monkeypatch, chunk, table, leaf, data):
+    monkeypatch.setattr(serialize, "CHUNK", chunk)
+    path = tmp_path / "out"
+    nested = {"outer": {"table": table, "leaf": leaf, "tables": [table, leaf]},
+              "list": [leaf] * 7, "array": np.arange(5.0)}
+    expected = {"outer": {"table": plain(table), "leaf": leaf, "tables": [plain(table), leaf]},
+                "list": [leaf] * 7, "array": np.arange(5.0)}
+    atomic_write(path, json_fragments(nested))
+    assert path.read_bytes() == reference.dumps_json(expected).encode()
+    if not isinstance(table.columns, dict):
+        return
+    names = data.draw(st.lists(st.sampled_from(sorted(table.columns)), min_size=1))
+    entries = expanded(table)
+    if table.keys is None:
+        header, rows = names, [[entry[name] for name in names] for entry in entries]
+    else:
+        header = ["key"] + names
+        rows = [[key] + [entry[name] for name in names] for key, entry in entries.items()]
+    expected_csv = reference.csv_text(header, rows).encode()
+    atomic_write(path, csv_fragments(header, table))
+    assert path.read_bytes() == expected_csv
+    atomic_write(path, csv_fragments(header, rows))
+    assert path.read_bytes() == expected_csv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 10**18), unique=True, max_size=40),
+                 st.lists(st.integers(0, 300), unique=True, max_size=60),  # 3, 30, 300 ...
+                 st.lists(st.integers(-50, 50), unique=True, max_size=40),
+                 st.integers(0, 3000).map(range)))
+def test_key_order_is_str_order(keys):
+    order = serialize._key_order(np.array(keys) if isinstance(keys, list) and keys else keys)
+    assert [keys[j] for j in order.tolist()] == sorted(keys, key=str)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_failed_stream_leaves_no_partial_file(tmp_path, existing):
+    path = tmp_path / "report.json"
+    if existing:
+        path.write_text("old\n")
+    fields = [0.5] * (3 * serialize.CHUNK)
+    fields[-1] = object()  # formatted only with the last chunk
+    written = []
+
+    def fragments():
+        for fragment in json_fragments({"states": Table({"x": fields})}):
+            written.append(fragment)
+            yield fragment
+
+    with pytest.raises(TypeError):
+        atomic_write(path, fragments())
+    assert len(written) > 2  # the chunks before it did reach the temporary file
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["report.json"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("coded", [False, True], ids=["per-state", "coded"])
+def test_writer_memory_is_a_fraction_of_the_file(tmp_path, fmt, coded):
+    # Writing a keyed table of 2**17 entries must not hold the file: memory
+    # rises by less than a quarter of the file's size above what was held before.
+    size = 1 << 17
+    rng = np.random.default_rng(0)
+    records = 24 if coded else size
+    up = rng.integers(0, 17, records)
+    table = Table({"f": rng.random(records), "improving": up, "gamma": (up / 17).tolist(),
+                   "verdict": ["converged"] * records, "local_max": (up == 0).tolist()},
+                  codes=rng.integers(0, records, size) if coded else None,
+                  keys=list(range(size)))
+    path = tmp_path / f"table.{fmt}"
+    header = ("state",) + tuple(sorted(table.columns))
+    fragments = (json_fragments({"states": table}) if fmt == "json"
+                 else csv_fragments(header, table))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        atomic_write(path, fragments)
+        rise = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert rise < path.stat().st_size / 4
