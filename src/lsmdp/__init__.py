@@ -23,8 +23,8 @@ from .coefficients import (BalanceSeries, Classification, CoefficientReport,
                            convergence_trace, count_fractions, decomposition_residual,
                            exploration_masses, exploration_ratio, gamma_from_counts,
                            improving, improving_counts)
-from .exact_solver import (DivergentValueError, PolicyMatrices, ValueVector,
-                           enumerate_trajectories, evaluate_nonstationary, evaluate_stationary,
+from .exact_solver import (PolicyMatrices, ValueVector, enumerate_trajectories,
+                           evaluate_nonstationary, evaluate_stationary,
                            evaluate_stationary_table, freeze, value_iteration)
 from .simulator import (Rollouts, RunSummary, TrajectoryRecord, TrajectoryStep,
                         best_so_far_curve, derive_seed, exploration_fraction_by_bucket,

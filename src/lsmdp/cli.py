@@ -76,7 +76,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="orientation classification of a policy")
     common(p)
     p.add_argument("--horizon", help="series truncation horizon (default 200)")
-    p.add_argument("--tail-tolerance", help="geometric tail bound for convergence (default 1e-9)")
     p.add_argument("--reachable-from", help="restrict the sweep to states reachable from this start")
 
     p = sub.add_parser("gamma", help="per-state convergence coefficient table")
@@ -122,10 +121,15 @@ def _load_config(path: str) -> dict[str, str]:
     return dict(cfg["run"])
 
 
-def _resolve(args, defaults: dict[str, str | None]) -> dict[str, str]:
+def _resolve(args, defaults: dict[str, str | None],
+             policy_keys: bool = False) -> dict[str, str]:
     """Merge CLI flags over config-file keys over defaults; a None default
-    marks a required option."""
+    marks a required option.  A config key that is not an option (nor, with
+    `policy_keys`, a `policy_<i>` key) is an error."""
     config_values = _load_config(args.config) if args.config else {}
+    for key in config_values:
+        if key not in defaults and not (policy_keys and key.startswith("policy_")):
+            raise UsageError(f"config key {key!r} is not an option of {args.command}")
     resolved = {}
     for key, default in defaults.items():
         attr = key.replace("-", "_")
@@ -207,22 +211,19 @@ def cmd_classify(args) -> int:
         "neighborhood": "hamming:1",
         "policy": None,
         "horizon": "200",
-        "tail_tolerance": "1e-9",
         "reachable_from": "",
         "format": "both",
         "out": _default_out(),
     })
     formats = _formats(resolved)
     horizon = _int_opt(resolved, "horizon")
-    tail_tolerance = _float_opt(resolved, "tail_tolerance")
-    _check_series(horizon, tail_tolerance)
+    _check_series(horizon)
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
     states = None
     if resolved["reachable_from"]:
         states = _reachable_states(mdp, _int_opt(resolved, "reachable_from"))
-    report = classify(policy, mdp, horizon=horizon, tail_tolerance=tail_tolerance,
-                      states=states)
+    report = classify(policy, mdp, horizon=horizon, states=states)
     outdir = _outdir(resolved)
     if "json" in formats:
         atomic_write(outdir / "report.json", json_fragments(report.to_json_dict()))
@@ -355,7 +356,7 @@ def _sim_resolved(args, multi_policy: bool) -> dict[str, str]:
                 for key, value in _SIM_DEFAULTS.items()}
     if not multi_policy:
         defaults["policy"] = None
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, defaults, policy_keys=multi_policy)
     if multi_policy:
         config_values = _load_config(args.config) if args.config else {}
         cli_policies = getattr(args, "policy", None)

@@ -15,7 +15,9 @@ Derived quantities:
   exactly at local maxima;
 * balance ratio  = exploration mass / exploitation mass at (state, t), and
   its time series whose summability classifies a policy as
-  exploitation-oriented, balanced, or exploration-oriented.
+  exploitation-oriented, balanced, or exploration-oriented.  Each series is
+  decided in closed form, from a stationary policy's one constant term or a
+  policy's `balance_certificate`; without either it is inconclusive.
 
 Extended-real conventions: x/0 -> +inf for x > 0, and 0/0 -> 0.
 """
@@ -31,9 +33,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .exact_solver import MEMORY_BUDGET
 from .policies import Policy, SeriesCertificate, step
-from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError
+from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
 
 # States per move-gain table in `classify`, and trajectories per lockstep
@@ -41,7 +42,6 @@ from .serialize import Table
 SWEEP_CHUNK = 1 << 12
 
 DEFAULT_HORIZON = 200
-DEFAULT_TAIL_TOLERANCE = 1e-9
 
 ZERO = "zero"
 CONVERGED = "converged"
@@ -149,12 +149,6 @@ def _ratios(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int) -> np
     return np.where(exploit > 0.0, ratio, np.where(explore > 0.0, math.inf, 0.0))
 
 
-def _balance_terms(policy: Policy, gain: np.ndarray, reached: np.ndarray,
-                   horizon: int) -> np.ndarray:
-    """[rows, horizon] exploration ratios at t = 0..horizon-1."""
-    return np.stack([_ratios(policy, gain, reached, t) for t in range(horizon)], axis=1)
-
-
 def exploration_masses(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> tuple[float, float]:
     """(exploration, exploitation) move mass of the policy at (state, t);
     stay mass is excluded from both."""
@@ -174,10 +168,10 @@ class BalanceSeries:
     """A per-state balance series: the per-step exploration/exploitation
     ratios summed over t, with its verdict and the rule that decided it.
 
-    `partial_sum` is the sum of the first `horizon` terms.  `limit` is the
-    series value when the verdict is `converged` (the sum of every term for
-    a certified series, the partial sum for a judged one), with `tail_bound`
-    bounding what it leaves out, and 0.0 for `zero`.
+    `partial_sum` stands for the sum of the first `horizon` terms (NaN when
+    the policy has no certificate).  `limit` stands for the series value
+    when the verdict is `converged`, and is 0.0 for `zero`; each true value
+    lies between the one given and that plus `tail_bound`.
     """
 
     partial_sum: float
@@ -188,17 +182,8 @@ class BalanceSeries:
     rule: str
 
 
-_EXTINCT_SUFFIX = 10      # this many trailing exact zeros count as a dead tail
-_DIVERGENCE_WINDOW = 20   # moving-average window of the divergence rule
-_DIVERGENCE_SPAN = 100    # trailing span over which the average must not fall
-# The fallback holds this many bytes per term: the per-step arrays, the
-# [rows, horizon] matrix, its distinct rows and their list of Python floats.
-_JUDGED_TERM_BYTES = 56
-
-
 def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
-                   horizon: int = DEFAULT_HORIZON,
-                   tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> BalanceSeries:
+                   horizon: int = DEFAULT_HORIZON) -> BalanceSeries:
     """The balance series of one state: the exploration ratio summed over
     t = 0..horizon-1, and its verdict.
 
@@ -211,29 +196,27 @@ def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
                        move available, i.e. the state is a local maximum);
     * ``converged``    the series has a finite sum;
     * ``diverging``    it has none;
-    * ``inconclusive`` the first `horizon` terms cannot tell — never silently
+    * ``inconclusive`` the policy has no certificate — never silently
                        classified.
 
     A stationary policy's terms are one constant c, which decides ``zero``,
     ``degenerate`` or ``diverging``; a policy with a `balance_certificate`
-    states its series in closed form.  Only a nonstationary policy without
-    one is judged from its first `horizon` terms (`_judge_series`).
+    states its series in closed form.  A nonstationary policy without one
+    gets ``inconclusive`` with the rule ``no-certificate``.
     """
-    _check_series(horizon, tail_tolerance)
+    _check_series(horizon)
     _, gain, reached = mdp.move_gains([state])
-    inverse, series = _chunk_series(policy, gain, reached, horizon, tail_tolerance)
+    inverse, series = _chunk_series(policy, gain, reached, horizon)
     return series[inverse[0]]
 
 
-def _check_series(horizon: int, tail_tolerance: float) -> None:
+def _check_series(horizon: int) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not (tail_tolerance > 0 and math.isfinite(tail_tolerance)):
-        raise ValueError(f"tail tolerance must be positive and finite, got {tail_tolerance!r}")
 
 
-def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray, horizon: int,
-                  tail_tolerance: float) -> tuple[np.ndarray, list[BalanceSeries]]:
+def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray,
+                  horizon: int) -> tuple[np.ndarray, list[BalanceSeries]]:
     """(inverse, series): row i of a move-gain table has the balance series
     series[inverse[i]].  A stationary policy is decided once per distinct
     constant term, any other once per distinct sorted gain row."""
@@ -247,7 +230,8 @@ def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray, horizon
         first, inverse = _distinct_rows(profiles)
         certificate = policy.balance_certificate(profiles[first], horizon)
         if certificate is None:
-            return _judged_series(policy, gain, reached, horizon, tail_tolerance)
+            return (np.zeros(len(gain), dtype=np.intp),
+                    [BalanceSeries(math.nan, INCONCLUSIVE, None, None, horizon, "no-certificate")])
     return inverse, [_certified(horizon, certificate, *row)
                      for row in zip(*(a.tolist() for a in certificate[:4]))]
 
@@ -261,61 +245,6 @@ def _certified(horizon: int, certificate: SeriesCertificate, floor: float, parti
     if floor > 0.0:
         return BalanceSeries(partial, DIVERGING, None, None, horizon, certificate.floor_rule)
     return BalanceSeries(partial, CONVERGED, limit, tail_bound, horizon, certificate.limit_rule)
-
-
-def _judged_series(policy: Policy, gain: np.ndarray, reached: np.ndarray, horizon: int,
-                   tail_tolerance: float) -> tuple[np.ndarray, list[BalanceSeries]]:
-    """The fallback: every row's first `horizon` terms, each distinct row
-    judged once; its memory is checked against the budget first."""
-    need = _JUDGED_TERM_BYTES * gain.shape[0] * horizon
-    if need > MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"judging {gain.shape[0]} series of {horizon} terms needs {need / 2**30:.3g} GiB, "
-            f"over the {MEMORY_BUDGET >> 30} GiB budget; {policy!r} has no balance certificate")
-    terms = _balance_terms(policy, gain, reached, horizon)
-    first, inverse = _distinct_rows(terms)
-    return inverse, [_judge_series(row, tail_tolerance) for row in terms[first].tolist()]
-
-
-def _judge_series(terms: list[float], tail_tolerance: float) -> BalanceSeries:
-    """The heuristic verdict on a truncated series: an exact-zero tail or a
-    geometric tail bound under `tail_tolerance` converges, a trailing moving
-    average that never falls diverges, anything else is inconclusive."""
-    horizon = len(terms)
-    if any(math.isinf(term) for term in terms):
-        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon, "infinite-term")
-    if all(term == 0.0 for term in terms):
-        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "zero-terms")
-    partial = math.fsum(terms)
-    live = horizon
-    while live > 0 and terms[live - 1] == 0.0:
-        live -= 1
-    if horizon - live >= _EXTINCT_SUFFIX:
-        return BalanceSeries(partial, CONVERGED, partial, 0.0, horizon, "extinct-tail")
-    ratios = [b / a for a, b in zip(terms, terms[1:]) if a > 0.0]
-    window = min(len(ratios), max(5, horizon // 10))
-    if window:
-        recent = max(ratios[-window:])
-        if recent < 1.0:
-            bound = terms[-1] * recent / (1.0 - recent)
-            if bound < tail_tolerance:
-                return BalanceSeries(partial, CONVERGED, partial, bound, horizon, "ratio-test")
-    if _trailing_average_nondecreasing(terms):
-        return BalanceSeries(partial, DIVERGING, None, None, horizon, "trailing-average")
-    return BalanceSeries(partial, INCONCLUSIVE, None, None, horizon, "undecided")
-
-
-def _trailing_average_nondecreasing(terms: list[float]) -> bool:
-    horizon = len(terms)
-    window = min(_DIVERGENCE_WINDOW, max(1, horizon // 6))
-    span = min(_DIVERGENCE_SPAN, max(2, horizon // 2))
-    averages = []
-    for end in range(horizon - span, horizon):
-        lo = end - window + 1
-        if lo < 0:
-            return False  # horizon too short for the rule
-        averages.append(math.fsum(terms[lo:end + 1]) / window)
-    return all(b >= a - 1e-15 * max(1.0, abs(a)) for a, b in zip(averages, averages[1:]))
 
 
 def _distinct_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +302,6 @@ class CoefficientReport:
     series_max: float | None
     classification: Classification
     horizon: int
-    tail_tolerance: float
     degenerate_states: list[int]
     inconclusive_states: list[int]
 
@@ -422,7 +350,6 @@ class CoefficientReport:
                                "constant": self.classification.constant},
             "delta_star": self.series_max,
             "horizon": self.horizon,
-            "tail_tolerance": self.tail_tolerance,
             "degenerate_states": self.degenerate_states,
             "inconclusive_states": self.inconclusive_states,
             "states": self.table(),
@@ -431,7 +358,6 @@ class CoefficientReport:
 
 def classify(policy: Policy, mdp: LocalSearchMdp,
              horizon: int = DEFAULT_HORIZON,
-             tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
              states: Iterable[int] | None = None) -> CoefficientReport:
     """Sweep states, decide every balance series, and classify the policy.
 
@@ -453,11 +379,9 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     series is decided as in `balance_series`, once per chunk for all states
     with the same constant term (stationary policies) or the same sorted gain
     row (certified policies), so memory is O(chunk * moves) whatever the
-    horizon.  Only the fallback judge holds O(chunk * horizon) terms, and it
-    checks them against `MEMORY_BUDGET` first; it judges each distinct row
-    of terms once.
+    horizon.
     """
-    _check_series(horizon, tail_tolerance)
+    _check_series(horizon)
     if states is None:
         f, state_list = mdp.landscape, list(range(mdp.num_states))
     else:
@@ -473,7 +397,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         moves = gain.shape[1]
         if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
-        inverse, series = _chunk_series(policy, gain, reached, horizon, tail_tolerance)
+        inverse, series = _chunk_series(policy, gain, reached, horizon)
         ups.append(improving_counts(gain))
         series_ids.append(inverse + len(judged))
         judged += series
@@ -501,8 +425,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
                          else (s.limit if s.verdict == CONVERGED else math.inf)
                          for s in judged)
     return CoefficientReport(state_list, moves, np.concatenate(ups), series_id, judged,
-                             series_max, label, horizon, tail_tolerance, degenerate,
-                             inconclusive)
+                             series_max, label, horizon, degenerate, inconclusive)
 
 
 def decomposition_residual(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> float:

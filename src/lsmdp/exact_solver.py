@@ -1,8 +1,8 @@
 """Exact policy evaluation and optimal values on the move-gain table, with no
 N x N matrix: a stationary sweep to its contraction bound, finite-horizon
 backward induction and value iteration.  Dense `freeze`/`evaluate_stationary`
-remain as the small-n oracle and the library's undiscounted solve; every
-solver checks a byte estimate against `MEMORY_BUDGET` first."""
+remain as the small-n oracle; every solver checks a byte estimate against
+`MEMORY_BUDGET` first."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ from .search_space import LocalSearchMdp, ResourceLimitError
 MEMORY_BUDGET = 2 << 30         # bytes one exact solve may allocate
 ENUMERATION_LEAF_CAP = 10_000_000
 STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
-
-
-class DivergentValueError(ValueError):
-    """Undiscounted evaluation of a policy that keeps collecting reward."""
 
 
 def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
@@ -87,47 +83,16 @@ class ValueVector:
         }
 
 
-def _recurrent_states(P: np.ndarray) -> np.ndarray:
-    """Boolean mask of states lying in closed communicating classes of P."""
-    from scipy.sparse import csgraph, csr_matrix  # only undiscounted evaluation needs it
-
-    support = csr_matrix(P > 0.0)
-    count, labels = csgraph.connected_components(support, directed=True, connection="strong")
-    closed = np.ones(count, dtype=bool)
-    rows, cols = support.nonzero()
-    for i, j in zip(rows, cols):
-        if labels[i] != labels[j]:
-            closed[labels[i]] = False
-    return closed[labels]
-
-
 def evaluate_stationary(matrices: PolicyMatrices, discount: float) -> ValueVector:
-    """Total expected (discounted) reward of the frozen policy from every state.
-
-    For discount < 1 this solves the linear fixed point v = r + discount*P*v
-    directly.  discount = 1 is allowed only when every closed recurrent class
-    is reward-free (validated; the values are then solved on the transient
-    part and are 0 on the recurrent part).  The sup-norm fixed-point residual
-    is reported on the result.
+    """Total expected discounted reward of the frozen policy from every state:
+    the linear fixed point v = r + discount*P*v for a discount in [0, 1),
+    solved directly.  The sup-norm fixed-point residual is reported on the
+    result.
     """
+    if not 0.0 <= discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     P, r = matrices.P, matrices.r
-    size = len(r)
-    if 0.0 <= discount < 1.0:
-        v = np.linalg.solve(np.eye(size) - discount * P, r)
-    elif discount == 1.0:
-        recurrent = _recurrent_states(P)
-        worst = float(np.max(np.abs(r[recurrent]))) if recurrent.any() else 0.0
-        if worst > 1e-12:
-            raise DivergentValueError(
-                f"undiscounted value diverges: a recurrent class carries expected "
-                f"step reward {worst:g}")
-        v = np.zeros(size)
-        if (~recurrent).any():
-            idx = np.flatnonzero(~recurrent)
-            sub = P[np.ix_(idx, idx)]
-            v[idx] = np.linalg.solve(np.eye(len(idx)) - sub, r[idx])
-    else:
-        raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
+    v = np.linalg.solve(np.eye(len(r)) - discount * P, r)
     residual = float(np.max(np.abs(v - (r + discount * (P @ v)))))
     return ValueVector(v=v, discount=discount, method="policy_eval", residual=residual)
 

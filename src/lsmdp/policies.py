@@ -37,10 +37,11 @@ class SeriesCertificate(NamedTuple):
     exploitation mass, summed over t) of each row of a gain table.
 
     Every term is at least `floor` for ever (+inf: a term is +inf).  When
-    `floor` is 0 the terms vanish for good and the series sums to `limit`,
-    within `tail_bound`; otherwise `limit` is +inf.  `partial` is the sum of
-    the first `horizon` terms.  `floor_rule` and `limit_rule` name the
-    argument behind a positive floor and behind a finite limit.
+    `floor` is 0 the terms vanish for good and the series converges;
+    otherwise `limit` is +inf.  The true sum of the first `horizon` terms
+    lies in [`partial`, `partial` + `tail_bound`], and a finite true limit
+    in [`limit`, `limit` + `tail_bound`].  `floor_rule` and `limit_rule`
+    name the argument behind a positive floor and behind a finite limit.
     """
 
     floor: np.ndarray
@@ -52,9 +53,11 @@ class SeriesCertificate(NamedTuple):
 
 
 # Exponentials one annealing certificate may evaluate (about 4 s), counting
-# 1,000 for the overhead of each time step, estimated for the longest-lived
-# entry of the table; a table that needs more (on onemax n=10 at T0 = 10, a
-# cooling rate above about 0.99996) gets no certificate.
+# 1,000 for the overhead of each time step: past it the explicit sum is cut
+# off and the tail bound covers the rest (on onemax n=10 at T0 = 10, a
+# cooling rate above about 0.99996).  The cut-off step depends on every
+# entry still alive, so a cut-off row's limit and tail bound depend on the
+# other rows of its table.
 CERTIFICATE_WORK_CAP = 1 << 28
 
 
@@ -88,8 +91,8 @@ class Policy:
     def balance_certificate(self, gain: np.ndarray, horizon: int) -> SeriesCertificate | None:
         """The closed form of the balance series of each row of `gain` (a
         table of sorted, distinct gain rows), or None when the policy has
-        none: the caller then judges the first `horizon` terms one by one.
-        Stationary policies need none, since their terms are constant."""
+        none: its series are then inconclusive.  Stationary policies need
+        none, since their terms are constant."""
         return None
 
     def action_distribution(self, mdp: LocalSearchMdp, state: int, t: int = 0) -> ActionDistribution:
@@ -194,10 +197,11 @@ class SimulatedAnnealing(Policy):
         * z > 0 (rate > 0): the terms never fall below z / u, since T_t > 0;
         * otherwise the series converges.  The exponential part is summed
           explicitly, exponentiating only the entries still above 0, until
-          every one underflows; each term shrinks by at most
-          q_t = exp(g_max (1/r - 1) / T_t) a step, which bounds the rest by
-          last term * q / (1 - q).  At rate 0, T_t = 0 from t = 1 on and the
-          first term is the whole series.
+          every one underflows or `CERTIFICATE_WORK_CAP` cuts the sum off;
+          each term shrinks by at most q_t = exp(g_max (1/r - 1) / T_t) a
+          step, and q_t only falls as T_t falls, which bounds the rest by
+          last term * q / (1 - q) at any cut-off.  At rate 0, T_t = 0 from
+          t = 1 on and the first term is the whole series.
 
         The sums are compensated: the terms of a row never grow, so each
         step is a Fast2Sum.
@@ -214,10 +218,6 @@ class SimulatedAnnealing(Policy):
         with np.errstate(divide="ignore"):
             top = np.where(stuck, gain.max(axis=1), -math.inf)
             degenerate = w * np.exp(top / self.t0) > 0.0
-            # Steps until the last entry underflows, g / T_t < -746.
-            steps = np.log(g.max() / (-746.0 * self.t0)) / np.log(r) if g.size and r else 1
-        if steps * (g.size + 1000) > CERTIFICATE_WORK_CAP:
-            return None
         if not r:
             first = (plateau + np.bincount(rows, w * np.exp(g / self.t0), k)) / exploit
             first[degenerate] = math.inf
@@ -229,7 +229,7 @@ class SimulatedAnnealing(Policy):
         last, last_t = np.zeros(k), np.ones(k)  # last nonzero term and its temperature
         head = None
         t = 0
-        while g.size:
+        while g.size and t < CERTIFICATE_WORK_CAP // (g.size + 1000):
             if t == horizon:
                 head = hi + lo
                 keep = floor[rows] == 0.0  # a positive floor decides without the tail

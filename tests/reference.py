@@ -9,7 +9,8 @@ forward through products of the frozen matrices, optimal values are swept
 state by state and move by move, and rollouts advance one trajectory and
 one step at a time, one `rng.random()` call per step, and are reduced to
 a `Rollouts` batch from their per-step records.  It shares no arithmetic
-with the library except the series judge, which both paths call unchanged.
+with the library.  The balance series of the first H terms is decided by a
+heuristic judge, an independent check on the library's certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -27,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from lsmdp.coefficients import _judge_series
+from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, INCONCLUSIVE, ZERO,
+                                BalanceSeries)
 from lsmdp.policies import (ActionDistribution, HillClimbing, Metropolis, Policy,
                             RandomWalk, SimulatedAnnealing)
 from lsmdp.search_space import Move
@@ -36,7 +38,7 @@ from lsmdp.simulator import Rollouts, Steps, TrajectoryRecord, TrajectoryStep
 
 class UncertifiedAnnealing(SimulatedAnnealing):
     """Annealing without its balance certificate: a nonstationary policy
-    whose series the library judges from their first terms."""
+    whose series the library leaves inconclusive."""
 
     balance_certificate = Policy.balance_certificate
 
@@ -122,7 +124,53 @@ def balance_series(policy, mdp, state, horizon, tail_tolerance):
         terms = [exploration_ratio(policy, state, hood, 0)] * horizon
     else:
         terms = [exploration_ratio(policy, state, hood, t) for t in range(horizon)]
-    return _judge_series(terms, tail_tolerance)
+    return judge_series(terms, tail_tolerance)
+
+
+_EXTINCT_SUFFIX = 10      # this many trailing exact zeros count as a dead tail
+_DIVERGENCE_WINDOW = 20   # moving-average window of the divergence rule
+_DIVERGENCE_SPAN = 100    # trailing span over which the average must not fall
+
+
+def judge_series(terms, tail_tolerance):
+    """The heuristic verdict on a truncated series: an exact-zero tail or a
+    geometric tail bound under `tail_tolerance` converges, a trailing moving
+    average that never falls diverges, anything else is inconclusive."""
+    horizon = len(terms)
+    if any(math.isinf(term) for term in terms):
+        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon, "infinite-term")
+    if all(term == 0.0 for term in terms):
+        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "zero-terms")
+    partial = math.fsum(terms)
+    live = horizon
+    while live > 0 and terms[live - 1] == 0.0:
+        live -= 1
+    if horizon - live >= _EXTINCT_SUFFIX:
+        return BalanceSeries(partial, CONVERGED, partial, 0.0, horizon, "extinct-tail")
+    ratios = [b / a for a, b in zip(terms, terms[1:]) if a > 0.0]
+    window = min(len(ratios), max(5, horizon // 10))
+    if window:
+        recent = max(ratios[-window:])
+        if recent < 1.0:
+            bound = terms[-1] * recent / (1.0 - recent)
+            if bound < tail_tolerance:
+                return BalanceSeries(partial, CONVERGED, partial, bound, horizon, "ratio-test")
+    if _trailing_average_nondecreasing(terms):
+        return BalanceSeries(partial, DIVERGING, None, None, horizon, "trailing-average")
+    return BalanceSeries(partial, INCONCLUSIVE, None, None, horizon, "undecided")
+
+
+def _trailing_average_nondecreasing(terms):
+    horizon = len(terms)
+    window = min(_DIVERGENCE_WINDOW, max(1, horizon // 6))
+    span = min(_DIVERGENCE_SPAN, max(2, horizon // 2))
+    averages = []
+    for end in range(horizon - span, horizon):
+        lo = end - window + 1
+        if lo < 0:
+            return False  # horizon too short for the rule
+        averages.append(math.fsum(terms[lo:end + 1]) / window)
+    return all(b >= a - 1e-15 * max(1.0, abs(a)) for a, b in zip(averages, averages[1:]))
 
 
 def freeze(policy, mdp, t, hoods=None):
@@ -360,7 +408,6 @@ def report_json_dict(report) -> dict:
                            "constant": report.classification.constant},
         "delta_star": report.series_max,
         "horizon": report.horizon,
-        "tail_tolerance": report.tail_tolerance,
         "degenerate_states": report.degenerate_states,
         "inconclusive_states": report.inconclusive_states,
         "states": per_state,

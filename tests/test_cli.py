@@ -66,8 +66,7 @@ class TestClassify:
         assert code == 3
 
     def test_inconclusive_exit_code(self, tmp_path, capsys, monkeypatch):
-        # Without its certificate, annealing is judged from its first 120
-        # terms, where cooling is too slow for the tail to be bounded yet.
+        # Without its certificate, annealing's series are not decided.
         monkeypatch.setattr(SimulatedAnnealing, "balance_certificate",
                             Policy.balance_certificate)
         code = run_cli(["classify", "--objective", "onemax:n=4", "--policy",
@@ -78,6 +77,7 @@ class TestClassify:
     @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
     def test_bad_tail_tolerance_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                         tolerance):
+        # Every series is decided without a tolerance, so the option is gone.
         def sweep(*args):
             raise AssertionError("the reachable set was swept")
 
@@ -88,7 +88,7 @@ class TestClassify:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tail tolerance" in captured.err
+        assert "--tail-tolerance" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_output_dir_from_environment(self, tmp_path, capsys, monkeypatch):
@@ -450,6 +450,23 @@ class TestConfigHandling:
         manifest = (tmp_path / "o1" / "manifest.ini").read_text()
         assert "horizon = 7" in manifest
 
+    @pytest.mark.parametrize("command, options", [
+        ("classify", "objective = onemax:n=4\npolicy = hc\nhorzion = 7\n"),
+        ("classify", "objective = onemax:n=4\npolicy = hc\ntail_tolerance = 1e-9\n"),
+        ("simulate", "objective = onemax:n=4\npolicy = hc\npolicy_0 = walk\n"),
+        ("compare", "objective = onemax:n=4\npolicy_0 = hc\nseed = 3\n"),
+    ])
+    def test_unknown_config_key_fails_before_any_output(self, tmp_path, capsys, command,
+                                                        options):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\n{options}out = {tmp_path / 'out'}\n")
+        assert run_cli([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        key = options.splitlines()[-1].split(" = ")[0]
+        assert captured.out == ""
+        assert repr(key) in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(["classify", "--config", tmp_path / "none.ini"])
         assert code == 1
@@ -469,8 +486,8 @@ class TestConfigHandling:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only undiscounted stationary evaluation; every CLI start
-    # would otherwise pay for importing it.
+    # scipy is a test dependency only, and every CLI start would pay for
+    # importing it.
     src = str(Path(lsmdp.__file__).resolve().parent.parent)
     code = "import sys, lsmdp.cli; print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -479,7 +496,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_discounted_value_leaves_scipy_unloaded(tmp_path):
-    # Only the library's undiscounted stationary solve imports scipy.
+    # The library runs without scipy, which only the tests import.
     src = str(Path(lsmdp.__file__).resolve().parent.parent)
     code = ("import sys; from lsmdp.cli import main; "
             "code = main(['value', '--objective', 'onemax:n=6', '--policy', 'walk', "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from lsmdp import coefficients
+from lsmdp import coefficients, policies
 from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, INCONCLUSIVE, ZERO,
                                 UndefinedCoefficientError, balance_series, classify,
                                 convergence_coefficient, convergence_trace, count_fractions,
@@ -188,10 +188,8 @@ class TestBalanceSeries:
     def test_bad_arguments(self, onemax3):
         with pytest.raises(ValueError):
             balance_series(HillClimbing(), onemax3, 0, horizon=0)
-        with pytest.raises(ValueError):
-            balance_series(HillClimbing(), onemax3, 0, tail_tolerance=0.0)
-        with pytest.raises(ValueError):
-            balance_series(HillClimbing(), onemax3, 0, tail_tolerance=math.inf)
+        with pytest.raises(TypeError):
+            balance_series(HillClimbing(), onemax3, 0, tail_tolerance=1e-9)
 
     def test_rules(self, onemax3):
         sa = SimulatedAnnealing(1.0, 0.5)
@@ -204,22 +202,27 @@ class TestBalanceSeries:
         assert balance_series(sa, onemax3, 0b111).rule == "no-improving-move"
         series = balance_series(sa, plateaus, 0b1100)
         assert (series.verdict, series.rule) == (DIVERGING, "plateau-floor")
-        judged = balance_series(reference.UncertifiedAnnealing(10.0, 0.99), onemax3, 0b011,
-                                horizon=120)
-        assert (judged.verdict, judged.rule) == (INCONCLUSIVE, "undecided")
+        uncertified = balance_series(reference.UncertifiedAnnealing(10.0, 0.99), onemax3,
+                                     0b011, horizon=120)
+        assert (uncertified.verdict, uncertified.rule) == (INCONCLUSIVE, "no-certificate")
 
     def test_constant_terms_decided_at_horizon_one(self, onemax3):
         # One constant term is enough: no ratio or window is needed.
         result = balance_series(RandomWalk(), onemax3, 0b011, horizon=1)
         assert (result.verdict, result.partial_sum) == (DIVERGING, 2.0)
 
-    def test_cooling_too_slow_to_sum_gets_no_certificate(self, onemax3):
-        _, gain, _ = onemax3.move_gains(range(8))
-        profiles = np.unique(np.sort(gain, axis=1), axis=0)
-        assert SimulatedAnnealing(10.0, 1 - 1e-9).balance_certificate(profiles, 200) is None
-        assert SimulatedAnnealing(10.0, 0.999).balance_certificate(profiles, 200) is not None
+    def test_cooling_too_slow_to_sum_is_cut_off(self, onemax3, monkeypatch):
+        # Past the work cap the explicit sum is cut off: the series is still
+        # certified, and its tail bound covers what the sum leaves out.  At
+        # rate 1 - 1e-9 the terms barely fall within the cut-off, so each is
+        # about 2 exp(-1/10) and the bound is about 1e10 of them.
+        monkeypatch.setattr(policies, "CERTIFICATE_WORK_CAP", 1 << 20)
         result = balance_series(SimulatedAnnealing(10.0, 1 - 1e-9), onemax3, 0b011)
-        assert (result.verdict, result.rule) == (INCONCLUSIVE, "undecided")
+        assert (result.verdict, result.rule) == (CONVERGED, "explicit-sum")
+        steps = (1 << 20) // 1002
+        term = 2 * math.exp(-0.1)
+        assert result.limit == pytest.approx(steps * term, rel=1e-5)
+        assert result.tail_bound == pytest.approx(1e10 * term, rel=1e-3)
 
 
 class TestDecompositionResidual:
@@ -302,18 +305,13 @@ class TestClassify:
         assert list(report.series) == [5, 3]
         assert written(report) == written(classify(policy, mdp, states=[5, 3]))
 
-    def test_judges_each_distinct_series_once(self, monkeypatch):
+    def test_judges_each_distinct_series_once(self):
+        # A policy without a certificate has one series per chunk, shared by
+        # every state in it.
         mdp = LocalSearchMdp(make_onemax(10))
-        policy = reference.UncertifiedAnnealing(10.0, 0.99)
-        _, gain, reached = mdp.move_gains(range(mdp.num_states))
-        terms = coefficients._balance_terms(policy, gain, reached, 200)
-        assert len({row.tobytes() for row in terms}) == 11
-        judged = []
-        judge = coefficients._judge_series
-        monkeypatch.setattr(coefficients, "_judge_series",
-                            lambda row, tol: judged.append(row) or judge(row, tol))
-        classify(policy, mdp)
-        assert len(judged) == 11
+        report = classify(reference.UncertifiedAnnealing(10.0, 0.99), mdp)
+        assert len(report.judged) == 1
+        assert report.inconclusive_states == list(range(mdp.num_states))
 
     def test_certifies_each_gain_profile_once(self, monkeypatch):
         mdp = LocalSearchMdp(make_onemax(10))
@@ -322,22 +320,25 @@ class TestClassify:
         monkeypatch.setattr(SimulatedAnnealing, "balance_certificate",
                             lambda self, gain, horizon:
                             certified.append(gain) or certify(self, gain, horizon))
-        monkeypatch.setattr(coefficients, "_judge_series", None)
         report = classify(SimulatedAnnealing(10.0, 0.99), mdp)
         assert [len(gain) for gain in certified] == [11]
         assert report.classification.kind == "balanced"
         assert report.inconclusive_states == []
 
     def test_fallback_checks_memory_before_allocating(self, monkeypatch):
-        def allocate(*args):
-            raise AssertionError("the [rows, horizon] terms were built")
+        # A policy without a certificate is inconclusive at any horizon
+        # without evaluating a single term.
+        def evaluate(*args):
+            raise AssertionError("a term was evaluated")
 
-        monkeypatch.setattr(coefficients, "_balance_terms", allocate)
+        monkeypatch.setattr(reference.UncertifiedAnnealing, "move_probabilities", evaluate)
         mdp = LocalSearchMdp(make_onemax(10))
-        with pytest.raises(ResourceLimitError, match="no balance certificate"):
-            classify(reference.UncertifiedAnnealing(10.0, 0.99), mdp, horizon=10**6)
-        with pytest.raises(ResourceLimitError):
-            balance_series(reference.UncertifiedAnnealing(10.0, 0.99), mdp, 3, horizon=10**9)
+        policy = reference.UncertifiedAnnealing(10.0, 0.99)
+        assert classify(policy, mdp, horizon=10**9).classification.kind == "inconclusive"
+        series = balance_series(policy, mdp, 3, horizon=10**9)
+        assert (series.verdict, series.rule, series.horizon) == \
+            (INCONCLUSIVE, "no-certificate", 10**9)
+        assert math.isnan(series.partial_sum)
 
     @pytest.mark.parametrize("policy", [HillClimbing(), SimulatedAnnealing(10.0, 0.99)],
                              ids=lambda policy: policy.descriptor)

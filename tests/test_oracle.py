@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import exp1
 
 import reference
 from lsmdp import coefficients, simulator
@@ -29,7 +30,7 @@ from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
-                              make_nk_landscape, make_onemax, make_trap)
+                              make_nk_landscape, make_onemax, make_trap, parse_objective)
 from lsmdp.policies import SimulatedAnnealing, parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
@@ -103,18 +104,19 @@ def assert_agrees_with_judge(series, expected):
 
 def assert_series_match_reference(report, policy, mdp, horizon):
     """Every state's series in `report` against the scalar judge: the same
-    verdict and rule for the fallback, the same verdict, limit and tail bound
-    for stationary policies wherever the judge decides (one constant term
-    decides nothing at horizon 1), and the property above for certified
-    annealing.  The masses are summed in another order, so partial sums
-    agree to 1e-12."""
+    verdict, limit and tail bound for stationary policies wherever the judge
+    decides (one constant term decides nothing at horizon 1), and the
+    property above for certified annealing; annealing without its
+    certificate is inconclusive by the rule `no-certificate`.  The masses
+    are summed in another order, so partial sums agree to 1e-12."""
     for state in range(mdp.num_states):
-        expected = reference.balance_series(policy, mdp, state, horizon, 1e-9)
         series = report.series[state]
         if isinstance(policy, reference.UncertifiedAnnealing):
-            assert (series.verdict, series.rule) == (expected.verdict, expected.rule)
-            assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
-        elif policy.stationary:
+            assert (series.verdict, series.rule) == (INCONCLUSIVE, "no-certificate")
+            assert math.isnan(series.partial_sum)
+            continue
+        expected = reference.balance_series(policy, mdp, state, horizon, 1e-9)
+        if policy.stationary:
             assert math.isclose(series.partial_sum, expected.partial_sum, rel_tol=1e-12)
             if expected.verdict == INCONCLUSIVE:
                 assert (horizon, series.verdict) == (1, DIVERGING)
@@ -136,6 +138,8 @@ def test_classify_matches_scalar_sweep(mdp, descriptor, horizon, certified):
     if not certified:
         policy = uncertified(policy)
     report = classify(policy, mdp, horizon=horizon)
+    if isinstance(policy, reference.UncertifiedAnnealing):
+        assert report.classification.kind == "inconclusive"
     for state in range(mdp.num_states):
         up, total = reference.count_fractions(mdp, state)
         assert report.fractions[state] == (Fraction(total - up, total), Fraction(up, total))
@@ -177,6 +181,53 @@ def test_certificate_edges_agree_with_the_judge(objective, policy):
         report = classify(policy, mdp, horizon=horizon)
         assert report.inconclusive_states == []
         assert_series_match_reference(report, policy, mdp, horizon)
+
+
+def e1_bracket(policy, gains, m):
+    """[lo, hi] around the balance series of a state with move gains `gains`
+    and no plateau move, whose terms are sum_g exp(g / T_t) / u: the first
+    m terms summed by `math.fsum`, and the rest bounded by an integral.
+    With a = |g| / T0 and lambda = -ln r, exp(-a e^(lambda t)) falls in t,
+    so its sum over t >= m lies in [E1(x) / lambda, E1(x) / lambda + exp(-x)]
+    at x = a e^(lambda m)."""
+    up = sum(g > 0 for g in gains)
+    worse = [g for g in gains if g < 0]
+    t0, r = policy.t0, policy.cooling_rate
+    lam = -math.log(r)
+    head = [math.exp(g / (t0 * r**t)) for t in range(m) for g in worse]
+    x = [-g / t0 * math.exp(lam * m) for g in worse]
+    integral = [float(exp1(v)) / lam for v in x]
+    return (math.fsum(head + integral) / up,
+            math.fsum(head + integral + [math.exp(-v) for v in x]) / up)
+
+
+@pytest.mark.parametrize("objective", ["onemax:n=4", "onemax:n=5", "onemax:n=6",
+                                       "trap:n=6,k=3", "leading_ones:n=5"])
+@pytest.mark.parametrize("descriptor", ["sa:T0=10,rate=0.999", "sa:T0=1,rate=0.9999"])
+def test_cut_off_sum_brackets_the_series(objective, descriptor):
+    # With the work cap at 2**20 the explicit sum stops by step 2**20 // 1001,
+    # long before the terms underflow; every verdict is still decided, and
+    # each converged state's [limit, limit + tail_bound] holds the E1
+    # bracket of the series from m = 2**20 // 1000 + 1 terms on.
+    mdp = LocalSearchMdp(parse_objective(objective))
+    policy = parse_policy(descriptor)
+    cap = 1 << 20
+    with mock.patch("lsmdp.policies.CERTIFICATE_WORK_CAP", cap):
+        report = classify(policy, mdp)
+        assert_series_match_reference(report, policy, mdp, 200)
+    assert report.inconclusive_states == []
+    _, gain, _ = mdp.move_gains()
+    for state, series in report.series.items():
+        if series.verdict != CONVERGED or series.rule == "no-exploration":
+            continue
+        lo, hi = e1_bracket(policy, gain[state].tolist(), cap // 1000 + 1)
+        slack = 8 * math.ulp(hi)
+        assert series.limit <= lo + slack
+        assert hi <= series.limit + series.tail_bound + slack
+    if objective.startswith("leading_ones"):
+        assert report.classification.kind == "exploration-oriented"
+        assert any((s.verdict, s.rule) == (DIVERGING, "plateau-floor")
+                   for s in report.series.values())
 
 
 @settings(max_examples=150, deadline=None)
