@@ -27,11 +27,10 @@ from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_tra
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import parse_objective
 from .policies import parse_policy
-from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
+from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
                         json_fragments)
-from .simulator import (best_so_far_curve, check_rollout, simulate_batch, simulate_batches,
-                        summarize_records)
+from .simulator import best_so_far_curve, check_rollout, simulate_batches, summarize_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,6 +45,51 @@ class UsageError(ValueError):
     pass
 
 
+_POLICY_HELP = "policy descriptor: hc | hc:literal | sa:T0=10,rate=0.9 | walk | metropolis:T=1"
+# Every option of every command as (name, default, help).  A None default
+# marks a required option, "false" a switch, and () a required repeatable
+# option whose i-th value is the [run] key `<name>_<i>`.  The flag is
+# --<name> with dashes; --help adds each non-empty default to the help.
+_SHARED = (
+    ("objective", None, "objective descriptor: onemax:n=8 | leading_ones:n=8 | trap:n=8,k=4 | "
+                        "nk:n=12,k=3,seed=7 | maxsat:path=f.cnf (bit b holds CNF variable b+1)"),
+    ("neighborhood", "hamming:1", "neighborhood descriptor"),
+    ("out", "lsmdp_out", f"output directory, ${OUTPUT_DIR_ENV} if set"),
+    ("format", "both", "output formats: csv | json | both"),
+)
+_ROLLOUT = (
+    ("start", "uniform", "fixed start state (int) or 'uniform'"),
+    ("horizon", "1000", "steps per trajectory"),
+    ("seeds", "100", "number of seeded trajectories"),
+    ("base_seed", "0", "root seed for trajectory derivation"),
+    ("bucket_width", "1", "time bucket width for the diagnostics"),
+    ("emit_trajectories", "false", "also stream trajectories to trajectories.jsonl"),
+)
+_OPTIONS = {  # command: (help, options)
+    "classify": ("orientation classification of a policy", _SHARED + (
+        ("policy", None, _POLICY_HELP),
+        ("horizon", "200", "series truncation horizon"),
+        ("reachable_from", "", "restrict the sweep to states reachable from this start"))),
+    "gamma": ("per-state convergence coefficient table", _SHARED + (
+        ("policy", "", _POLICY_HELP),
+        ("start", "", "also trace a trajectory from this state (needs --policy)"),
+        ("t_max", "50", "trace length"),
+        ("seed", "0", "trace RNG seed"))),
+    "value": ("policy evaluation vs optimal values", _SHARED + (
+        ("policy", None, _POLICY_HELP),
+        ("discount", "0.9", "discount factor"),
+        ("horizon", "200", "evaluation horizon for nonstationary policies"))),
+    "simulate": ("seeded Monte-Carlo rollouts",
+                 _SHARED + (("policy", None, _POLICY_HELP),) + _ROLLOUT),
+    "compare": ("rollouts for several policies on one objective",
+                _SHARED + (("policy", (), "policy descriptor (repeatable)"),) + _ROLLOUT),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; remap onto this CLI's contract.
     def error(self, message):
@@ -55,59 +99,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lsmdp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, policy="single"):
+    for command, (summary, options) in _OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="INI file; [run] keys supply defaults, flags override")
-        p.add_argument("--objective",
-                       help="objective descriptor: onemax:n=8 | leading_ones:n=8 | "
-                            "trap:n=8,k=4 | nk:n=12,k=3,seed=7 | maxsat:path=f.cnf "
-                            "(bit b holds CNF variable b+1)")
-        p.add_argument("--neighborhood", help="neighborhood descriptor (default hamming:1)")
-        p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./lsmdp_out)")
-        p.add_argument("--format", help="output formats: csv | json | both (default both)")
-        if policy == "single":
-            p.add_argument("--policy",
-                           help="policy descriptor: hc | hc:literal | sa:T0=10,rate=0.9 | "
-                                "walk | metropolis:T=1")
-        elif policy == "multi":
-            p.add_argument("--policy", action="append",
-                           help="policy descriptor (repeatable)")
-
-    p = sub.add_parser("classify", help="orientation classification of a policy")
-    common(p)
-    p.add_argument("--horizon", help="series truncation horizon (default 200)")
-    p.add_argument("--reachable-from", help="restrict the sweep to states reachable from this start")
-
-    p = sub.add_parser("gamma", help="per-state convergence coefficient table")
-    common(p)
-    p.add_argument("--start", help="also trace a trajectory from this state (needs --policy)")
-    p.add_argument("--t-max", help="trace length (default 50)")
-    p.add_argument("--seed", help="trace RNG seed (default 0)")
-
-    p = sub.add_parser("value", help="policy evaluation vs optimal values")
-    common(p)
-    p.add_argument("--discount", help="discount factor (default 0.9)")
-    p.add_argument("--horizon", help="evaluation horizon for nonstationary policies (default 200)")
-
-    p = sub.add_parser("simulate", help="seeded Monte-Carlo rollouts")
-    common(p)
-    _sim_options(p)
-
-    p = sub.add_parser("compare", help="rollouts for several policies on one objective")
-    common(p, policy="multi")
-    _sim_options(p)
-
+        for name, default, text in options:
+            action = {(): "append", "false": "store_true"}.get(default, "store")
+            p.add_argument(_flag(name), action=action, default=None,
+                           help=f"{text} (default {default})" if default else text)
     return parser
-
-
-def _sim_options(p):
-    p.add_argument("--start", help="fixed start state (int) or 'uniform' (default uniform)")
-    p.add_argument("--horizon", help="steps per trajectory (default 1000)")
-    p.add_argument("--seeds", help="number of seeded trajectories (default 100)")
-    p.add_argument("--base-seed", help="root seed for trajectory derivation (default 0)")
-    p.add_argument("--bucket-width", help="time bucket width for the diagnostics (default 1)")
-    p.add_argument("--emit-trajectories", action="store_true", default=None,
-                   help="also stream trajectories to trajectories.jsonl")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -121,25 +120,48 @@ def _load_config(path: str) -> dict[str, str]:
     return dict(cfg["run"])
 
 
-def _resolve(args, defaults: dict[str, str | None],
-             policy_keys: bool = False) -> dict[str, str]:
-    """Merge CLI flags over config-file keys over defaults; a None default
-    marks a required option.  A config key that is not an option (nor, with
-    `policy_keys`, a `policy_<i>` key) is an error."""
-    config_values = _load_config(args.config) if args.config else {}
-    for key in config_values:
-        if key not in defaults and not (policy_keys and key.startswith("policy_")):
+def _repeatable(name: str, values: list[str] | None, config: dict[str, str]) -> dict[str, str]:
+    """The `<name>_<i>` keys of a repeatable option: its flags' values in
+    argument order, else the config's `<name>_<i>` values in the order of i."""
+    if not values:
+        indices = {}
+        for key in config:
+            if key.startswith(name + "_"):
+                if not key[len(name) + 1:].isdecimal():
+                    raise UsageError(f"config key {key!r} is not {name}_<index>")
+                indices[key] = int(key[len(name) + 1:])
+        values = [config[key] for key in sorted(indices, key=indices.__getitem__)]
+    if not values:
+        raise UsageError(f"missing required option {_flag(name)}")
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise UsageError(f"{name} {repeated[0]!r} is given more than once")
+    return {f"{name}_{i}": value for i, value in enumerate(values)}
+
+
+def _resolve(args) -> dict[str, str]:
+    """Merge flags over the [run] keys of --config over the table's defaults
+    ($LSMDP_OUT, when set, over the default of `out`); a config key that is
+    no option of the command is an error."""
+    config = _load_config(args.config) if args.config else {}
+    options = _OPTIONS[args.command][1]
+    for key in config:
+        if not any(key.startswith(name + "_") if default == () else key == name
+                   for name, default, _ in options):
             raise UsageError(f"config key {key!r} is not an option of {args.command}")
     resolved = {}
-    for key, default in defaults.items():
-        attr = key.replace("-", "_")
-        cli_value = getattr(args, attr, None)
-        if isinstance(cli_value, bool):
-            cli_value = "true" if cli_value else "false"
-        value = cli_value if cli_value is not None else config_values.get(key, default)
+    for name, default, _ in options:
+        value = getattr(args, name)
+        if default == ():
+            resolved.update(_repeatable(name, value, config))
+            continue
+        if name == "out":
+            default = os.environ.get(OUTPUT_DIR_ENV, default)
         if value is None:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-        resolved[key] = str(value)
+            value = config.get(name, default)
+        if value is None:
+            raise UsageError(f"missing required option {_flag(name)}")
+        resolved[name] = "true" if value is True else value
     return resolved
 
 
@@ -170,10 +192,6 @@ def _outdir(resolved) -> Path:
     return out
 
 
-def _default_out() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, "lsmdp_out")
-
-
 def _build_mdp(resolved) -> LocalSearchMdp:
     objective = parse_objective(resolved["objective"])
     criterion = parse_criterion(resolved["neighborhood"])
@@ -194,28 +212,21 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
 
 def _reachable_states(mdp: LocalSearchMdp, start: int) -> list[int]:
     """Breadth-first closure of `start` under the neighborhood, one
-    neighbor table per frontier."""
+    neighbor table per frontier, refused before it passes the exhaustive cap."""
     seen = {mdp.check_state(start)}
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
         fresh = [j for j in np.unique(mdp.criterion.neighbor_array(frontier, mdp.n)).tolist()
                  if j not in seen]
+        if len(seen) + len(fresh) > 1 << EXHAUSTIVE_CAP:
+            raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
+                                     f"2**{EXHAUSTIVE_CAP}")
         seen.update(fresh)
         frontier = np.array(fresh, dtype=np.int64)
     return sorted(seen)
 
 
-def cmd_classify(args) -> int:
-    resolved = _resolve(args, {
-        "objective": None,
-        "neighborhood": "hamming:1",
-        "policy": None,
-        "horizon": "200",
-        "reachable_from": "",
-        "format": "both",
-        "out": _default_out(),
-    })
-    formats = _formats(resolved)
+def cmd_classify(resolved, formats) -> int:
     horizon = _int_opt(resolved, "horizon")
     _check_series(horizon)
     mdp = _build_mdp(resolved)
@@ -234,18 +245,7 @@ def cmd_classify(args) -> int:
     return EXIT_INCONCLUSIVE if report.classification.kind == "inconclusive" else EXIT_OK
 
 
-def cmd_gamma(args) -> int:
-    resolved = _resolve(args, {
-        "objective": None,
-        "neighborhood": "hamming:1",
-        "policy": "",
-        "start": "",
-        "t_max": "50",
-        "seed": "0",
-        "format": "both",
-        "out": _default_out(),
-    })
-    formats = _formats(resolved)
+def cmd_gamma(resolved, formats) -> int:
     policy = parse_policy(resolved["policy"]) if resolved["policy"] else None
     if resolved["start"] and policy is None:
         raise UsageError("option --start needs --policy")
@@ -290,17 +290,7 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def cmd_value(args) -> int:
-    resolved = _resolve(args, {
-        "objective": None,
-        "neighborhood": "hamming:1",
-        "policy": None,
-        "discount": "0.9",
-        "horizon": "200",
-        "format": "both",
-        "out": _default_out(),
-    })
-    formats = _formats(resolved)
+def cmd_value(resolved, formats) -> int:
     discount = _float_opt(resolved, "discount")
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value needs discount in (0, 1), got {discount!r}")
@@ -335,68 +325,6 @@ def cmd_value(args) -> int:
     _write_manifest(outdir, "value", resolved)
     print(f"max optimality gap {max(gap.tolist())!r}")
     return EXIT_OK
-
-
-_SIM_DEFAULTS = {
-    "objective": None,
-    "neighborhood": "hamming:1",
-    "start": "uniform",
-    "horizon": "1000",
-    "seeds": "100",
-    "base_seed": "0",
-    "bucket_width": "1",
-    "emit_trajectories": "false",
-    "format": "both",
-    "out": _default_out,
-}
-
-
-def _sim_resolved(args, multi_policy: bool) -> dict[str, str]:
-    defaults = {key: (value() if callable(value) else value)
-                for key, value in _SIM_DEFAULTS.items()}
-    if not multi_policy:
-        defaults["policy"] = None
-    resolved = _resolve(args, defaults, policy_keys=multi_policy)
-    if multi_policy:
-        config_values = _load_config(args.config) if args.config else {}
-        cli_policies = getattr(args, "policy", None)
-        if cli_policies:
-            policies = list(cli_policies)
-        else:
-            policies = [config_values[k] for k in _policy_keys(config_values)]
-        if not policies:
-            raise UsageError("missing required option --policy")
-        repeated = sorted({d for d in policies if policies.count(d) > 1})
-        if repeated:
-            raise UsageError(f"policy {repeated[0]!r} is given more than once")
-        for idx, descriptor in enumerate(policies):
-            resolved[f"policy_{idx}"] = descriptor
-    return resolved
-
-
-def _policy_keys(values) -> list[str]:
-    """The `policy_<i>` keys of `values`, in the order of i."""
-    indices = {}
-    for key in values:
-        if key.startswith("policy_"):
-            if not key[7:].isdecimal():
-                raise UsageError(f"config key {key!r} is not policy_<index>")
-            indices[key] = int(key[7:])
-    return sorted(indices, key=indices.__getitem__)
-
-
-def _sim_params(resolved, mdp):
-    """The rollout options, all checked before any trajectory runs."""
-    start_rule = resolved["start"]
-    if start_rule != "uniform":
-        try:
-            start_rule = int(start_rule)
-        except ValueError:
-            raise UsageError(f"start must be an int state or 'uniform', got {start_rule!r}") from None
-    params = (start_rule, _int_opt(resolved, "horizon"), _int_opt(resolved, "seeds"),
-              _int_opt(resolved, "base_seed"), _int_opt(resolved, "bucket_width"))
-    check_rollout(mdp, start_rule, params[1], params[4])
-    return params
 
 
 def _extend(columns: dict[str, list], **values) -> None:
@@ -440,31 +368,23 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
                       for descriptor, batch, _ in named_runs for k in range(len(batch))))
 
 
-def cmd_simulate(args) -> int:
-    resolved = _sim_resolved(args, multi_policy=False)
-    formats = _formats(resolved)
+def cmd_rollouts(resolved, formats) -> int:
+    """`simulate` (key `policy`) and `compare` (keys `policy_<i>`): every
+    option is checked before any trajectory runs."""
+    single = "policy" in resolved
+    descriptors = [value for key, value in resolved.items() if key.startswith("policy")]
     mdp = _build_mdp(resolved)
-    policy = parse_policy(resolved["policy"])
-    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved, mdp)
-    emit = resolved["emit_trajectories"] == "true"
-    batch = simulate_batch(policy, mdp, start_rule, horizon, seeds, base_seed, keep_steps=emit)
-    summary = summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)
-    outdir = _outdir(resolved)
-    _write_sim_outputs(outdir, formats, [(resolved["policy"], batch, summary)],
-                       horizon, bucket_width, emit)
-    _write_manifest(outdir, "simulate", resolved)
-    print(f"hit_rate={summary.hit_rate!r} best_final_mean={summary.best_final_mean!r}")
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    resolved = _sim_resolved(args, multi_policy=True)
-    formats = _formats(resolved)
-    mdp = _build_mdp(resolved)
-    start_rule, horizon, seeds, base_seed, bucket_width = _sim_params(resolved, mdp)
-    emit = resolved["emit_trajectories"] == "true"
-    descriptors = [resolved[k] for k in _policy_keys(resolved)]
     policies = [parse_policy(descriptor) for descriptor in descriptors]
+    start_rule = resolved["start"]
+    if start_rule != "uniform":
+        try:
+            start_rule = int(start_rule)
+        except ValueError:
+            raise UsageError(f"start must be an int state or 'uniform', got {start_rule!r}") from None
+    horizon, seeds, base_seed, bucket_width = (
+        _int_opt(resolved, key) for key in ("horizon", "seeds", "base_seed", "bucket_width"))
+    check_rollout(mdp, start_rule, horizon, bucket_width)
+    emit = resolved["emit_trajectories"] == "true"
     batches = simulate_batches(policies, mdp, start_rule, horizon, seeds, base_seed,
                                keep_steps=emit)
     named_runs = [(descriptor, batch, summarize_records(batch, horizon, bucket_width,
@@ -472,27 +392,23 @@ def cmd_compare(args) -> int:
                   for descriptor, batch in zip(descriptors, batches)]
     outdir = _outdir(resolved)
     _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
-    _write_manifest(outdir, "compare", resolved)
+    _write_manifest(outdir, "simulate" if single else "compare", resolved)
     for descriptor, _, summary in named_runs:
-        print(f"{descriptor}: hit_rate={summary.hit_rate!r} "
+        print(f"{'' if single else descriptor + ': '}hit_rate={summary.hit_rate!r} "
               f"best_final_mean={summary.best_final_mean!r}")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "gamma": cmd_gamma,
-    "value": cmd_value,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-}
+_COMMANDS = {"classify": cmd_classify, "gamma": cmd_gamma, "value": cmd_value,
+             "simulate": cmd_rollouts, "compare": cmd_rollouts}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        resolved = _resolve(args)
+        return _COMMANDS[args.command](resolved, _formats(resolved))
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

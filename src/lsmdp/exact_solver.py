@@ -14,7 +14,7 @@ import numpy as np
 from .policies import Policy
 from .search_space import LocalSearchMdp, ResourceLimitError
 
-MEMORY_BUDGET = 2 << 30         # bytes one exact solve may allocate
+MEMORY_BUDGET = 2 << 30         # bytes one exact solve or rollout run may allocate
 ENUMERATION_LEAF_CAP = 10_000_000
 STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
 
@@ -24,10 +24,15 @@ def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
     N x N matrices if dense, else eight [N, d] tables (5-6.5 measured, n=16).
     Runs before the landscape is read, so a refused solve evaluates nothing."""
     size = mdp.num_states
-    need = 8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n))
+    check_budget(8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n)),
+                 f"{'dense' if dense else 'table'} solve at n={mdp.n}")
+
+
+def check_budget(need: int, what: str) -> None:
+    """ResourceLimitError if `what` needs more than MEMORY_BUDGET bytes."""
     if need > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{'dense' if dense else 'table'} solve at n={mdp.n} needs "
-                                 f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET >> 30} GiB budget")
+        raise ResourceLimitError(f"{what} needs {need / 2**30:.3g} GiB, over the "
+                                 f"{MEMORY_BUDGET >> 30} GiB budget")
 
 
 @dataclass

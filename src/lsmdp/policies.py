@@ -174,8 +174,8 @@ class SimulatedAnnealing(Policy):
     stationary = False
 
     def __init__(self, t0: float, cooling_rate: float):
-        if not t0 > 0:
-            raise ValueError(f"initial temperature must be positive, got {t0!r}")
+        if not 0 < t0 < math.inf:  # at T0 = inf the schedule never cools: a random walk
+            raise ValueError(f"initial temperature must be positive and finite, got {t0!r}")
         if not 0.0 <= cooling_rate < 1.0:
             raise ValueError(f"cooling rate must lie in [0, 1), got {cooling_rate!r}")
         self.t0 = float(t0)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import SWEEP_CHUNK, improving
+from .exact_solver import check_budget
 from .policies import Policy, choose_moves
 from .search_space import LocalSearchMdp, Move
 from .serialize import Table
@@ -160,6 +161,14 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
     mdp.check_state(start_rule)
 
 
+def _check_run_memory(rows: int, horizon: int, keep_steps: bool) -> None:
+    """ResourceLimitError unless a run's [rows, horizon + 1] running-best
+    matrix, and its three [rows, horizon] per-step arrays when it keeps
+    them, fit the memory budget."""
+    check_budget(8 * rows * (horizon + 1) + (24 * rows * horizon if keep_steps else 0),
+                 f"rollout of {rows} trajectories over horizon {horizon}")
+
+
 def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
                      num_trajectories: int, base_seed: int,
                      keep_steps: bool = False) -> list[Rollouts]:
@@ -175,6 +184,8 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     check_rollout(mdp, start_rule, horizon)
     if num_trajectories < 0:
         raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
+    policies = list(policies)
+    _check_run_memory(len(policies) * num_trajectories, horizon, keep_steps)
     indices = range(num_trajectories)
     seeds = [derive_seed(base_seed, index, stream=0) for index in indices]
     if start_rule == "uniform":
@@ -182,7 +193,7 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
                       .integers(mdp.num_states)) for index in indices]
     else:
         starts = [start_rule] * num_trajectories
-    return _lockstep(list(policies), mdp, starts, seeds, horizon, keep_steps)
+    return _lockstep(policies, mdp, starts, seeds, horizon, keep_steps)
 
 
 def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -11,13 +12,14 @@ import pytest
 
 import lsmdp
 import reference
-from lsmdp import cli
+from lsmdp import cli, exact_solver, simulator
 from lsmdp.cli import main
 from lsmdp.coefficients import convergence_trace
 from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from lsmdp.objectives import Objective, parse_objective
 from lsmdp.policies import Policy, SimulatedAnnealing, parse_policy
 from lsmdp.search_space import LocalSearchMdp, parse_criterion
+from lsmdp.simulator import best_so_far_curve, simulate_batch, summarize_records
 
 
 def run_cli(args):
@@ -231,6 +233,118 @@ def test_neighborhood_without_moves_fails_before_any_output(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, options", [
+    ("classify", []), ("value", []), ("simulate", ["--seeds", "2", "--horizon", "5"])])
+def test_annealing_that_never_cools_fails_before_any_output(tmp_path, capsys, command, options):
+    # At T0 = inf every temperature of the schedule is inf: a random walk,
+    # which classify used to call balanced with C = nan.
+    out = tmp_path / "out"
+    assert run_cli([command, "--objective", "onemax:n=4", "--policy", "sa:T0=inf,rate=0.9",
+                    *options, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert not out.exists()
+
+
+def test_metropolis_at_infinite_temperature_is_a_walk(tmp_path):
+    for policy in ("metropolis:T=inf", "walk"):
+        assert run_cli(["classify", "--objective", "onemax:n=4", "--policy", policy,
+                        "--out", tmp_path / policy]) == 0
+    assert snapshot(tmp_path / "walk")["report.json"] == \
+        snapshot(tmp_path / "metropolis:T=inf")["report.json"]
+
+
+def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, capsys,
+                                                                    monkeypatch):
+    # 10 trajectories over 1,000 steps keep 80 kB of running bests, and
+    # 240 kB more of per-step arrays with --emit-trajectories.
+    monkeypatch.setattr(exact_solver, "MEMORY_BUDGET", 100_000)
+    simulate = ["simulate", "--objective", "onemax:n=8", "--policy", "walk", "--seeds", "10",
+                "--horizon", "1000"]
+    assert run_cli(simulate + ["--out", tmp_path / "fits"]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a seed was derived for a run over the budget")
+
+    monkeypatch.setattr(simulator, "derive_seed", unreachable)
+    compare = ["compare", "--objective", "onemax:n=8", "--policy", "hc", "--policy", "walk",
+               "--seeds", "100", "--horizon", "10000"]
+    for argv in (simulate + ["--emit-trajectories"], compare):
+        capsys.readouterr()
+        out = tmp_path / argv[0]
+        assert run_cli(argv + ["--out", out]) == 3
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, code", [(8, 3), (10, 0)])
+def test_reachable_closure_refused_past_the_exhaustive_cap(tmp_path, capsys, monkeypatch, cap,
+                                                           code):
+    # hamming:1 reaches all 2**10 states from 0: within a cap of 2**10, past 2**8.
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CAP", cap)
+    out = tmp_path / "out"
+    assert run_cli(["classify", "--objective", "onemax:n=10", "--policy", "hc",
+                    "--reachable-from", "0", "--out", out]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "2**8" in capsys.readouterr().err
+
+
+def _old_simulate_files(objective, descriptor, horizon, seeds, bucket_width, formats, emit):
+    """simulate's --out files, but manifest.ini, through the reference
+    writers from the one-policy batch of `simulate_batch`."""
+    mdp = LocalSearchMdp(parse_objective(objective))
+    batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", horizon, seeds, 0,
+                           keep_steps=emit)
+    summary = summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)
+    files = {}
+    if "csv" in formats:
+        means, quartiles = best_so_far_curve(batch, horizon)
+        files["summary.csv"] = reference.csv_text(("policy",) + summary.CSV_HEADER,
+                                                  [(descriptor,) + summary.csv_row()])
+        files["plot_best.csv"] = reference.csv_text(
+            ("policy", "t", "mean", "p25", "p50", "p75"),
+            [(descriptor, t, mean, quartiles["p25"][t], quartiles["p50"][t], quartiles["p75"][t])
+             for t, mean in enumerate(means)])
+        files["plot_explore.csv"] = reference.csv_text(
+            ("policy", "bucket", "t_lo", "t_hi", "exploration_fraction", "exploration_ratio"),
+            [(descriptor, b, b * bucket_width, min(horizon, (b + 1) * bucket_width) - 1, fraction,
+              ratio) for b, (fraction, ratio) in enumerate(zip(summary.exploration_fraction,
+                                                               summary.exploration_ratio))])
+        files["seeds.csv"] = reference.csv_text(
+            ("policy", "index", "seed", "start"),
+            [(descriptor, k, seed, start) for k, (seed, start)
+             in enumerate(zip(batch.seeds, batch.starts))])
+    if "json" in formats:
+        files["summary.json"] = reference.dumps_json({descriptor: summary.to_json_dict()})
+    if emit:
+        files["trajectories.jsonl"] = "".join(
+            reference.dumps_json_line(dict(reference.trajectory_json_dict(record),
+                                           policy=descriptor)) for record in batch.records)
+    line = f"hit_rate={summary.hit_rate!r} best_final_mean={summary.best_final_mean!r}\n"
+    return files, line
+
+
+@pytest.mark.parametrize("fmt, emit", [("both", True), ("csv", False), ("json", True)])
+def test_simulate_writes_what_its_one_policy_batch_gives(tmp_path, capsys, fmt, emit):
+    # simulate runs on compare's path: its files, manifest and stdout line
+    # are still those of the one-policy batch.
+    argv = ["simulate", "--objective", "trap:n=6,k=3", "--policy", "sa:T0=2,rate=0.9",
+            "--seeds", "4", "--horizon", "12", "--bucket-width", "5", "--format", fmt,
+            "--out", tmp_path]
+    assert run_cli(argv + ["--emit-trajectories"] * emit) == 0
+    files, line = _old_simulate_files("trap:n=6,k=3", "sa:T0=2,rate=0.9", 12, 4, 5,
+                                      {"csv", "json"} if fmt == "both" else {fmt}, emit)
+    assert capsys.readouterr().out == line
+    assert (tmp_path / "manifest.ini").read_text() == (
+        f"[meta]\nartifact_version = {lsmdp.__version__}\ncommand = simulate\n\n[run]\n"
+        f"base_seed = 0\nbucket_width = 5\nemit_trajectories = {str(emit).lower()}\n"
+        f"format = {fmt}\nhorizon = 12\nneighborhood = hamming:1\nobjective = trap:n=6,k=3\n"
+        f"out = {tmp_path}\npolicy = sa:T0=2,rate=0.9\nseeds = 4\nstart = uniform\n\n")
+    assert _out_files(tmp_path) == files
+
+
 class TestSingleSweep:
     """An exhaustive command evaluates the objective once per state: one
     batch call over exactly the 2**n states, plus `value`'s scalar f column."""
@@ -439,6 +553,36 @@ def test_gamma_writers_equal_the_per_state_writers(tmp_path, options, start):
     expected = _old_gamma_files(mdp, parse_policy("sa:T0=2,rate=0.9"), start, 40, 7)
     assert '"inf"' in expected["gamma.json"]
     assert _out_files(tmp_path) == expected
+
+
+class TestOptionTable:
+    ARGV = {"classify": ["--policy", "hc"], "gamma": [], "value": ["--policy", "hc"],
+            "simulate": ["--policy", "walk", "--seeds", "2", "--horizon", "3"],
+            "compare": ["--policy", "walk", "--policy", "hc", "--seeds", "2", "--horizon", "3"]}
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_manifest_run_keys_are_the_table_entries(self, tmp_path, command):
+        assert run_cli([command, "--objective", "onemax:n=4", *self.ARGV[command],
+                        "--out", tmp_path]) in (0, 2)
+        manifest = configparser.ConfigParser()
+        manifest.optionxform = str
+        manifest.read(tmp_path / "manifest.ini")
+        expected = {name for name, default, _ in cli._OPTIONS[command][1] if default != ()}
+        if command == "compare":
+            expected |= {"policy_0", "policy_1"}
+        assert set(manifest["run"]) == expected
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_help_shows_every_default_once(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        shown = [(" ".join(help_text.split()), default)
+                 for _, default, help_text in cli._OPTIONS[command][1] if default]
+        for help_text, default in shown:
+            assert text.count(f"{help_text} (default {default})") == 1
+        assert text.count("(default ") == len(shown)
 
 
 class TestConfigHandling:

@@ -96,7 +96,8 @@ class TestSimulatedAnnealing:
         assert not absorbed_at(sa, onemax3, 0b111)
         assert sa.action_distribution(onemax3, 0b111, 10_000).stay_probability == 1.0
 
-    @pytest.mark.parametrize("t0,rate", [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, -0.1)])
+    @pytest.mark.parametrize("t0,rate", [(0.0, 0.5), (-1.0, 0.5), (1.0, 1.0), (1.0, -0.1),
+                                         (math.inf, 0.5), (math.nan, 0.5)])
     def test_rejects_bad_parameters(self, t0, rate):
         with pytest.raises(ValueError):
             SimulatedAnnealing(t0, rate)
