@@ -97,10 +97,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="lsmdp", description=__doc__)
+    # No abbreviations: a prefix of one option (gamma's --seed for --seeds)
+    # would otherwise run as that option.
+    parser = _Parser(prog="lsmdp", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, options) in _OPTIONS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="INI file; [run] keys supply defaults, flags override")
         for name, default, text in options:
             action = {(): "append", "false": "store_true"}.get(default, "store")
@@ -327,38 +329,41 @@ def cmd_value(resolved, formats) -> int:
     return EXIT_OK
 
 
-def _extend(columns: dict[str, list], **values) -> None:
-    """Append each of `values` to the column of its name."""
-    for name, column in values.items():
-        columns[name].extend(column)
+def _policy_table(descriptors, blocks) -> Table:
+    """Each policy's block of columns (a dict of equal-length lists or
+    ranges), stacked in order under a coded `policy` column, one record per
+    policy."""
+    lengths = [len(next(iter(block.values()))) for block in blocks]
+    columns = {"policy": Table(descriptors, codes=np.repeat(np.arange(len(blocks)), lengths))}
+    for name in blocks[0]:
+        columns[name] = column = []
+        for block in blocks:
+            column.extend(block[name])
+    return Table(columns)
 
 
 def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit):
     """named_runs: list of (descriptor, rollouts, summary)."""
-    summary_rows = [(descriptor,) + summary.csv_row() for descriptor, _, summary in named_runs]
+    descriptors = [descriptor for descriptor, _, _ in named_runs]
     if "csv" in formats:
+        summary_rows = [(descriptor,) + summary.csv_row() for descriptor, _, summary in named_runs]
         header = ("policy",) + named_runs[0][2].CSV_HEADER
         atomic_write(outdir / "summary.csv", csv_fragments(header, summary_rows))
-        best = {name: [] for name in ("policy", "t", "mean", "p25", "p50", "p75")}
-        explore = {name: [] for name in ("policy", "bucket", "t_lo", "t_hi",
-                                         "exploration_fraction", "exploration_ratio")}
-        seed_columns = {name: [] for name in ("policy", "index", "seed", "start")}
-        for descriptor, batch, summary in named_runs:
+        best, explore, seeds = [], [], []
+        for _, batch, summary in named_runs:
             means, quartiles = best_so_far_curve(batch, horizon)
-            _extend(best, policy=[descriptor] * len(means), t=range(len(means)), mean=means,
-                    p25=quartiles.get("p25", ()), p50=quartiles.get("p50", ()),
-                    p75=quartiles.get("p75", ()))
-            buckets = range(len(summary.exploration_fraction))
-            _extend(explore, policy=[descriptor] * len(buckets), bucket=buckets,
-                    t_lo=[b * bucket_width for b in buckets],
-                    t_hi=[min(horizon, (b + 1) * bucket_width) - 1 for b in buckets],
-                    exploration_fraction=summary.exploration_fraction,
-                    exploration_ratio=summary.exploration_ratio)
-            _extend(seed_columns, policy=[descriptor] * len(batch), index=range(len(batch)),
-                    seed=batch.seeds, start=batch.starts)
-        for name, columns in (("plot_best.csv", best), ("plot_explore.csv", explore),
-                              ("seeds.csv", seed_columns)):
-            atomic_write(outdir / name, csv_fragments(tuple(columns), Table(columns)))
+            best.append(dict(t=range(len(means)), mean=means, p25=quartiles.get("p25", ()),
+                             p50=quartiles.get("p50", ()), p75=quartiles.get("p75", ())))
+            ends = np.arange(1, len(summary.exploration_fraction) + 1) * bucket_width
+            explore.append(dict(bucket=range(ends.size), t_lo=(ends - bucket_width).tolist(),
+                                t_hi=(np.minimum(ends, horizon) - 1).tolist(),
+                                exploration_fraction=summary.exploration_fraction,
+                                exploration_ratio=summary.exploration_ratio))
+            seeds.append(dict(index=range(len(batch)), seed=batch.seeds, start=batch.starts))
+        for name, blocks in (("plot_best.csv", best), ("plot_explore.csv", explore),
+                             ("seeds.csv", seeds)):
+            atomic_write(outdir / name, csv_fragments(("policy",) + tuple(blocks[0]),
+                                                      _policy_table(descriptors, blocks)))
     if "json" in formats:
         atomic_write(outdir / "summary.json", json_fragments(
             {descriptor: summary.to_json_dict() for descriptor, _, summary in named_runs}))

@@ -45,10 +45,13 @@ class HammingNeighborhood:
         if not isinstance(self.distance, int) or self.distance < 1:
             raise ValueError(f"hamming distance must be a positive int, got {self.distance!r}")
 
+    def masks(self, n: int) -> np.ndarray:
+        """The bit flips of one move, one entry per neighbor: state ^ mask."""
+        return np.array(_hamming_masks(n, self.distance), dtype=np.int64)
+
     def neighbor_array(self, states: np.ndarray, n: int) -> np.ndarray:
         """The neighbors of every state in `states`, one ascending row each."""
-        masks = np.array(_hamming_masks(n, self.distance), dtype=np.int64)
-        return np.sort(states[:, None] ^ masks, axis=1)
+        return np.sort(states[:, None] ^ self.masks(n), axis=1)
 
     def degree(self, n: int) -> int:
         return math.comb(n, self.distance)  # neighbors per state, no row built

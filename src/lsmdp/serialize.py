@@ -47,6 +47,10 @@ class Table:
     object {str(keys[j]): entry j} (distinct keys).  `csv_text` writes one
     row per entry: its key first when the table has keys (under the
     header's first name), then the fields the other header names name.
+
+    A column may itself be a table of the keyed-list form with `codes`, no
+    keys: a coded column, whose entry j is its record codes[j], so a field
+    that repeats a few values formats each once.
     """
 
     columns: dict | Sequence
@@ -57,12 +61,28 @@ class Table:
         if isinstance(self.columns, dict) and not self.columns:
             raise ValueError("a table needs at least one column")
 
+    def __len__(self) -> int:
+        """The number of entries."""
+        if self.codes is not None:
+            return len(self.codes)
+        return len(next(iter(self.columns.values())) if isinstance(self.columns, dict)
+                   else self.columns)
+
 
 def _take(column, index):
     """The items of `column` at `index`, a slice or an int array."""
+    if isinstance(column, Table):
+        return Table(column.columns, _take(np.asarray(column.codes, dtype=np.int64), index))
     if isinstance(index, slice) or isinstance(column, np.ndarray):
         return column[index]
     return [column[i] for i in index.tolist()]
+
+
+def _coded(column: Table, texts) -> list[str]:
+    """The text of each entry of a coded column, `texts` formatting each
+    distinct record it uses once."""
+    used, inverse = np.unique(np.asarray(column.codes, dtype=np.int64), return_inverse=True)
+    return list(map(texts(_take(column.columns, used)).__getitem__, inverse.tolist()))
 
 
 def _key_order(keys) -> np.ndarray:
@@ -88,8 +108,7 @@ def _table_entries(table: Table, records, order=None):
     a map of column name (None: a keyed list) to those records' fields."""
     columns = table.columns if isinstance(table.columns, dict) else {None: table.columns}
     codes = None if table.codes is None else np.asarray(table.codes, dtype=np.int64)
-    size = len(codes) if codes is not None else len(next(iter(columns.values())))
-    for lo in range(0, size, CHUNK):
+    for lo in range(0, len(table), CHUNK):
         index = slice(lo, lo + CHUNK) if order is None else order[lo:lo + CHUNK]
         used, inverse = (index, None) if codes is None else np.unique(codes[index],
                                                                        return_inverse=True)
@@ -123,6 +142,8 @@ _JSON_LEAF = {
 def _json_items(values, nl):
     """JSON text of each of `values`; `nl` is the newline and indentation of
     their nesting level, None for compact text."""
+    if isinstance(values, Table):
+        return _coded(values, lambda records: _json_items(records, nl))
     if isinstance(values, np.ndarray):
         values = values.tolist()
     kinds = set(map(type, values))
@@ -130,22 +151,38 @@ def _json_items(values, nl):
         return list(map(int.__repr__, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
+    nulls = type(None) in kinds
     kinds.discard(type(None))
     if len(kinds) == 1 and kinds <= {list, tuple}:
-        rows = [v for v in values if v is not None]
+        rows = [v for v in values if v is not None] if nulls else values
         if rows[0] and len(set(map(len, rows))) == 1:
+            if not nulls:
+                return _json_rows(rows, nl)
             texts = iter(_json_rows(rows, nl))
             return [next(texts) if v is not None else "null" for v in values]
     return [leaf(v) if (leaf := _JSON_LEAF.get(type(v))) else _json(v, nl) for v in values]
+
+
+_FIELD = "\0"  # a template's placeholder: JSON text holds no raw NUL (json escapes it)
+
+
+def _fill(template: str, columns: list[list[str]]) -> list[str]:
+    """Row i of the texts in `columns` filled into the `_FIELD`s of
+    `template`, in order, with one join per row."""
+    pieces = template.split(_FIELD)
+    count = len(columns[0])
+    parts = [[pieces[0]] * count]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += [column, [piece] * count]
+    return list(map("".join, zip(*parts)))
 
 
 def _json_rows(rows, nl):
     """JSON text of each of equal-length, non-empty lists: formatted column
     by column, then filled into one template."""
     inner = None if nl is None else nl + "  "
-    template = "".join(_json_seq("[", [["%s"] * len(rows[0])], "]", nl, inner))
-    columns = [_json_items(column, inner) for column in zip(*rows)]
-    return list(map(template.__mod__, zip(*columns)))
+    template = "".join(_json_seq("[", [[_FIELD] * len(rows[0])], "]", nl, inner))
+    return _fill(template, [_json_items(column, inner) for column in zip(*rows)])
 
 
 def _json_seq(open_, chunks, close, nl, inner) -> Iterator[str]:
@@ -160,15 +197,17 @@ def _json_seq(open_, chunks, close, nl, inner) -> Iterator[str]:
 
 def _json_table(table: Table, nl, inner) -> Iterator[str]:
     colon = ":" if nl is None else ": "
-    names, field_nl, template = [None], inner, "%s"  # a keyed list: each record as it is
     if isinstance(table.columns, dict):
         names, field_nl = sorted(table.columns), None if nl is None else inner + "  "
-        fields = [_escape(name).replace("%", "%%") + colon + "%s" for name in names]
-        template = "".join(_json_seq("{", [fields], "}", inner, field_nl))
+        template = "".join(_json_seq("{", [[_escape(name) + colon + _FIELD for name in names]],
+                                     "}", inner, field_nl))
 
-    def records(fields):
-        return list(map(template.__mod__, zip(*[_json_items(fields[name], field_nl)
-                                                for name in names])))
+        def records(fields):
+            return _fill(template, [_json_items(fields[name], field_nl) for name in names])
+    else:  # a keyed list: each record as it is
+
+        def records(fields):
+            return _json_items(fields[None], inner)
     order = None if table.keys is None else _key_order(table.keys)
     chunks = (texts if keys is None else [_escape(str(key)) + colon + text
                                           for key, text in zip(keys, texts)]
@@ -267,8 +306,13 @@ _CSV_CELL = {
 
 
 def _csv_cells(values) -> list[str]:
+    if isinstance(values, Table):
+        return _coded(values, _csv_cells)
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         values = values.tolist()  # the cells of numpy ints and floats are their Python values'
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (cell := _CSV_CELL.get(kinds.pop())):
+        return list(map(cell, values))
     return [cell(v) if (cell := _CSV_CELL.get(type(v))) else _csv_other(v) for v in values]
 
 
@@ -281,7 +325,8 @@ def _csv_table(header, table: Table) -> Iterator[list[str]]:
     names = list(header[1:] if table.keys is not None else header)
     if not names:
         raise ValueError("the header names no column of the table")
-    join = _csv_line if table.keys is None else ",".join
+    # Only a row of one field can be blank, which `_csv_line` writes as csv does.
+    join = _csv_line if table.keys is None and len(names) == 1 else ",".join
 
     def records(fields):
         return list(map(join, zip(*[_csv_cells(fields[name]) for name in names])))

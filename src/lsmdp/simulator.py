@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import SWEEP_CHUNK, improving
 from .exact_solver import check_budget
-from .policies import Policy, choose_moves
+from .policies import Policy
 from .search_space import LocalSearchMdp, Move
 from .serialize import Table
 
@@ -99,37 +99,38 @@ class Rollouts:
             return None
         return [self._record(k) for k in range(len(self))]
 
-    def _path(self, k: int):
-        """(terminated_at, states, moved-to states (-1: stayed), rewards,
-        kinds, running bests) of trajectory k, as lists; a step's kind is
-        "exploration" or "exploitation", None when it stayed."""
-        end = int(self.steps.taken[k])
-        dst = self.steps.dst[k, :end].tolist()
-        reward = self.steps.reward[k, :end]
-        kind = [None if j < 0 else _KINDS[up] for j, up in zip(dst, improving(reward).tolist())]
-        return (end if end < self.horizon else None, self.steps.state[k, :end].tolist(),
-                dst, reward.tolist(), kind, self.best[k, :end + 1].tolist())
-
     def _record(self, k: int) -> TrajectoryRecord:
-        terminated_at, states, dsts, rewards, kinds, best = self._path(k)
-        steps = [TrajectoryStep(t, state, None if dst < 0 else Move(state, dst), reward, kind)
-                 for t, (state, dst, reward, kind)
-                 in enumerate(zip(states, dsts, rewards, kinds))]
+        end = int(self.steps.taken[k])
+        rewards = self.steps.reward[k, :end]
+        steps = [TrajectoryStep(t, state, None if dst < 0 else Move(state, dst), reward,
+                                None if dst < 0 else _KINDS[up])
+                 for t, (state, dst, reward, up)
+                 in enumerate(zip(self.steps.state[k, :end].tolist(),
+                                  self.steps.dst[k, :end].tolist(), rewards.tolist(),
+                                  improving(rewards).tolist()))]
         return TrajectoryRecord(seed=int(self.seeds[k]), start=self.starts[k], steps=steps,
-                                best_so_far=list(enumerate(best)), terminated_at=terminated_at)
+                                best_so_far=list(enumerate(self.best[k, :end + 1].tolist())),
+                                terminated_at=end if end < self.horizon else None)
 
     def trajectory_json(self, k: int) -> dict:
         """The `trajectories.jsonl` object of trajectory k (without its
-        policy), from the per-step arrays."""
-        terminated_at, states, dsts, rewards, kinds, best = self._path(k)
+        policy), column by column from the per-step arrays: a step's kind
+        is coded 0 (stay), 1 (exploration) or 2 (exploitation)."""
+        end = int(self.steps.taken[k])
+        state, dst = self.steps.state[k, :end], self.steps.dst[k, :end]
+        reward = self.steps.reward[k, :end]
+        moved = dst >= 0
+        moves = list(zip(state.tolist(), dst.tolist()))
+        for t in np.flatnonzero(~moved).tolist():
+            moves[t] = None
         return {
             "seed": int(self.seeds[k]),
             "start": self.starts[k],
-            "terminated_at": terminated_at,
-            "steps": Table({"t": range(len(states)), "state": states,
-                            "move": [[i, j] if j >= 0 else None for i, j in zip(states, dsts)],
-                            "reward": rewards, "kind": kinds}),
-            "best_so_far": list(enumerate(best)),
+            "terminated_at": end if end < self.horizon else None,
+            "steps": Table({"t": range(end), "state": state, "move": moves, "reward": reward,
+                            "kind": Table((None,) + _KINDS,
+                                          codes=moved.astype(np.int8) + improving(reward))}),
+            "best_so_far": list(enumerate(self.best[k, :end + 1].tolist())),
         }
 
 
@@ -238,26 +239,53 @@ def _lockstep(policies, mdp, starts, seeds, horizon, keep_steps) -> list[Rollout
 
 
 def _policy_spans(policies, group):
-    """(policy, first row, end row) of each policy with a row in `group`,
-    the sorted policy index of every running row."""
+    """(policy index, policy, first row, end row) of each policy with a row
+    in `group`, the sorted policy index of every running row."""
     bounds = np.searchsorted(group, np.arange(len(policies) + 1)).tolist()
-    return [(policy, a, b) for policy, a, b in zip(policies, bounds, bounds[1:]) if a < b]
+    return [(g, policies[g], a, b) for g, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
 
 
-def _per_policy(spans, kernel):
-    """`kernel(policy, rows)` over each policy's rows, stacked in row order."""
-    parts = [kernel(policy, slice(a, b)) for policy, a, b in spans]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _stoppers(spans):
+    """The spans whose policy can stop a row: it overrides `Policy.absorbed`."""
+    return [span for span in spans if type(span[1]).absorbed is not Policy.absorbed]
+
+
+def _step_table(values, masks, states, current):
+    """The move-gain table (nbr, gain, reached) of `states`, whose objective
+    values are `current`: what `mdp.move_gains(states)` gives, since batch
+    values equal the scalar ones bit for bit, with one objective call over
+    the neighbors only.  Unlike `move_gains` it checks no state: the engine
+    passes checked starts and the neighbors they reached."""
+    nbr = states[:, None] ^ masks
+    nbr.sort(axis=1)
+    reached = values(nbr.ravel()).reshape(nbr.shape)
+    return nbr, reached - current[:, None], reached
+
+
+def _choose(cum, draws, base):
+    """(flat index, moved) of each row's move: row i of `cum` holds the
+    running sums of its move probabilities and starts at flat index
+    base[i]; the move is the first j with draws[i] < cum[i, j], and a row
+    without one stays (moved False) with j = 0.  `choose_moves` on the
+    flattened table."""
+    hit = draws[:, None] < cum
+    flat = base + hit.argmax(axis=1)
+    return flat, hit.take(flat)
 
 
 def _advance_chunk(run, mdp, lo, hi) -> None:
     """Roll rows lo..hi-1 of `run` forward together for up to the horizon;
-    a row stops once its policy is absorbed."""
+    a row stops once its policy is absorbed, which only the policies that
+    can stop are asked."""
     horizon = run.best.shape[1] - 1
     rows = np.arange(lo, hi)                             # rows still running
+    at = slice(lo, hi)                                   # `rows`, a slice while no row stopped
     group, trajectory = np.divmod(rows, len(run.seeds))
     spans = _policy_spans(run.policies, group)
+    stoppers = _stoppers(spans)
     rngs = [np.random.default_rng(run.seeds[k]) for k in trajectory.tolist()]
+    values, masks = mdp.objective.values, mdp.criterion.masks(mdp.n)
+    base = np.arange(0, rows.size * masks.size, masks.size)  # each row's first flat index
     states = run.starts[trajectory]
     current = run.start_values[trajectory]
     running = current.copy()
@@ -266,42 +294,50 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
         run.steps.taken[lo:hi] = horizon
     draws = None
     for t in range(horizon):
-        nbr, gain, reached = mdp.move_gains(states)
-        stop = _per_policy(spans, lambda policy, own: policy.absorbed(gain[own]))
-        if stop.any():
-            run.best[rows[stop], t + 1:] = running[stop, None]
-            if run.steps is not None:
-                run.steps.taken[rows[stop]] = t
-            go = ~stop
-            rows, group, states, current, running = (rows[go], group[go], states[go],
-                                                     current[go], running[go])
-            nbr, gain, reached = nbr[go], gain[go], reached[go]
-            if draws is not None:
-                draws = draws[go]
-            if not rows.size:
-                break
-            spans = _policy_spans(run.policies, group)
+        nbr, gain, reached = _step_table(values, masks, states, current)
+        if stoppers:
+            stop = np.zeros(rows.size, dtype=bool)
+            for _, policy, a, b in stoppers:
+                stop[a:b] = policy.absorbed(gain[a:b])
+            if stop.any():
+                run.best[rows[stop], t + 1:] = running[stop, None]
+                if run.steps is not None:
+                    run.steps.taken[rows[stop]] = t
+                go = ~stop
+                rows, group, states, current, running = (rows[go], group[go], states[go],
+                                                         current[go], running[go])
+                at = rows
+                nbr, gain, reached = nbr[go], gain[go], reached[go]
+                if draws is not None:
+                    draws = draws[go]
+                if not rows.size:
+                    break
+                base = base[:rows.size]
+                spans = _policy_spans(run.policies, group)
+                stoppers = _stoppers(spans)
         # A row's i-th uniform drives its i-th step, whatever the block.
         if t % _DRAW_BLOCK == 0:
             width = min(_DRAW_BLOCK, horizon - t)
             draws = np.array([rngs[r - lo].random(width) for r in rows.tolist()])
-        probabilities = _per_policy(
-            spans, lambda policy, own: policy.move_probabilities(gain[own], t, reached[own]))
-        j = choose_moves(probabilities, draws[:, t % _DRAW_BLOCK])
-        moved = j >= 0
-        pick = (np.arange(rows.size), np.maximum(j, 0))
-        taken = np.where(moved, gain[pick], 0.0)
+        cum = np.empty(gain.shape)
+        for _, policy, a, b in spans:
+            policy.move_probabilities(gain[a:b], t, reached[a:b]).cumsum(axis=1, out=cum[a:b])
+        flat, moved = _choose(cum, draws[:, t % _DRAW_BLOCK], base)
+        taken = np.where(moved, gain.take(flat), 0.0)
         up = improving(taken)  # a stay takes gain 0, so it is never improving
-        run.explore[:, t] += np.bincount(group[moved & ~up], minlength=len(run.policies))
-        run.exploit[:, t] += np.bincount(group[up], minlength=len(run.policies))
+        for g, _, a, b in spans:
+            ups = np.count_nonzero(up[a:b])
+            run.exploit[g, t] += ups
+            run.explore[g, t] += np.count_nonzero(moved[a:b]) - ups
+        picked = nbr.take(flat)
         if run.steps is not None:
-            run.steps.state[rows, t] = states
-            run.steps.dst[rows, t] = np.where(moved, nbr[pick], -1)
-            run.steps.reward[rows, t] = taken
-        states = np.where(moved, nbr[pick], states)
-        current = np.where(moved, reached[pick], current)
-        running = np.where(current > running, current, running)
-        run.best[rows, t + 1] = running
+            run.steps.state[at, t] = states
+            run.steps.dst[at, t] = np.where(moved, picked, -1)
+            run.steps.reward[at, t] = taken
+        states = np.where(moved, picked, states)
+        current = np.where(moved, reached.take(flat), current)
+        np.copyto(running, current, where=current > running)
+        run.best[at, t + 1] = running
 
 
 def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int,
@@ -358,8 +394,8 @@ def best_so_far_curve(batch: Rollouts, horizon: int):
     if not len(batch):
         return [], {}
     matrix = batch.best
-    means = [float(x) for x in matrix.mean(axis=0)]
-    quartiles = {f"p{int(q * 100)}": [float(x) for x in np.quantile(matrix, q, axis=0)]
+    means = matrix.mean(axis=0).tolist()
+    quartiles = {f"p{int(q * 100)}": np.quantile(matrix, q, axis=0).tolist()
                  for q in (0.25, 0.5, 0.75)}
     return means, quartiles
 

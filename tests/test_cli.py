@@ -291,39 +291,53 @@ def test_reachable_closure_refused_past_the_exhaustive_cap(tmp_path, capsys, mon
         assert "2**8" in capsys.readouterr().err
 
 
-def _old_simulate_files(objective, descriptor, horizon, seeds, bucket_width, formats, emit):
-    """simulate's --out files, but manifest.ini, through the reference
-    writers from the one-policy batch of `simulate_batch`."""
+def _reference_rollout_files(objective, descriptors, horizon, seeds, bucket_width, formats,
+                             emit):
+    """The --out files, but manifest.ini, and the stdout of a run of
+    `descriptors` (one: simulate, else compare), through the reference
+    writers from each policy's batch of `simulate_batch`."""
     mdp = LocalSearchMdp(parse_objective(objective))
-    batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", horizon, seeds, 0,
-                           keep_steps=emit)
-    summary = summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)
+    named = []
+    for descriptor in descriptors:
+        batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", horizon, seeds, 0,
+                               keep_steps=emit)
+        named.append((descriptor, batch, summarize_records(batch, horizon, bucket_width,
+                                                           mdp.objective.known_optimum)))
     files = {}
     if "csv" in formats:
-        means, quartiles = best_so_far_curve(batch, horizon)
-        files["summary.csv"] = reference.csv_text(("policy",) + summary.CSV_HEADER,
-                                                  [(descriptor,) + summary.csv_row()])
-        files["plot_best.csv"] = reference.csv_text(
-            ("policy", "t", "mean", "p25", "p50", "p75"),
-            [(descriptor, t, mean, quartiles["p25"][t], quartiles["p50"][t], quartiles["p75"][t])
-             for t, mean in enumerate(means)])
+        files["summary.csv"] = reference.csv_text(
+            ("policy",) + named[0][2].CSV_HEADER,
+            [(descriptor,) + summary.csv_row() for descriptor, _, summary in named])
+        best, explore, seed_rows = [], [], []
+        for descriptor, batch, summary in named:
+            means, quartiles = best_so_far_curve(batch, horizon)
+            best += [(descriptor, t, mean, quartiles["p25"][t], quartiles["p50"][t],
+                      quartiles["p75"][t]) for t, mean in enumerate(means)]
+            explore += [(descriptor, b, b * bucket_width, min(horizon, (b + 1) * bucket_width) - 1,
+                         fraction, ratio)
+                        for b, (fraction, ratio) in enumerate(zip(summary.exploration_fraction,
+                                                                  summary.exploration_ratio))]
+            seed_rows += [(descriptor, k, seed, start)
+                          for k, (seed, start) in enumerate(zip(batch.seeds, batch.starts))]
+        files["plot_best.csv"] = reference.csv_text(("policy", "t", "mean", "p25", "p50", "p75"),
+                                                    best)
         files["plot_explore.csv"] = reference.csv_text(
             ("policy", "bucket", "t_lo", "t_hi", "exploration_fraction", "exploration_ratio"),
-            [(descriptor, b, b * bucket_width, min(horizon, (b + 1) * bucket_width) - 1, fraction,
-              ratio) for b, (fraction, ratio) in enumerate(zip(summary.exploration_fraction,
-                                                               summary.exploration_ratio))])
-        files["seeds.csv"] = reference.csv_text(
-            ("policy", "index", "seed", "start"),
-            [(descriptor, k, seed, start) for k, (seed, start)
-             in enumerate(zip(batch.seeds, batch.starts))])
+            explore)
+        files["seeds.csv"] = reference.csv_text(("policy", "index", "seed", "start"), seed_rows)
     if "json" in formats:
-        files["summary.json"] = reference.dumps_json({descriptor: summary.to_json_dict()})
+        files["summary.json"] = reference.dumps_json(
+            {descriptor: summary.to_json_dict() for descriptor, _, summary in named})
     if emit:
         files["trajectories.jsonl"] = "".join(
             reference.dumps_json_line(dict(reference.trajectory_json_dict(record),
-                                           policy=descriptor)) for record in batch.records)
-    line = f"hit_rate={summary.hit_rate!r} best_final_mean={summary.best_final_mean!r}\n"
-    return files, line
+                                           policy=descriptor))
+            for descriptor, batch, _ in named for record in batch.records)
+    prefix = len(descriptors) > 1
+    lines = "".join(f"{descriptor + ': ' if prefix else ''}hit_rate={summary.hit_rate!r} "
+                    f"best_final_mean={summary.best_final_mean!r}\n"
+                    for descriptor, _, summary in named)
+    return files, lines
 
 
 @pytest.mark.parametrize("fmt, emit", [("both", True), ("csv", False), ("json", True)])
@@ -334,14 +348,31 @@ def test_simulate_writes_what_its_one_policy_batch_gives(tmp_path, capsys, fmt, 
             "--seeds", "4", "--horizon", "12", "--bucket-width", "5", "--format", fmt,
             "--out", tmp_path]
     assert run_cli(argv + ["--emit-trajectories"] * emit) == 0
-    files, line = _old_simulate_files("trap:n=6,k=3", "sa:T0=2,rate=0.9", 12, 4, 5,
-                                      {"csv", "json"} if fmt == "both" else {fmt}, emit)
+    files, line = _reference_rollout_files("trap:n=6,k=3", ["sa:T0=2,rate=0.9"], 12, 4, 5,
+                                           {"csv", "json"} if fmt == "both" else {fmt}, emit)
     assert capsys.readouterr().out == line
     assert (tmp_path / "manifest.ini").read_text() == (
         f"[meta]\nartifact_version = {lsmdp.__version__}\ncommand = simulate\n\n[run]\n"
         f"base_seed = 0\nbucket_width = 5\nemit_trajectories = {str(emit).lower()}\n"
         f"format = {fmt}\nhorizon = 12\nneighborhood = hamming:1\nobjective = trap:n=6,k=3\n"
         f"out = {tmp_path}\npolicy = sa:T0=2,rate=0.9\nseeds = 4\nstart = uniform\n\n")
+    assert _out_files(tmp_path) == files
+
+
+@pytest.mark.parametrize("seeds, bucket_width", [(5, 4), (0, 1)])
+def test_compare_writes_the_reference_files(tmp_path, capsys, seeds, bucket_width):
+    # Every policy's block of rows under its coded descriptor; "sa:..." holds
+    # a comma, so CSV quotes it.  Strict hc stops early, the others run on
+    # past a partial last bucket; without trajectories every curve is empty.
+    descriptors = ["hc", "sa:T0=2,rate=0.9", "walk", "hc:literal"]
+    argv = ["compare", "--objective", "trap:n=6,k=3", "--seeds", seeds, "--horizon", "13",
+            "--bucket-width", bucket_width, "--emit-trajectories", "--out", tmp_path]
+    for descriptor in descriptors:
+        argv += ["--policy", descriptor]
+    assert run_cli(argv) == 0
+    files, lines = _reference_rollout_files("trap:n=6,k=3", descriptors, 13, seeds,
+                                            bucket_width, {"csv", "json"}, True)
+    assert capsys.readouterr().out == lines
     assert _out_files(tmp_path) == files
 
 
@@ -583,6 +614,17 @@ class TestOptionTable:
         for help_text, default in shown:
             assert text.count(f"{help_text} (default {default})") == 1
         assert text.count("(default ") == len(shown)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--policy", "walk", "--seed", "3", "--horizon", "5"],  # gamma's --seed
+        ["compare", "--policy", "walk", "--policy", "hc", "--hor", "5"],
+        ["classify", "--policy", "hc", "--reachable", "0"],
+    ])
+    def test_abbreviated_flag_fails_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--objective", "onemax:n=4", "--out", out]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigHandling:

@@ -31,7 +31,7 @@ from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap, parse_objective)
-from lsmdp.policies import SimulatedAnnealing, parse_policy
+from lsmdp.policies import SimulatedAnnealing, choose_moves, parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
                              simulate_batches)
@@ -450,11 +450,7 @@ ROLLOUT_POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=
                     "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.99"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(landscapes(max_bits=8), st.sampled_from(ROLLOUT_POLICIES), st.integers(0, 40),
-       st.integers(0, 6), st.integers(0, 2**32), st.data())
-def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, base_seed,
-                                             data):
+def assert_lockstep_equals_scalar_loop(mdp, descriptor, horizon, count, base_seed, data):
     start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
     policy = parse_policy(descriptor)
     records = generate_records(policy, mdp, start, horizon, count, base_seed)
@@ -470,12 +466,28 @@ def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, ba
 
 
 @settings(max_examples=150, deadline=None)
-@given(landscapes(max_bits=8), st.lists(st.sampled_from(ROLLOUT_POLICIES), min_size=1,
-                                        max_size=4),
-       st.booleans(), st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32),
-       st.sampled_from([1, 3, 7, simulator.SWEEP_CHUNK]), st.data())
-def test_fused_batches_equal_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
-                                                  base_seed, chunk, data):
+@given(landscapes(max_bits=8), st.sampled_from(ROLLOUT_POLICIES), st.integers(0, 40),
+       st.integers(0, 6), st.integers(0, 2**32), st.data())
+def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, base_seed,
+                                             data):
+    assert_lockstep_equals_scalar_loop(mdp, descriptor, horizon, count, base_seed, data)
+
+
+# Horizons at and past the block of uniforms drawn per trajectory at a time.
+BLOCK_HORIZONS = [simulator._DRAW_BLOCK - 1, simulator._DRAW_BLOCK, simulator._DRAW_BLOCK + 1,
+                  2 * simulator._DRAW_BLOCK + 8]
+
+
+@settings(max_examples=12, deadline=None)
+@given(landscapes(max_bits=8), st.sampled_from(ROLLOUT_POLICIES),
+       st.sampled_from(BLOCK_HORIZONS), st.integers(1, 3), st.integers(0, 2**32), st.data())
+def test_lockstep_rollouts_across_draw_blocks_equal_scalar_loop(mdp, descriptor, horizon, count,
+                                                                base_seed, data):
+    assert_lockstep_equals_scalar_loop(mdp, descriptor, horizon, count, base_seed, data)
+
+
+def assert_fused_equals_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
+                                             base_seed, chunk, data):
     start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
     policies = [parse_policy(descriptor) for descriptor in descriptors]
     policies += data.draw(st.sampled_from([[], policies[:1]]))  # the same object twice
@@ -493,3 +505,67 @@ def test_fused_batches_equal_one_batch_per_policy(mdp, descriptors, keep_steps, 
         if keep_steps:
             for name, array, oracle in zip(batch.steps._fields, batch.steps, expected.steps):
                 assert np.array_equal(array, oracle), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscapes(max_bits=8), st.lists(st.sampled_from(ROLLOUT_POLICIES), min_size=1,
+                                        max_size=4),
+       st.booleans(), st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32),
+       st.sampled_from([1, 3, 7, simulator.SWEEP_CHUNK]), st.data())
+def test_fused_batches_equal_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
+                                                  base_seed, chunk, data):
+    assert_fused_equals_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
+                                             base_seed, chunk, data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(landscapes(max_bits=8), st.lists(st.sampled_from(ROLLOUT_POLICIES), min_size=1,
+                                        max_size=4),
+       st.booleans(), st.sampled_from(BLOCK_HORIZONS), st.integers(1, 3), st.integers(0, 2**32),
+       st.sampled_from([1, 3, simulator.SWEEP_CHUNK]), st.data())
+def test_fused_batches_across_draw_blocks_equal_one_batch_per_policy(
+        mdp, descriptors, keep_steps, horizon, count, base_seed, chunk, data):
+    assert_fused_equals_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
+                                             base_seed, chunk, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_objectives(), st.sampled_from([1, 2]), st.lists(st.integers(0, 2**63 - 1),
+                                                           min_size=1, max_size=12))
+def test_step_table_equals_move_gains(objective, distance, raw):
+    # The engine's table, built from states it made and the values they
+    # carry, is bit for bit the checked table of `move_gains`.
+    mdp = LocalSearchMdp(objective, HammingNeighborhood(min(distance, objective.n)))
+    states = np.array([s & (mdp.num_states - 1) for s in raw], dtype=np.int64)
+    current = np.array([mdp.value(s) for s in states.tolist()])
+    table = simulator._step_table(objective.values, mdp.criterion.masks(mdp.n), states, current)
+    for mine, theirs in zip(table, mdp.move_gains(states)):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
+@st.composite
+def move_probability_rows(draw):
+    """Rows of move probabilities: NaN entries, rows of zero mass, rows of
+    mass below, at and above 1, and draws that equal a running sum."""
+    d = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.just(math.nan), st.just(1.0 / d),
+                      st.floats(0.0, 1.0, allow_subnormal=False))
+    probabilities = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                           min_size=1, max_size=8)))
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    draws = []
+    for row in np.cumsum(probabilities, axis=1).tolist():
+        sums = [x for x in row if 0.0 <= x < 1.0]
+        draws.append(draw(st.one_of(uniform, st.sampled_from(sums)) if sums else uniform))
+    return probabilities, np.array(draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_probability_rows())
+def test_engine_choice_equals_choose_moves(rows):
+    probabilities, draws = rows
+    k, d = probabilities.shape
+    base = np.arange(0, k * d, d)
+    flat, moved = simulator._choose(np.cumsum(probabilities, axis=1), draws, base)
+    assert np.array_equal(np.where(moved, flat - base, -1), choose_moves(probabilities, draws))
