@@ -330,15 +330,13 @@ def cmd_value(resolved, formats) -> int:
 
 
 def _policy_table(descriptors, blocks) -> Table:
-    """Each policy's block of columns (a dict of equal-length lists or
-    ranges), stacked in order under a coded `policy` column, one record per
-    policy."""
+    """Each policy's block of columns (a dict of equal-length arrays, ranges
+    or lists), stacked in order into one array per column under a coded
+    `policy` column, one record per policy."""
     lengths = [len(next(iter(block.values()))) for block in blocks]
     columns = {"policy": Table(descriptors, codes=np.repeat(np.arange(len(blocks)), lengths))}
     for name in blocks[0]:
-        columns[name] = column = []
-        for block in blocks:
-            column.extend(block[name])
+        columns[name] = np.concatenate([block[name] for block in blocks])
     return Table(columns)
 
 
@@ -355,11 +353,13 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
             best.append(dict(t=range(len(means)), mean=means, p25=quartiles.get("p25", ()),
                              p50=quartiles.get("p50", ()), p75=quartiles.get("p75", ())))
             ends = np.arange(1, len(summary.exploration_fraction) + 1) * bucket_width
-            explore.append(dict(bucket=range(ends.size), t_lo=(ends - bucket_width).tolist(),
-                                t_hi=(np.minimum(ends, horizon) - 1).tolist(),
+            explore.append(dict(bucket=range(ends.size), t_lo=ends - bucket_width,
+                                t_hi=np.minimum(ends, horizon) - 1,
                                 exploration_fraction=summary.exploration_fraction,
                                 exploration_ratio=summary.exploration_ratio))
-            seeds.append(dict(index=range(len(batch)), seed=batch.seeds, start=batch.starts))
+            # Seeds are 64-bit unsigned: a column of them must not fall back to float.
+            seeds.append(dict(index=range(len(batch)), seed=np.array(batch.seeds, dtype=np.uint64),
+                              start=batch.starts))
         for name, blocks in (("plot_best.csv", best), ("plot_explore.csv", explore),
                              ("seeds.csv", seeds)):
             atomic_write(outdir / name, csv_fragments(("policy",) + tuple(blocks[0]),

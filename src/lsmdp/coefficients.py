@@ -33,6 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .exact_solver import check_budget
 from .policies import Policy, SeriesCertificate, step
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
@@ -123,6 +124,11 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp.check_state(start)
+    # The [t_max + 1, d] move-gain table with its temporaries (4d + 3 8-byte
+    # entries a state), and the states and coefficients kept as Python
+    # objects (about 80 bytes a state), refused before the first step.
+    check_budget((t_max + 1) * (8 * (4 * mdp.criterion.degree(mdp.n) + 3) + 80),
+                 f"trace of {t_max + 1} states")
     states = [start]
     state = start
     for t in range(t_max):

@@ -78,6 +78,17 @@ def _take(column, index):
     return [column[i] for i in index.tolist()]
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Equal-length columns, written in JSON as the list of their rows, each
+    row a list: formatted column by column, `CHUNK` rows at a time."""
+
+    columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
 def _coded(column: Table, texts) -> list[str]:
     """The text of each entry of a coded column, `texts` formatting each
     distinct record it uses once."""
@@ -118,6 +129,40 @@ def _table_entries(table: Table, records, order=None):
         yield None if table.keys is None else _take(table.keys, index), texts
 
 
+DISTINCT_MIN = 64  # entries a numeric column needs to be formatted once per bit pattern
+
+
+def _once_per_pattern(values: np.ndarray, texts) -> list[str] | None:
+    """The text of each entry of a numeric column of at least `DISTINCT_MIN`
+    entries, `texts` formatting each distinct bit pattern once (a float64
+    column is compared as int64, so -0.0, 0.0 and every NaN payload keep
+    their own text); None when more than half the entries are distinct or
+    the column is not such a column."""
+    floats = values.dtype == np.float64
+    if values.size < DISTINCT_MIN or values.ndim != 1 or not (floats or values.dtype.kind in "iu"):
+        return None
+    bits = values.view(np.int64) if floats else values
+    used, inverse = np.unique(bits, return_inverse=True)
+    if 2 * used.size > values.size:
+        return None
+    return list(map(texts(used.view(values.dtype).tolist()).__getitem__, inverse.tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _count_texts(lo: int, count: int) -> list[str]:
+    return list(map(int.__repr__, range(lo, lo + count)))
+
+
+def _range_texts(values: range) -> list[str]:
+    """The texts of a range's ints.  A run of consecutive ints in one
+    `CHUNK`-aligned window, what chunked time and index columns hold, is
+    sliced from that window's texts, formatted once however many columns
+    and lines repeat it."""
+    if values.step == 1 and values.start % CHUNK == 0 and len(values) <= CHUNK:
+        return _count_texts(values.start, CHUNK)[:len(values)]
+    return list(map(int.__repr__, values))
+
+
 # ---------------------------------------------------------------- JSON
 
 def _json_float(x) -> str:
@@ -144,7 +189,12 @@ def _json_items(values, nl):
     their nesting level, None for compact text."""
     if isinstance(values, Table):
         return _coded(values, lambda records: _json_items(records, nl))
+    if isinstance(values, range):
+        return _range_texts(values)
     if isinstance(values, np.ndarray):
+        texts = _once_per_pattern(values, lambda distinct: _json_items(distinct, nl))
+        if texts is not None:
+            return texts
         values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -157,8 +207,8 @@ def _json_items(values, nl):
         rows = [v for v in values if v is not None] if nulls else values
         if rows[0] and len(set(map(len, rows))) == 1:
             if not nulls:
-                return _json_rows(rows, nl)
-            texts = iter(_json_rows(rows, nl))
+                return _json_rows(list(zip(*rows)), nl)
+            texts = iter(_json_rows(list(zip(*rows)), nl))
             return [next(texts) if v is not None else "null" for v in values]
     return [leaf(v) if (leaf := _JSON_LEAF.get(type(v))) else _json(v, nl) for v in values]
 
@@ -177,12 +227,12 @@ def _fill(template: str, columns: list[list[str]]) -> list[str]:
     return list(map("".join, zip(*parts)))
 
 
-def _json_rows(rows, nl):
-    """JSON text of each of equal-length, non-empty lists: formatted column
-    by column, then filled into one template."""
+def _json_rows(columns, nl):
+    """JSON text of each row, as a list, of equal-length, non-empty
+    columns: formatted column by column, then filled into one template."""
     inner = None if nl is None else nl + "  "
-    template = "".join(_json_seq("[", [[_FIELD] * len(rows[0])], "]", nl, inner))
-    return _fill(template, [_json_items(column, inner) for column in zip(*rows)])
+    template = "".join(_json_seq("[", [[_FIELD] * len(columns)], "]", nl, inner))
+    return _fill(template, [_json_items(column, inner) for column in columns])
 
 
 def _json_seq(open_, chunks, close, nl, inner) -> Iterator[str]:
@@ -239,6 +289,10 @@ def _json_parts(obj, nl) -> Iterator[str]:
                                    for lo in range(0, len(obj), CHUNK)), "]", nl, inner)
     elif isinstance(obj, Table):
         yield from _json_table(obj, nl, inner)
+    elif isinstance(obj, Rows):
+        yield from _json_seq("[", (_json_rows([column[lo:lo + CHUNK] for column in obj.columns],
+                                              inner)
+                                   for lo in range(0, len(obj), CHUNK)), "]", nl, inner)
     elif isinstance(obj, str):
         yield _escape(obj)
     elif isinstance(obj, (float, Fraction, np.floating)):
@@ -308,7 +362,12 @@ _CSV_CELL = {
 def _csv_cells(values) -> list[str]:
     if isinstance(values, Table):
         return _coded(values, _csv_cells)
+    if isinstance(values, range):
+        return _range_texts(values)
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        texts = _once_per_pattern(values, _csv_cells)
+        if texts is not None:
+            return texts
         values = values.tolist()  # the cells of numpy ints and floats are their Python values'
     kinds = set(map(type, values))
     if len(kinds) == 1 and (cell := _CSV_CELL.get(kinds.pop())):

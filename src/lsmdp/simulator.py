@@ -29,7 +29,7 @@ from .coefficients import SWEEP_CHUNK, improving
 from .exact_solver import check_budget
 from .policies import Policy
 from .search_space import LocalSearchMdp, Move
-from .serialize import Table
+from .serialize import Rows, Table
 
 _DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 _KINDS = ("exploration", "exploitation")  # a move's kind, indexed by `improving`
@@ -115,7 +115,9 @@ class Rollouts:
     def trajectory_json(self, k: int) -> dict:
         """The `trajectories.jsonl` object of trajectory k (without its
         policy), column by column from the per-step arrays: a step's kind
-        is coded 0 (stay), 1 (exploration) or 2 (exploitation)."""
+        is coded 0 (stay), 1 (exploration) or 2 (exploitation), and the
+        steps' `t` and `best_so_far`'s index are the same range, formatted
+        once."""
         end = int(self.steps.taken[k])
         state, dst = self.steps.state[k, :end], self.steps.dst[k, :end]
         reward = self.steps.reward[k, :end]
@@ -130,7 +132,7 @@ class Rollouts:
             "steps": Table({"t": range(end), "state": state, "move": moves, "reward": reward,
                             "kind": Table((None,) + _KINDS,
                                           codes=moved.astype(np.int8) + improving(reward))}),
-            "best_so_far": list(enumerate(self.best[k, :end + 1].tolist())),
+            "best_so_far": Rows((range(end + 1), self.best[k, :end + 1])),
         }
 
 
@@ -276,7 +278,8 @@ def _choose(cum, draws, base):
 def _advance_chunk(run, mdp, lo, hi) -> None:
     """Roll rows lo..hi-1 of `run` forward together for up to the horizon;
     a row stops once its policy is absorbed, which only the policies that
-    can stop are asked."""
+    can stop are asked.  The move-gain table is rebuilt only for the rows
+    that moved in the last step (all of it when every row moved)."""
     horizon = run.best.shape[1] - 1
     rows = np.arange(lo, hi)                             # rows still running
     at = slice(lo, hi)                                   # `rows`, a slice while no row stopped
@@ -292,9 +295,16 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
     run.best[lo:hi, 0] = running
     if run.steps is not None:
         run.steps.taken[lo:hi] = horizon
-    draws = None
+    draws = moved = None
     for t in range(horizon):
-        nbr, gain, reached = _step_table(values, masks, states, current)
+        # A row that stayed keeps its state, so its table is still exact.
+        if moved is None or moved.all():
+            nbr, gain, reached = _step_table(values, masks, states, current)
+        else:
+            fresh = np.flatnonzero(moved)
+            if fresh.size:
+                nbr[fresh], gain[fresh], reached[fresh] = _step_table(
+                    values, masks, states[fresh], current[fresh])
         if stoppers:
             stop = np.zeros(rows.size, dtype=bool)
             for _, policy, a, b in stoppers:
@@ -388,16 +398,37 @@ def exploration_fraction_by_bucket(batch: Rollouts, bucket_width: int,
     return [e / (e + x) if e + x > 0 else None for e, x in zip(explore, exploit)]
 
 
+def _quantiles(ordered: np.ndarray, qs) -> dict[str, np.ndarray]:
+    """`np.quantile(ordered, q, axis=0)` bit for bit, keyed "p<100q>", of an
+    array sorted along axis 0, by numpy's default linear rule: the virtual
+    index i = (n - 1)·q between a = ordered[floor(i)] and b, the next, both
+    the last at i >= n - 1, weight g = i - the lower index (-1 for the last),
+    value a + (b - a)·g, or b - (b - a)·(1 - g) where g >= 0.5; a column
+    that holds NaN gives its last entry, a NaN.  `np.quantile` itself would
+    call a bare `np.unique`, which imports numpy.ma."""
+    n = ordered.shape[0]
+    last = ordered[-1]
+    nan = np.isnan(last)
+    out = {}
+    for q in qs:
+        index = (n - 1) * q
+        lo = -1 if index >= n - 1 else math.floor(index)
+        a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+        g = index - lo
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in np.quantile
+            d = b - a
+            value = b - d * (1 - g) if g >= 0.5 else a + d * g
+        out[f"p{int(q * 100)}"] = np.where(nan, last, value)
+    return out
+
+
 def best_so_far_curve(batch: Rollouts, horizon: int):
-    """Across-trajectory mean and quartiles of the running best at each t;
-    early-terminated trajectories hold their final best."""
+    """Across-trajectory mean and quartiles (arrays) of the running best at
+    each t; early-terminated trajectories hold their final best."""
     if not len(batch):
-        return [], {}
-    matrix = batch.best
-    means = matrix.mean(axis=0).tolist()
-    quartiles = {f"p{int(q * 100)}": np.quantile(matrix, q, axis=0).tolist()
-                 for q in (0.25, 0.5, 0.75)}
-    return means, quartiles
+        return np.empty(0), {}
+    quartiles = _quantiles(np.sort(batch.best, axis=0), (0.25, 0.5, 0.75))
+    return batch.best.mean(axis=0), quartiles
 
 
 @dataclass
@@ -443,8 +474,8 @@ def summarize_records(batch: Rollouts, horizon: int, bucket_width: int = 1,
     if count == 0:
         return RunSummary(0, horizon, bucket_width, None, None, None, [], [])
     finals = np.sort(batch.best[:, -1])
-    quantiles = {f"p{int(q * 100)}": float(np.quantile(finals, q))
-                 for q in (0.0, 0.25, 0.5, 0.75, 1.0)}
+    quantiles = {key: float(value)
+                 for key, value in _quantiles(finals, (0.0, 0.25, 0.5, 0.75, 1.0)).items()}
     hit_rate = None
     if known_optimum is not None:
         hit_rate = int(np.count_nonzero(finals >= known_optimum)) / count

@@ -12,7 +12,7 @@ import pytest
 
 import lsmdp
 import reference
-from lsmdp import cli, exact_solver, simulator
+from lsmdp import cli, coefficients, exact_solver, simulator
 from lsmdp.cli import main
 from lsmdp.coefficients import convergence_trace
 from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
@@ -276,6 +276,25 @@ def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, ca
         assert run_cli(argv + ["--out", out]) == 3
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_gamma_trace_over_the_memory_budget_fails_before_any_step(tmp_path, capsys,
+                                                                  monkeypatch):
+    # onemax n=8 has 8 moves a state: a trace keeps about 360 bytes a state,
+    # so 101 states fit 100 kB and 1,001 do not.
+    monkeypatch.setattr(exact_solver, "MEMORY_BUDGET", 100_000)
+    gamma = ["gamma", "--objective", "onemax:n=8", "--policy", "walk", "--start", "0"]
+    assert run_cli(gamma + ["--t-max", "100", "--out", tmp_path / "fits"]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trace over the budget took a step")
+
+    monkeypatch.setattr(coefficients, "step", unreachable)
+    capsys.readouterr()
+    out = tmp_path / "over"
+    assert run_cli(gamma + ["--t-max", "1000", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap, code", [(8, 3), (10, 0)])
@@ -679,6 +698,26 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_rollout_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs every compare and simulate child about 1 MiB and 15 ms;
+    # only `np.quantile` (through a bare `np.unique`) ever imported it.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    rollout = ["--objective", "trap:n=12,k=4", "--seeds", "5", "--horizon", "80"]
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; "
+            "from lsmdp.cli import main; "
+            f"codes = [main(['compare', '--policy', 'hc', '--policy', 'walk'] + {rollout!r} + "
+            f"['--out', {str(tmp_path / 'c')!r}]), "
+            f"main(['simulate', '--policy', 'sa:T0=5,rate=0.995', '--emit-trajectories'] + "
+            f"{rollout!r} + ['--out', {str(tmp_path / 's')!r}])]; "
+            "print(*codes, before, 'numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    words = result.stdout.split()[-4:]
+    if words[2] == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert words == ["0", "0", "False", "False"]
 
 
 def test_discounted_value_leaves_scipy_unloaded(tmp_path):

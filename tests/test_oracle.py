@@ -486,6 +486,29 @@ def test_lockstep_rollouts_across_draw_blocks_equal_scalar_loop(mdp, descriptor,
     assert_lockstep_equals_scalar_loop(mdp, descriptor, horizon, count, base_seed, data)
 
 
+# Cold metropolis and annealing reject most proposals and stay for long
+# runs, zero-temperature annealing and hc:literal freeze on plateaus, hc
+# stops, and the walk moves every step.
+STAY_MIX = ["metropolis:T=0.05", "sa:T0=2,rate=0.9", "sa:T0=2,rate=0", "hc:literal", "hc",
+            "walk"]
+
+
+@pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+@pytest.mark.parametrize("objective", ["trap:n=8,k=4", "nk:n=8,k=3,seed=2"])
+def test_stayed_rows_keep_their_table(objective, horizon):
+    # One lockstep over rows that stay, move or stop: a row that stayed
+    # reuses its move-gain table, which must leave every path as the
+    # scalar loop walks it.
+    mdp = LocalSearchMdp(parse_objective(objective))
+    policies = [parse_policy(descriptor) for descriptor in STAY_MIX]
+    batches = simulate_batches(policies, mdp, "uniform", horizon, 3, 11, keep_steps=True)
+    for descriptor, policy, batch in zip(STAY_MIX, policies, batches):
+        expected = reference.generate_records(policy, mdp, "uniform", horizon, 3, 11)
+        assert batch.records == expected, descriptor
+    stays = batches[0].steps.dst == -1
+    assert np.count_nonzero(stays) > stays.size // 2  # the cold rows mostly stay
+
+
 def assert_fused_equals_one_batch_per_policy(mdp, descriptors, keep_steps, horizon, count,
                                              base_seed, chunk, data):
     start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
@@ -542,6 +565,30 @@ def test_step_table_equals_move_gains(objective, distance, raw):
     for mine, theirs in zip(table, mdp.move_gains(states)):
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
+
+
+QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+# Ties, the infinities and NaN; zeros of one sign only, since a sort and
+# numpy's partition may order equal zeros of both signs differently.
+QUANTILE_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+                             st.floats(allow_nan=False).map(lambda x: x + 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.data())
+def test_quantiles_equal_np_quantile(count, width, data):
+    entries = data.draw(st.lists(QUANTILE_ENTRIES, min_size=count * width,
+                                 max_size=count * width))
+    matrix = np.array(entries).reshape(count, width)
+    got = simulator._quantiles(np.sort(matrix, axis=0), QUANTILES)
+    got_column = simulator._quantiles(np.sort(matrix[:, 0]), QUANTILES)
+    with np.errstate(invalid="ignore"):
+        for q in QUANTILES:
+            key = f"p{int(q * 100)}"
+            expected = np.quantile(matrix, q, axis=0)
+            assert got[key].dtype == expected.dtype and got[key].shape == expected.shape
+            assert got[key].tobytes() == expected.tobytes(), key
+            assert got_column[key].tobytes() == np.quantile(matrix[:, 0], q).tobytes(), key
 
 
 @st.composite

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import reference
 from lsmdp.coefficients import classify
-from lsmdp.policies import parse_policy
 from lsmdp import serialize
+from lsmdp.objectives import parse_objective
+from lsmdp.policies import parse_policy
+from lsmdp.search_space import LocalSearchMdp
 from lsmdp.serialize import (Table, atomic_write, csv_fragments, csv_text, dumps_json,
                              dumps_json_line, json_fragments)
 from lsmdp.simulator import simulate_batch
@@ -180,6 +182,69 @@ def test_trajectory_lines_equal_reference(mdp, descriptor, horizon, count, base_
     for k, record in enumerate(batch.records):
         expected = reference.dumps_json_line(reference.trajectory_json_dict(record))
         assert dumps_json_line(batch.trajectory_json(k)) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 64, serialize.CHUNK])
+@pytest.mark.parametrize("descriptor", ["hc", "sa:T0=2,rate=0.9", "walk"])
+def test_long_trajectory_lines_equal_reference(monkeypatch, chunk, descriptor):
+    # Past 64 steps the running best and the rewards repeat a few values
+    # (formatted once per bit pattern), and the time columns pass CHUNK.
+    monkeypatch.setattr(serialize, "CHUNK", chunk)
+    mdp = LocalSearchMdp(parse_objective("trap:n=8,k=4"))
+    batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", 300, 3, 5, keep_steps=True)
+    for k, record in enumerate(batch.records):
+        expected = reference.dumps_json_line(reference.trajectory_json_dict(record))
+        assert dumps_json_line(batch.trajectory_json(k)) == expected
+
+
+# Bit patterns of float64 edge values: both zeros, NaNs with other payloads
+# and signs (a signaling one too), the infinities and the extremes.
+FLOAT_BITS = [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF,
+              0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+              0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000]
+INT_EDGES = {np.int64: [-2**63, 2**63 - 1, -1, 0, 1], np.uint64: [0, 1, 2**63, 2**64 - 1]}
+
+
+@st.composite
+def repeated_columns(draw):
+    """(column, distinct): a numeric column of 63 to 200 entries whose
+    `distinct` bit patterns are all used, exactly half of them among others."""
+    dtype = draw(st.sampled_from([np.float64, np.int64, np.uint64]))
+    size = draw(st.sampled_from([63, 64, 65, 128, 200]))
+    distinct = draw(st.sampled_from(sorted({1, 2, size // 2, size // 2 + 1, size})))
+    if dtype is np.float64:
+        patterns = st.one_of(st.sampled_from(FLOAT_BITS),
+                             st.floats().map(lambda x: int(np.float64(x).view(np.uint64))))
+    else:
+        info = np.iinfo(dtype)
+        patterns = st.one_of(st.sampled_from(INT_EDGES[dtype]),
+                             st.integers(int(info.min), int(info.max)))
+    used = np.array(draw(st.lists(patterns, min_size=distinct, max_size=distinct, unique=True)),
+                    dtype=np.uint64 if dtype is np.float64 else dtype)
+    # The repeats and their order come from a seed, which shrinks quickly.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    bits = rng.permutation(np.concatenate([used, rng.choice(used, size - distinct)]))
+    return (bits.view(np.float64) if dtype is np.float64 else bits), distinct
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_columns())
+def test_distinct_patterns_format_as_the_plain_path(column):
+    values, distinct = column
+    formats = serialize._once_per_pattern(values, list) is not None
+    assert formats == (values.size >= serialize.DISTINCT_MIN and 2 * distinct <= values.size)
+    for nl in (None, "\n  "):
+        assert serialize._json_items(values, nl) == serialize._json_items(values.tolist(), nl)
+    assert serialize._csv_cells(values) == serialize._csv_cells(values.tolist())
+
+
+def test_signed_zeros_and_nan_payloads_keep_their_text():
+    values = np.array(FLOAT_BITS * 8, dtype=np.uint64).view(np.float64)  # 11 patterns
+    assert serialize._once_per_pattern(values, list) is not None
+    texts = serialize._json_items(values, None)
+    assert texts == serialize._json_items(values.tolist(), None)
+    assert texts[:4] == ["0.0", "-0.0", '"nan"', '"nan"']
+    assert serialize._csv_cells(values)[:4] == ["0.0", "-0.0", "nan", "nan"]
 
 
 # ---------------------------------------------------------------- streamed files
