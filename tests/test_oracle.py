@@ -494,7 +494,10 @@ STAY_MIX = ["metropolis:T=0.05", "sa:T0=2,rate=0.9", "sa:T0=2,rate=0", "hc:liter
 
 
 @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
-@pytest.mark.parametrize("objective", ["trap:n=8,k=4", "nk:n=8,k=3,seed=2"])
+# nk n=40 is the landscape of the CI `stays` rerun, which checks only that
+# a rerun reproduces its files.
+@pytest.mark.parametrize("objective", ["trap:n=8,k=4", "nk:n=8,k=3,seed=2",
+                                       "nk:n=40,k=3,seed=1"])
 def test_stayed_rows_keep_their_table(objective, horizon):
     # One lockstep over rows that stay, move or stop: a row that stayed
     # reuses its move-gain table, which must leave every path as the

@@ -187,8 +187,8 @@ def test_trajectory_lines_equal_reference(mdp, descriptor, horizon, count, base_
 @pytest.mark.parametrize("chunk", [1, 64, serialize.CHUNK])
 @pytest.mark.parametrize("descriptor", ["hc", "sa:T0=2,rate=0.9", "walk"])
 def test_long_trajectory_lines_equal_reference(monkeypatch, chunk, descriptor):
-    # Past 64 steps the running best and the rewards repeat a few values
-    # (formatted once per bit pattern), and the time columns pass CHUNK.
+    # Past DISTINCT_MIN steps the running best and the rewards repeat a few
+    # values (formatted once per bit pattern), and the time columns pass CHUNK.
     monkeypatch.setattr(serialize, "CHUNK", chunk)
     mdp = LocalSearchMdp(parse_objective("trap:n=8,k=4"))
     batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", 300, 3, 5, keep_steps=True)
@@ -207,10 +207,12 @@ INT_EDGES = {np.int64: [-2**63, 2**63 - 1, -1, 0, 1], np.uint64: [0, 1, 2**63, 2
 
 @st.composite
 def repeated_columns(draw):
-    """(column, distinct): a numeric column of 63 to 200 entries whose
-    `distinct` bit patterns are all used, exactly half of them among others."""
+    """(column, distinct): a numeric column of a size about `DISTINCT_MIN`
+    whose `distinct` bit patterns are all used, exactly half of them among
+    others."""
     dtype = draw(st.sampled_from([np.float64, np.int64, np.uint64]))
-    size = draw(st.sampled_from([63, 64, 65, 128, 200]))
+    least = serialize.DISTINCT_MIN
+    size = draw(st.sampled_from([least - 1, least, least + 1, 2 * least + 3]))
     distinct = draw(st.sampled_from(sorted({1, 2, size // 2, size // 2 + 1, size})))
     if dtype is np.float64:
         patterns = st.one_of(st.sampled_from(FLOAT_BITS),
@@ -232,14 +234,15 @@ def repeated_columns(draw):
 def test_distinct_patterns_format_as_the_plain_path(column):
     values, distinct = column
     formats = serialize._once_per_pattern(values, list) is not None
-    assert formats == (values.size >= serialize.DISTINCT_MIN and 2 * distinct <= values.size)
+    assert formats == (values.dtype == np.float64 and values.size >= serialize.DISTINCT_MIN
+                       and 2 * distinct <= values.size)
     for nl in (None, "\n  "):
         assert serialize._json_items(values, nl) == serialize._json_items(values.tolist(), nl)
     assert serialize._csv_cells(values) == serialize._csv_cells(values.tolist())
 
 
 def test_signed_zeros_and_nan_payloads_keep_their_text():
-    values = np.array(FLOAT_BITS * 8, dtype=np.uint64).view(np.float64)  # 11 patterns
+    values = np.array(FLOAT_BITS * 24, dtype=np.uint64).view(np.float64)  # 11 patterns
     assert serialize._once_per_pattern(values, list) is not None
     texts = serialize._json_items(values, None)
     assert texts == serialize._json_items(values.tolist(), None)
