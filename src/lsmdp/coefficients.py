@@ -17,7 +17,8 @@ Derived quantities:
   its time series whose summability classifies a policy as
   exploitation-oriented, balanced, or exploration-oriented.  Each series is
   decided in closed form, from a stationary policy's one constant term or a
-  policy's `balance_certificate`; without either it is inconclusive.
+  policy's `balance_certificate` (else inconclusive), by one array rule per
+  chunk of states, and kept as report columns.
 
 Extended-real conventions: x/0 -> +inf for x > 0, and 0/0 -> 0.
 """
@@ -210,10 +211,7 @@ def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
     states its series in closed form.  A nonstationary policy without one
     gets ``inconclusive`` with the rule ``no-certificate``.
     """
-    _check_series(horizon)
-    _, gain, reached = mdp.move_gains([state])
-    inverse, series = _chunk_series(policy, gain, reached, horizon)
-    return series[inverse[0]]
+    return classify(policy, mdp, horizon, [state]).series[state]
 
 
 def _check_series(horizon: int) -> None:
@@ -222,10 +220,10 @@ def _check_series(horizon: int) -> None:
 
 
 def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray,
-                  horizon: int) -> tuple[np.ndarray, list[BalanceSeries]]:
-    """(inverse, series): row i of a move-gain table has the balance series
-    series[inverse[i]].  A stationary policy is decided once per distinct
-    constant term, any other once per distinct sorted gain row."""
+                  horizon: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(inverse, columns): row i of a move-gain table has series inverse[i]
+    of the report columns `columns`.  A stationary policy is decided once
+    per distinct constant term, any other once per distinct sorted gain row."""
     if policy.stationary:
         c, inverse = np.unique(_ratios(policy, gain, reached, 0), return_inverse=True)
         # c * horizon is the correctly rounded sum of `horizon` copies of c.
@@ -235,22 +233,21 @@ def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray,
         profiles = np.sort(gain, axis=1)
         first, inverse = _distinct_rows(profiles)
         certificate = policy.balance_certificate(profiles[first], horizon)
-        if certificate is None:
-            return (np.zeros(len(gain), dtype=np.intp),
-                    [BalanceSeries(math.nan, INCONCLUSIVE, None, None, horizon, "no-certificate")])
-    return inverse, [_certified(horizon, certificate, *row)
-                     for row in zip(*(a.tolist() for a in certificate[:4]))]
-
-
-def _certified(horizon: int, certificate: SeriesCertificate, floor: float, partial: float,
-               limit: float, tail_bound: float) -> BalanceSeries:
-    if floor == math.inf:
-        return BalanceSeries(math.inf, DEGENERATE, None, None, horizon, "no-improving-move")
-    if limit == 0.0:
-        return BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "no-exploration")
-    if floor > 0.0:
-        return BalanceSeries(partial, DIVERGING, None, None, horizon, certificate.floor_rule)
-    return BalanceSeries(partial, CONVERGED, limit, tail_bound, horizon, certificate.limit_rule)
+        if certificate is None:  # one series, whose NaN floor fails the first four tests
+            inverse = np.zeros(len(gain), dtype=np.intp)
+            certificate = SeriesCertificate(*[np.full(1, math.nan)] * 4, "", "")
+    floor, partial, limit, tail_bound = certificate[:4]
+    # The first test that holds decides: a term is +inf, every term is 0,
+    # the terms never fall below a positive floor, they vanish for good.
+    code = np.select([floor == math.inf, limit == 0.0, floor > 0.0, floor <= 0.0], range(4), 4)
+    verdict, rule = np.array([(DEGENERATE, ZERO, DIVERGING, CONVERGED, INCONCLUSIVE),
+                              ("no-improving-move", "no-exploration", certificate.floor_rule,
+                               certificate.limit_rule, "no-certificate")], dtype=object)[:, code]
+    zero, converged = verdict == ZERO, verdict == CONVERGED
+    partial = np.where(verdict == DEGENERATE, math.inf, np.where(zero, 0.0, partial))
+    limit, tail_bound = np.where(zero, 0.0, np.where(converged, [limit, tail_bound], None))
+    return inverse, {"delta_partial": partial, "delta_limit": limit, "tail_bound": tail_bound,
+                     "verdict": verdict, "rule": rule}
 
 
 def _distinct_rows(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,16 +292,17 @@ class CoefficientReport:
     """Per-state coefficients plus the aggregate orientation of a policy.
 
     Stored as columns: the k-th swept state, `states[k]`, has `up[k]`
-    improving moves out of `moves` and the balance series
-    `judged[series_id[k]]`.  `fractions`, `convergence` and `series` are
-    read-only state -> value views of them.
+    improving moves out of `moves` and balance series j = `series_id[k]`,
+    whose `BalanceSeries` fields are `columns[name][j]` for "delta_partial"
+    (float64), "verdict", "delta_limit", "tail_bound" and "rule" (objects).
+    `fractions`, `convergence` and `series` are state -> value views.
     """
 
     states: list[int]
     moves: int
     up: np.ndarray
     series_id: np.ndarray
-    judged: list[BalanceSeries]
+    columns: dict[str, np.ndarray]
     series_max: float | None
     classification: Classification
     horizon: int
@@ -328,26 +326,26 @@ class CoefficientReport:
 
     @property
     def series(self) -> Mapping[int, BalanceSeries]:
-        return _StateView(self._index, lambda k: self.judged[self.series_id[k]])
+        def series(k):
+            j, columns = self.series_id[k], self.columns
+            return BalanceSeries(float(columns["delta_partial"][j]), columns["verdict"][j],
+                                 columns["delta_limit"][j], columns["tail_bound"][j],
+                                 self.horizon, columns["rule"][j])
+        return _StateView(self._index, series)
 
     def table(self) -> Table:
         """The per-state rows keyed by state, one record per distinct
         (improving count, series) pair; `report.csv` and the `states` of
         `report.json` are written from it."""
-        width = len(self.judged)
+        width = len(self.columns["rule"])
         pairs, codes = np.unique(self.up * width + self.series_id, return_inverse=True)
         ups = (pairs // width).tolist()
-        series = [self.judged[k] for k in (pairs % width).tolist()]
         moves = self.moves
         # float(Fraction(a, b)) is a / b: both are a/b correctly rounded.
         return Table({"alpha": [(moves - up) / moves for up in ups],
                       "beta": [up / moves for up in ups],
                       "gamma": [gamma_from_counts(up, moves) for up in ups],
-                      "delta_partial": [s.partial_sum for s in series],
-                      "delta_limit": [s.limit for s in series],
-                      "tail_bound": [s.tail_bound for s in series],
-                      "verdict": [s.verdict for s in series],
-                      "rule": [s.rule for s in series]},
+                      **{name: column[pairs % width] for name, column in self.columns.items()}},
                      codes=codes, keys=self.states)
 
     def to_json_dict(self) -> dict:
@@ -396,25 +394,27 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
             f = mdp.landscape  # a sample of every state is gathered as the full sweep is
     if not state_list:
         raise ValueError("empty state sample")
-    ups, series_ids, judged = [], [], []
+    ups, series_ids, chunks = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
         chunk = state_list[lo:lo + SWEEP_CHUNK]
         _, gain, reached = mdp.move_gains(chunk, f)
         moves = gain.shape[1]
         if not moves:
             raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
-        inverse, series = _chunk_series(policy, gain, reached, horizon)
+        inverse, columns = _chunk_series(policy, gain, reached, horizon)
         ups.append(improving_counts(gain))
-        series_ids.append(inverse + len(judged))
-        judged += series
+        series_ids.append(inverse + sum(len(c["rule"]) for c in chunks))
+        chunks.append(columns)
     series_id = np.concatenate(series_ids)
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     swept = np.array(state_list)
-    verdicts = np.array([s.verdict for s in judged])[series_id]
+    verdicts = columns["verdict"][series_id]
     degenerate = swept[verdicts == DEGENERATE].tolist()
     inconclusive = swept[verdicts == INCONCLUSIVE].tolist()
-    # Every judged series is some swept state's, so the rules can read them.
-    converged_limits = [s.limit for s in judged if s.verdict == CONVERGED]
-    if any(s.verdict == DIVERGING for s in judged):
+    # Every series is some swept state's, so the rules can read the columns.
+    found = set(columns["verdict"].tolist())
+    converged_limits = columns["delta_limit"][columns["verdict"] == CONVERGED].tolist()
+    if DIVERGING in found:
         label = Classification("exploration-oriented", None)
     elif inconclusive:
         label = Classification("inconclusive", None)
@@ -426,11 +426,11 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         label = Classification("exploitation-oriented", None)
     if inconclusive:
         series_max = None
-    else:
-        series_max = max(0.0 if s.verdict == ZERO
-                         else (s.limit if s.verdict == CONVERGED else math.inf)
-                         for s in judged)
-    return CoefficientReport(state_list, moves, np.concatenate(ups), series_id, judged,
+    elif found & {DIVERGING, DEGENERATE}:
+        series_max = math.inf
+    else:  # every limit is a float: zero's 0.0 or a converged limit
+        series_max = max(columns["delta_limit"].tolist())
+    return CoefficientReport(state_list, moves, np.concatenate(ups), series_id, columns,
                              series_max, label, horizon, degenerate, inconclusive)
 
 

@@ -6,7 +6,7 @@ plus a stay-in-place mass; rejected proposals and absorbed states self-loop.
 The rule itself is one acceptance kernel per policy over arrays of move
 gains, shared by the per-state distribution, the exact analyses and the
 rollouts.  Policies are immutable and hold no RNG state; sampling goes
-through `choose_moves` with caller-owned uniform draws.
+through `choose` with caller-owned uniform draws.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def _metropolis_probabilities(gain: np.ndarray, temperature: float) -> np.ndarra
     if temperature == 0.0:
         accept = (gain > 0).astype(float)
     else:
-        accept = np.exp(np.minimum(gain, 0.0) / temperature)  # exactly 1 where gain > 0
+        with np.errstate(over="ignore"):  # a subnormal temperature: exp(-inf) = 0
+            accept = np.exp(np.minimum(gain, 0.0) / temperature)  # exactly 1 where gain > 0
     return (1.0 / gain.shape[-1]) * accept
 
 
@@ -235,7 +236,7 @@ class SimulatedAnnealing(Policy):
                 keep = floor[rows] == 0.0  # a positive floor decides without the tail
                 rows, g = rows[keep], g[keep]
             temperature = self.temperature(t)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 p = w * np.exp(g / temperature)
             x = np.bincount(rows, p, k) / exploit
             total = hi + x
@@ -298,13 +299,15 @@ class RandomWalk(Policy):
         return "walk"
 
 
-def choose_moves(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The move each row's uniform draw selects: the first index j with
-    draw < p[0] + ... + p[j], or -1 (stay) when the draw is at least the
-    row's whole move mass.  `np.cumsum` adds in index order, so this is the
-    running-sum scan over the moves, row by row."""
-    hit = draws[:, None] < np.cumsum(probabilities, axis=-1)
-    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+def choose(cum: np.ndarray, draws: np.ndarray, base: np.ndarray):
+    """(flat index, moved) of each row's move: row i of `cum` holds the
+    running sums of its move probabilities (`np.cumsum` adds in index
+    order) and starts at flat index base[i]; the move is the first j with
+    draws[i] < cum[i, j], and a row without one, whose draw is at least its
+    whole move mass, stays (moved False) with j = 0."""
+    hit = draws[:, None] < cum
+    flat = base + hit.argmax(axis=1)
+    return flat, hit.take(flat)
 
 
 def step(policy: Policy, mdp: LocalSearchMdp, state: int, t: int, rng):
@@ -315,9 +318,9 @@ def step(policy: Policy, mdp: LocalSearchMdp, state: int, t: int, rng):
     seeds give identical outputs.
     """
     nbr, gain, reached = mdp.move_gains([state])
-    probabilities = policy.move_probabilities(gain, t, reached)
-    j = int(choose_moves(probabilities, np.array([rng.random()]))[0])
-    if j < 0:
+    cum = policy.move_probabilities(gain, t, reached).cumsum(axis=1)
+    (j,), (moved,) = choose(cum, np.array([rng.random()]), np.zeros(1, dtype=np.intp))
+    if not moved:
         return state, None, 0.0
     dst = int(nbr[0, j])
     return dst, Move(state, dst), float(gain[0, j])

@@ -20,14 +20,14 @@ commutative reduction, independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import SWEEP_CHUNK, improving
 from .exact_solver import check_budget
-from .policies import Policy
+from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
 
@@ -264,17 +264,6 @@ def _step_table(values, masks, states, current):
     return nbr, reached - current[:, None], reached
 
 
-def _choose(cum, draws, base):
-    """(flat index, moved) of each row's move: row i of `cum` holds the
-    running sums of its move probabilities and starts at flat index
-    base[i]; the move is the first j with draws[i] < cum[i, j], and a row
-    without one stays (moved False) with j = 0.  `choose_moves` on the
-    flattened table."""
-    hit = draws[:, None] < cum
-    flat = base + hit.argmax(axis=1)
-    return flat, hit.take(flat)
-
-
 def _advance_chunk(run, mdp, lo, hi) -> None:
     """Roll rows lo..hi-1 of `run` forward together for up to the horizon;
     a row stops once its policy is absorbed, which only the policies that
@@ -332,7 +321,7 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
         cum = np.empty(gain.shape)
         for _, policy, a, b in spans:
             policy.move_probabilities(gain[a:b], t, reached[a:b]).cumsum(axis=1, out=cum[a:b])
-        flat, moved = _choose(cum, draws[:, t % _DRAW_BLOCK], base)
+        flat, moved = choose(cum, draws[:, t % _DRAW_BLOCK], base)
         taken = np.where(moved, gain.take(flat), 0.0)
         up = improving(taken)  # a stay takes gain 0, so it is never improving
         for g, _, a, b in spans:
@@ -445,16 +434,7 @@ class RunSummary:
     exploration_ratio: list[float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_trajectories": self.num_trajectories,
-            "horizon": self.horizon,
-            "bucket_width": self.bucket_width,
-            "hit_rate": self.hit_rate,
-            "best_final_mean": self.best_final_mean,
-            "best_final_quantiles": self.best_final_quantiles,
-            "exploration_fraction": self.exploration_fraction,
-            "exploration_ratio": self.exploration_ratio,
-        }
+        return asdict(self)
 
     CSV_HEADER = ("num_trajectories", "hit_rate", "best_final_mean",
                   "best_final_p0", "best_final_p25", "best_final_p50",

@@ -8,9 +8,11 @@ matrices are filled entry by entry, finite-horizon values are pushed
 forward through products of the frozen matrices, optimal values are swept
 state by state and move by move, and rollouts advance one trajectory and
 one step at a time, one `rng.random()` call per step, and are reduced to
-a `Rollouts` batch from their per-step records.  It shares no arithmetic
-with the library.  The balance series of the first H terms is decided by a
-heuristic judge, an independent check on the library's certificates.
+a `Rollouts` batch from their per-step records; `choose_moves` is the
+row-wise running-sum scan the engine's flat-index chooser must equal.  It
+shares no arithmetic with the library.  The balance series of the first H
+terms is decided by a heuristic judge, an independent check on the
+library's certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -125,6 +127,49 @@ def balance_series(policy, mdp, state, horizon, tail_tolerance):
     else:
         terms = [exploration_ratio(policy, state, hood, t) for t in range(horizon)]
     return judge_series(terms, tail_tolerance)
+
+
+def certified(certificate, horizon):
+    """The balance series of each row of a `SeriesCertificate`, one row at a
+    time: an infinite floor is degenerate, a zero limit zero, a positive
+    floor diverging, anything else converged."""
+    series = []
+    for floor, partial, limit, tail_bound in zip(*(a.tolist() for a in certificate[:4])):
+        if floor == math.inf:
+            series.append(BalanceSeries(math.inf, DEGENERATE, None, None, horizon,
+                                        "no-improving-move"))
+        elif limit == 0.0:
+            series.append(BalanceSeries(0.0, ZERO, 0.0, 0.0, horizon, "no-exploration"))
+        elif floor > 0.0:
+            series.append(BalanceSeries(partial, DIVERGING, None, None, horizon,
+                                        certificate.floor_rule))
+        else:
+            series.append(BalanceSeries(partial, CONVERGED, limit, tail_bound, horizon,
+                                        certificate.limit_rule))
+    return series
+
+
+def orientation(states, series):
+    """(classification kind, constant, series max, degenerate states,
+    inconclusive states) of the swept `states` with balance series `series`,
+    by the rules of `classify`."""
+    degenerate = [i for i, s in zip(states, series) if s.verdict == DEGENERATE]
+    inconclusive = [i for i, s in zip(states, series) if s.verdict == INCONCLUSIVE]
+    limits = [s.limit for s in series if s.verdict == CONVERGED]
+    series_max = None if inconclusive else max(
+        0.0 if s.verdict == ZERO else s.limit if s.verdict == CONVERGED else math.inf
+        for s in series)
+    if any(s.verdict == DIVERGING for s in series):
+        kind, constant = "exploration-oriented", None
+    elif inconclusive:
+        kind, constant = "inconclusive", None
+    elif limits:
+        kind, constant = "balanced", max(limits)
+    elif degenerate and len(degenerate) == len(states):
+        kind, constant = "exploration-oriented", None
+    else:
+        kind, constant = "exploitation-oriented", None
+    return kind, constant, series_max, degenerate, inconclusive
 
 
 _EXTINCT_SUFFIX = 10      # this many trailing exact zeros count as a dead tail
@@ -287,6 +332,15 @@ def run_trajectory(policy, mdp, start, horizon, seed, hoods=None):
         best_curve.append((t + 1, best))
     return TrajectoryRecord(seed=seed, start=start, steps=steps, best_so_far=best_curve,
                             terminated_at=terminated_at)
+
+
+def choose_moves(probabilities, draws):
+    """The move each row's uniform draw selects: the first index j with
+    draw < p[0] + ... + p[j], or -1 (stay) when the draw is at least the
+    row's whole move mass.  `np.cumsum` adds in index order, so this is the
+    running-sum scan over the moves, row by row."""
+    hit = draws[:, None] < np.cumsum(probabilities, axis=-1)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_seed):

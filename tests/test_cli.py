@@ -730,3 +730,21 @@ def test_discounted_value_leaves_scipy_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--policy", "sa:T0=5,rate=5e-324"],
+    ["simulate", "--policy", "sa:T0=5,rate=5e-324", "--seeds", "3", "--horizon", "4"],
+    ["value", "--policy", "sa:T0=5,rate=5e-324", "--horizon", "4"],
+    ["simulate", "--policy", "metropolis:T=1e-320", "--seeds", "3", "--horizon", "4"],
+    ["value", "--policy", "metropolis:T=1e-320"],
+], ids=lambda args: f"{args[0]}-{args[2]}")
+def test_subnormal_temperatures_warn_nothing(tmp_path, args):
+    # A worsening gain over a subnormal temperature overflows to -inf, whose
+    # exponential, 0, is the right acceptance: no warning may reach stderr,
+    # so the command also runs under warnings-as-errors.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "lsmdp.cli", *args,
+                             "--objective", "onemax:n=3", "--out", str(tmp_path / "o")],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stderr) == (0, "")

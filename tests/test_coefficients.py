@@ -310,7 +310,7 @@ class TestClassify:
         # every state in it.
         mdp = LocalSearchMdp(make_onemax(10))
         report = classify(reference.UncertifiedAnnealing(10.0, 0.99), mdp)
-        assert len(report.judged) == 1
+        assert len(report.columns["verdict"]) == 1
         assert report.inconclusive_states == list(range(mdp.num_states))
 
     def test_certifies_each_gain_profile_once(self, monkeypatch):

@@ -25,14 +25,16 @@ from scipy.special import exp1
 import reference
 from lsmdp import coefficients, simulator
 from lsmdp.cli import main as cli_main
-from lsmdp.coefficients import CONVERGED, DIVERGING, INCONCLUSIVE, balance_series, classify
+from lsmdp.coefficients import (CONVERGED, DIVERGING, INCONCLUSIVE, BalanceSeries,
+                                balance_series, classify, exploration_ratio)
 from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap, parse_objective)
-from lsmdp.policies import SimulatedAnnealing, choose_moves, parse_policy
+from lsmdp.policies import SeriesCertificate, SimulatedAnnealing, choose, parse_policy
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
+from lsmdp.serialize import csv_text, dumps_json
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
                              simulate_batches)
 
@@ -240,6 +242,54 @@ def test_classify_series_equal_per_state_series(mdp, descriptor, horizon, chunk)
         report = classify(policy, mdp, horizon=horizon)
     for state in range(mdp.num_states):
         assert report.series[state] == balance_series(policy, mdp, state, horizon)
+
+
+@st.composite
+def palette_landscapes(draw):
+    """Landscapes over n <= 5 bits whose values come from a small palette,
+    so one table mixes plateau moves, local maxima (no improving move) and
+    gains of +-1000, whose annealing and Metropolis terms underflow to 0."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -1000.0, 1000.0]),
+                           min_size=2**n, max_size=2**n))
+    distance = draw(st.sampled_from([1, 2] if n >= 2 else [1]))
+    return LocalSearchMdp(Objective(n, values.__getitem__, "palette"), HammingNeighborhood(distance))
+
+
+def scalar_series(policy, mdp, state, horizon):
+    """One state's balance series by the scalar verdict rule on that state's
+    own certificate, or its constant term's."""
+    if isinstance(policy, reference.UncertifiedAnnealing):
+        return BalanceSeries(math.nan, INCONCLUSIVE, None, None, horizon, "no-certificate")
+    if policy.stationary:
+        c = np.array([exploration_ratio(policy, mdp, state, 0)])
+        certificate = SeriesCertificate(c, c * horizon, np.where(c > 0.0, math.inf, 0.0),
+                                        np.zeros(1), "constant-term", "")
+    else:
+        _, gain, _ = mdp.move_gains([state])
+        certificate = policy.balance_certificate(np.sort(gain, axis=1), horizon)
+    return reference.certified(certificate, horizon)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(palette_landscapes(), st.sampled_from(POLICIES), st.sampled_from([1, 25, 120]),
+       st.booleans())
+def test_series_columns_equal_the_scalar_rule(mdp, descriptor, horizon, certified):
+    # Reprs compare NaN partial sums and the sign of zeros exactly.
+    policy = parse_policy(descriptor) if certified else uncertified(parse_policy(descriptor))
+    report = classify(policy, mdp, horizon=horizon)
+    states = list(range(mdp.num_states))
+    expected = [scalar_series(policy, mdp, state, horizon) for state in states]
+    for state in states:
+        assert repr(report.series[state]) == repr(expected[state])
+        assert repr(balance_series(policy, mdp, state, horizon)) == repr(expected[state])
+    assert (report.classification.kind, report.classification.constant, report.series_max,
+            report.degenerate_states, report.inconclusive_states) == \
+        reference.orientation(states, expected)
+    assert dumps_json(report.to_json_dict()) == \
+        reference.dumps_json(reference.report_json_dict(report))
+    assert csv_text(report.CSV_HEADER, report.table()) == \
+        reference.csv_text(report.CSV_HEADER, reference.report_csv_rows(report))
 
 
 @settings(max_examples=150, deadline=None)
@@ -617,5 +667,6 @@ def test_engine_choice_equals_choose_moves(rows):
     probabilities, draws = rows
     k, d = probabilities.shape
     base = np.arange(0, k * d, d)
-    flat, moved = simulator._choose(np.cumsum(probabilities, axis=1), draws, base)
-    assert np.array_equal(np.where(moved, flat - base, -1), choose_moves(probabilities, draws))
+    flat, moved = choose(np.cumsum(probabilities, axis=1), draws, base)
+    assert np.array_equal(np.where(moved, flat - base, -1),
+                          reference.choose_moves(probabilities, draws))
