@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_trace,
-                           gamma_from_counts, improving_counts)
+                           extended_ratio, improving_counts)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import parse_objective
 from .policies import parse_policy
@@ -269,7 +269,7 @@ def cmd_gamma(resolved, formats) -> int:
     ups = np.concatenate(ups)
     local_max = (ups == 0).tolist()
     table = Table({"f": f, "improving": ups, "non_improving": moves - ups,
-                   "gamma": [gamma_from_counts(up, moves) for up in ups.tolist()],
+                   "gamma": extended_ratio(ups, moves - ups),
                    "local_max": local_max}, keys=range(mdp.num_states))
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")

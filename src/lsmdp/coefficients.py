@@ -20,7 +20,7 @@ Derived quantities:
   policy's `balance_certificate` (else inconclusive), by one array rule per
   chunk of states, and kept as report columns.
 
-Extended-real conventions: x/0 -> +inf for x > 0, and 0/0 -> 0.
+Every ratio is an extended real, divided by `extended_ratio`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .exact_solver import check_budget
+from .objectives import check_budget
 from .policies import Policy, SeriesCertificate, step
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
@@ -74,12 +74,8 @@ class CountFractions(NamedTuple):
     improving: Fraction
 
 
-def count_fractions(mdp: LocalSearchMdp, state: int, t: int | None = None) -> CountFractions:
-    """The (alpha, beta) pair for `state`; always sums to exactly 1.
-
-    `t` is accepted for interface symmetry with the time-indexed quantities
-    and ignored: the built-in neighborhoods are static.
-    """
+def count_fractions(mdp: LocalSearchMdp, state: int) -> CountFractions:
+    """The (alpha, beta) pair for `state`; always sums to exactly 1."""
     _, gain, _ = mdp.move_gains([state])
     return _fractions(int(improving_counts(gain)[0]), gain.shape[1], state)
 
@@ -90,7 +86,7 @@ def _fractions(up: int, total: int, state: int) -> CountFractions:
     return CountFractions(Fraction(total - up, total), Fraction(up, total))
 
 
-def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = None) -> float:
+def convergence_coefficient(mdp: LocalSearchMdp, state: int) -> float:
     """|improving| / |non-improving| as an extended real.
 
     Returns 0.0 exactly when there is no improving neighbor (local maxima,
@@ -100,13 +96,17 @@ def convergence_coefficient(mdp: LocalSearchMdp, state: int, t: int | None = Non
     return gamma_from_counts(int(improving_counts(gain)[0]), gain.shape[1])
 
 
+def extended_ratio(num, den) -> np.ndarray:
+    """num / den, elementwise over nonnegative arrays, as extended reals:
+    x/0 = +inf for x > 0 and 0/0 = 0."""
+    num = np.asarray(num, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num > 0.0, num / den, 0.0)
+
+
 def gamma_from_counts(up: int, total: int) -> float:
     """|improving| / |non-improving| of `up` improving moves out of `total`."""
-    if not up:
-        return 0.0
-    if up == total:
-        return math.inf
-    return up / (total - up)
+    return float(extended_ratio(up, total - up))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
         state, _, _ = step(policy, mdp, state, t, rng)
         states.append(state)
     _, gain, _ = mdp.move_gains(states)
-    values = tuple(gamma_from_counts(up, gain.shape[1]) for up in improving_counts(gain).tolist())
+    ups = improving_counts(gain)
+    values = tuple(extended_ratio(ups, gain.shape[1] - ups).tolist())
     first_zero = next((t for t, g in enumerate(values) if g == 0.0), None)
     return ConvergenceTrace(tuple(states), values, first_zero)
 
@@ -150,10 +151,7 @@ def _masses(p: np.ndarray, gain: np.ndarray):
 
 def _ratios(policy: Policy, gain: np.ndarray, reached: np.ndarray, t: int) -> np.ndarray:
     """Exploration mass / exploitation mass of every row, extended-real."""
-    explore, exploit = _masses(policy.move_probabilities(gain, t, reached), gain)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = explore / exploit
-    return np.where(exploit > 0.0, ratio, np.where(explore > 0.0, math.inf, 0.0))
+    return extended_ratio(*_masses(policy.move_probabilities(gain, t, reached), gain))
 
 
 def exploration_masses(policy: Policy, mdp: LocalSearchMdp, state: int, t: int) -> tuple[float, float]:
@@ -339,12 +337,10 @@ class CoefficientReport:
         `report.json` are written from it."""
         width = len(self.columns["rule"])
         pairs, codes = np.unique(self.up * width + self.series_id, return_inverse=True)
-        ups = (pairs // width).tolist()
-        moves = self.moves
+        ups, moves = pairs // width, self.moves
         # float(Fraction(a, b)) is a / b: both are a/b correctly rounded.
-        return Table({"alpha": [(moves - up) / moves for up in ups],
-                      "beta": [up / moves for up in ups],
-                      "gamma": [gamma_from_counts(up, moves) for up in ups],
+        return Table({"alpha": (moves - ups) / moves, "beta": ups / moves,
+                      "gamma": extended_ratio(ups, moves - ups),
                       **{name: column[pairs % width] for name, column in self.columns.items()}},
                      codes=codes, keys=self.states)
 

@@ -2,7 +2,7 @@
 N x N matrix: a stationary sweep to its contraction bound, finite-horizon
 backward induction and value iteration.  Dense `freeze`/`evaluate_stationary`
 remain as the small-n oracle; every solver checks a byte estimate against
-`MEMORY_BUDGET` first."""
+`objectives.MEMORY_BUDGET` first."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import ResourceLimitError, check_budget
 from .policies import Policy
-from .search_space import LocalSearchMdp, ResourceLimitError
+from .search_space import LocalSearchMdp
 
-MEMORY_BUDGET = 2 << 30         # bytes one exact solve or rollout run may allocate
 ENUMERATION_LEAF_CAP = 10_000_000
 STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
 
@@ -26,13 +26,6 @@ def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
     size = mdp.num_states
     check_budget(8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n)),
                  f"{'dense' if dense else 'table'} solve at n={mdp.n}")
-
-
-def check_budget(need: int, what: str) -> None:
-    """ResourceLimitError if `what` needs more than MEMORY_BUDGET bytes."""
-    if need > MEMORY_BUDGET:
-        raise ResourceLimitError(f"{what} needs {need / 2**30:.3g} GiB, over the "
-                                 f"{MEMORY_BUDGET >> 30} GiB budget")
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Benchmark objectives over fixed-length bit strings, plus a DIMACS CNF loader.
+"""Benchmark objectives over fixed-length bit strings, plus a DIMACS CNF loader,
+the descriptor grammar, and the one memory budget every size check reads
+(this module imports no other lsmdp module, so every one can import it).
 
 A candidate solution is a plain int in [0, 2**n).  Bit b (least significant
 bit = bit 0) holds CNF variable b+1; written-out bit strings use ordinary
@@ -14,6 +16,18 @@ from typing import Callable
 import numpy as np
 
 MAX_BITS = 63  # states are stored as unsigned 64-bit integers
+MEMORY_BUDGET = 2 << 30  # bytes one exact solve, rollout run or NK table may take
+
+
+class ResourceLimitError(RuntimeError):
+    """An analysis would exceed its stated size cap."""
+
+
+def check_budget(need: int, what: str) -> None:
+    """ResourceLimitError if `what` needs more than MEMORY_BUDGET bytes."""
+    if need > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what} needs {need / 2**30:.3g} GiB, over the "
+                                 f"{MEMORY_BUDGET >> 30} GiB budget")
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,7 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     _check_bits(n)
     if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
+    check_budget(8 * n << (k + 1), f"nk lookup tables at n={n}, k={k}")
     tables = np.random.default_rng(seed).random((n, 1 << (k + 1)))
 
     def fn(x: int) -> float:
@@ -267,56 +282,53 @@ def cnf_objective(instance: CnfInstance, name: str = "maxsat") -> Objective:
     return Objective(instance.num_vars, fn, name, None, batch=batch)
 
 
-def _descriptor_params(argstr: str, descriptor: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    if not argstr:
-        return params
-    for item in argstr.split(","):
+def parse_params(descriptor: str, types: dict[str, type]) -> list:
+    """The values of `descriptor` = ``head:key=value,...`` in the order of
+    `types`, each key of `types` given exactly once and converted by its
+    type; ValueError naming the descriptor for a malformed, unknown,
+    repeated or missing key, before anything is built."""
+    params = {}
+    argstr = descriptor.partition(":")[2]
+    for item in argstr.split(",") if argstr else ():
         key, sep, value = item.partition("=")
         if not sep or not key or not value:
             raise ValueError(f"bad parameter {item!r} in descriptor {descriptor!r}")
-        params[key] = value
-    return params
-
-
-def _int_param(params: dict[str, str], key: str, descriptor: str) -> int:
+        if key not in types:
+            raise ValueError(f"unknown key {key}= in descriptor {descriptor!r}")
+        if key in params:
+            raise ValueError(f"repeated key {key}= in descriptor {descriptor!r}")
+        try:
+            params[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"descriptor {descriptor!r}: {key} must be "
+                             f"{'an integer' if types[key] is int else 'a number'}") from None
     try:
-        return int(params[key])
-    except KeyError:
-        raise ValueError(f"descriptor {descriptor!r} is missing {key}=") from None
-    except ValueError:
-        raise ValueError(f"descriptor {descriptor!r}: {key} must be an integer") from None
+        return [params[key] for key in types]
+    except KeyError as missing:
+        raise ValueError(f"descriptor {descriptor!r} is missing {missing.args[0]}=") from None
 
 
-def _float_param(params: dict[str, str], key: str, descriptor: str) -> float:
-    try:
-        return float(params[key])
-    except KeyError:
-        raise ValueError(f"descriptor {descriptor!r} is missing {key}=") from None
-    except ValueError:
-        raise ValueError(f"descriptor {descriptor!r}: {key} must be a number") from None
+# Objective descriptor heads: (constructor, parameter types).  A maxsat
+# objective is named by its descriptor, which holds its one key only.
+_OBJECTIVES = {
+    "onemax": (make_onemax, {"n": int}),
+    "leading_ones": (make_leading_ones, {"n": int}),
+    "leadingones": (make_leading_ones, {"n": int}),
+    "trap": (make_trap, {"n": int, "k": int}),
+    "nk": (make_nk_landscape, {"n": int, "k": int, "seed": int}),
+    "maxsat": (lambda path: cnf_objective(load_dimacs(path), name=f"maxsat:path={path}"),
+               {"path": str}),
+}
 
 
 def parse_objective(descriptor: str) -> Objective:
     """Build an objective from a descriptor string.
 
     Supported forms: ``onemax:n=10``, ``leading_ones:n=8``, ``trap:n=8,k=4``,
-    ``nk:n=12,k=3,seed=7`` and ``maxsat:path=instance.cnf``.
+    ``nk:n=12,k=3,seed=7`` and ``maxsat:path=instance.cnf``, keys in any order.
     """
-    head, _, argstr = descriptor.partition(":")
-    params = _descriptor_params(argstr, descriptor)
-    if head == "onemax":
-        return make_onemax(_int_param(params, "n", descriptor))
-    if head in ("leading_ones", "leadingones"):
-        return make_leading_ones(_int_param(params, "n", descriptor))
-    if head == "trap":
-        return make_trap(_int_param(params, "n", descriptor), _int_param(params, "k", descriptor))
-    if head == "nk":
-        return make_nk_landscape(_int_param(params, "n", descriptor),
-                                 _int_param(params, "k", descriptor),
-                                 _int_param(params, "seed", descriptor))
-    if head == "maxsat":
-        if "path" not in params:
-            raise ValueError(f"descriptor {descriptor!r} is missing path=")
-        return cnf_objective(load_dimacs(params["path"]), name=descriptor)
-    raise ValueError(f"unknown objective descriptor {descriptor!r}")
+    head = descriptor.partition(":")[0]
+    if head not in _OBJECTIVES:
+        raise ValueError(f"unknown objective descriptor {descriptor!r}")
+    make, types = _OBJECTIVES[head]
+    return make(*parse_params(descriptor, types))

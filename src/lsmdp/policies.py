@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import _descriptor_params, _float_param
+from .objectives import parse_params
 from .search_space import LocalSearchMdp, Move
 
 
@@ -216,11 +216,12 @@ class SimulatedAnnealing(Policy):
         rows, cols = np.nonzero((gain < 0) & ~stuck[:, None])
         g = gain[rows, cols]
         r = self.cooling_rate
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # a subnormal T0: g / T0 = -inf
             top = np.where(stuck, gain.max(axis=1), -math.inf)
             degenerate = w * np.exp(top / self.t0) > 0.0
         if not r:
-            first = (plateau + np.bincount(rows, w * np.exp(g / self.t0), k)) / exploit
+            with np.errstate(over="ignore"):
+                first = (plateau + np.bincount(rows, w * np.exp(g / self.t0), k)) / exploit
             first[degenerate] = math.inf
             floor = np.where(degenerate, math.inf, 0.0)
             return SeriesCertificate(floor, first, first, np.zeros(k), "plateau-floor",
@@ -326,21 +327,19 @@ def step(policy: Policy, mdp: LocalSearchMdp, state: int, t: int, rng):
     return dst, Move(state, dst), float(gain[0, j])
 
 
+# Policy descriptor heads with keys: (constructor, parameter types).
+_POLICIES = {"sa": (SimulatedAnnealing, {"T0": float, "rate": float}),
+             "metropolis": (Metropolis, {"T": float}),
+             "walk": (RandomWalk, {})}
+
+
 def parse_policy(descriptor: str) -> Policy:
     """Build a policy from 'hc', 'hc:literal', 'sa:T0=..,rate=..', 'walk' or
     'metropolis:T=..'."""
-    head, _, argstr = descriptor.partition(":")
+    head, _, variant = descriptor.partition(":")
     if head == "hc":
-        return HillClimbing(argstr) if argstr else HillClimbing()
-    if head == "walk":
-        if argstr:
-            raise ValueError(f"policy descriptor {descriptor!r} takes no parameters")
-        return RandomWalk()
-    if head == "sa":
-        params = _descriptor_params(argstr, descriptor)
-        return SimulatedAnnealing(_float_param(params, "T0", descriptor),
-                                  _float_param(params, "rate", descriptor))
-    if head == "metropolis":
-        params = _descriptor_params(argstr, descriptor)
-        return Metropolis(_float_param(params, "T", descriptor))
-    raise ValueError(f"unknown policy descriptor {descriptor!r}")
+        return HillClimbing(variant) if variant else HillClimbing()
+    if head not in _POLICIES:
+        raise ValueError(f"unknown policy descriptor {descriptor!r}")
+    make, types = _POLICIES[head]
+    return make(*parse_params(descriptor, types))

@@ -16,13 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, ResourceLimitError
 
 EXHAUSTIVE_CAP = 20  # exhaustive analyses enumerate all 2**n states
-
-
-class ResourceLimitError(RuntimeError):
-    """An exact analysis would exceed its stated size cap."""
 
 
 class Move(NamedTuple):

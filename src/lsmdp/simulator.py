@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import SWEEP_CHUNK, improving
-from .exact_solver import check_budget
+from .coefficients import SWEEP_CHUNK, extended_ratio, improving
+from .objectives import check_budget
 from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
@@ -164,12 +164,16 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
     mdp.check_state(start_rule)
 
 
-def _check_run_memory(rows: int, horizon: int, keep_steps: bool) -> None:
-    """ResourceLimitError unless a run's [rows, horizon + 1] running-best
-    matrix, and its three [rows, horizon] per-step arrays when it keeps
-    them, fit the memory budget."""
-    check_budget(8 * rows * (horizon + 1) + (24 * rows * horizon if keep_steps else 0),
-                 f"rollout of {rows} trajectories over horizon {horizon}")
+def _check_run_memory(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool) -> None:
+    """ResourceLimitError unless a run fits the memory budget, counted in
+    8-byte words: its [rows, horizon + 1] running-best matrix, its three
+    [rows, horizon] per-step arrays when it keeps them, 8 words per entry
+    of a chunk's [min(rows, SWEEP_CHUNK), d] move tables and 7 per mask of
+    a move (tracemalloc measured 6-7.3 and 6 at d = 560-9,880)."""
+    d = mdp.criterion.degree(mdp.n)
+    words = rows * (horizon + 1) + (3 * rows * horizon if keep_steps else 0)
+    check_budget(8 * (words + (8 * min(rows, SWEEP_CHUNK) + 7) * d),
+                 f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}")
 
 
 def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
@@ -188,7 +192,7 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     if num_trajectories < 0:
         raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
     policies = list(policies)
-    _check_run_memory(len(policies) * num_trajectories, horizon, keep_steps)
+    _check_run_memory(mdp, len(policies) * num_trajectories, horizon, keep_steps)
     indices = range(num_trajectories)
     seeds = [derive_seed(base_seed, index, stream=0) for index in indices]
     if start_rule == "uniform":
@@ -346,6 +350,7 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     a given seed: a batch of one."""
     _check_horizon(horizon)
     mdp.check_state(start)
+    _check_run_memory(mdp, 1, horizon, True)
     return _lockstep([policy], mdp, [start], [int(seed)], horizon, keep_steps=True)[0].records[0]
 
 
@@ -367,16 +372,9 @@ def _bucket_counts(batch: Rollouts, bucket_width: int,
 
 
 def exploration_ratio_by_bucket(batch: Rollouts, bucket_width: int, horizon: int) -> list[float]:
-    """Per-bucket (#exploration moves / #exploitation moves); stays excluded.
-    Extended-real conventions: x/0 -> +inf for x > 0 and 0/0 -> 0."""
-    explore, exploit = _bucket_counts(batch, bucket_width, horizon)
-    out = []
-    for e, x in zip(explore, exploit):
-        if x > 0:
-            out.append(e / x)
-        else:
-            out.append(math.inf if e > 0 else 0.0)
-    return out
+    """Per-bucket (#exploration moves / #exploitation moves), extended-real;
+    stays excluded."""
+    return extended_ratio(*_bucket_counts(batch, bucket_width, horizon)).tolist()
 
 
 def exploration_fraction_by_bucket(batch: Rollouts, bucket_width: int,

@@ -12,7 +12,7 @@ import pytest
 
 import lsmdp
 import reference
-from lsmdp import cli, coefficients, exact_solver, simulator
+from lsmdp import cli, coefficients, objectives, search_space, simulator
 from lsmdp.cli import main
 from lsmdp.coefficients import convergence_trace
 from lsmdp.exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
@@ -257,9 +257,9 @@ def test_metropolis_at_infinite_temperature_is_a_walk(tmp_path):
 
 def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, capsys,
                                                                     monkeypatch):
-    # 10 trajectories over 1,000 steps keep 80 kB of running bests, and
-    # 240 kB more of per-step arrays with --emit-trajectories.
-    monkeypatch.setattr(exact_solver, "MEMORY_BUDGET", 100_000)
+    # 10 trajectories over 1,000 steps keep 80 kB of running bests and 6 kB
+    # of move tables, and 240 kB more of per-step arrays with --emit-trajectories.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
     simulate = ["simulate", "--objective", "onemax:n=8", "--policy", "walk", "--seeds", "10",
                 "--horizon", "1000"]
     assert run_cli(simulate + ["--out", tmp_path / "fits"]) == 0
@@ -282,7 +282,7 @@ def test_gamma_trace_over_the_memory_budget_fails_before_any_step(tmp_path, caps
                                                                   monkeypatch):
     # onemax n=8 has 8 moves a state: a trace keeps about 360 bytes a state,
     # so 101 states fit 100 kB and 1,001 do not.
-    monkeypatch.setattr(exact_solver, "MEMORY_BUDGET", 100_000)
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
     gamma = ["gamma", "--objective", "onemax:n=8", "--policy", "walk", "--start", "0"]
     assert run_cli(gamma + ["--t-max", "100", "--out", tmp_path / "fits"]) == 0
 
@@ -293,6 +293,41 @@ def test_gamma_trace_over_the_memory_budget_fails_before_any_step(tmp_path, caps
     capsys.readouterr()
     out = tmp_path / "over"
     assert run_cli(gamma + ["--t-max", "1000", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rollout_move_tables_over_the_memory_budget_fail_before_any_mask(tmp_path, capsys,
+                                                                         monkeypatch):
+    # 100 trajectories over 100 steps keep 81 kB of running bests; at 12
+    # moves a step their move tables take 77 kB more, at 924 (hamming:6)
+    # about 6 MB.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
+    simulate = ["simulate", "--objective", "onemax:n=12", "--policy", "walk", "--seeds", "100",
+                "--horizon", "100"]
+    assert run_cli(simulate + ["--out", tmp_path / "fits"]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run over the budget built its masks")
+
+    monkeypatch.setattr(search_space, "_hamming_masks", unreachable)
+    capsys.readouterr()
+    out = tmp_path / "over"
+    assert run_cli(simulate + ["--neighborhood", "hamming:6", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nk_tables_over_the_memory_budget_fail_before_drawing(tmp_path, capsys, monkeypatch):
+    # nk n=12 holds 12 lookup tables of 2**(k+1) doubles: 98 kB at k = 9,
+    # 197 kB at k = 10.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
+    simulate = ["simulate", "--policy", "walk", "--seeds", "1", "--horizon", "1"]
+    assert run_cli(simulate + ["--objective", "nk:n=12,k=9,seed=1",
+                               "--out", tmp_path / "fits"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "over"
+    assert run_cli(simulate + ["--objective", "nk:n=12,k=10,seed=1", "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
 
@@ -734,6 +769,8 @@ def test_discounted_value_leaves_scipy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["classify", "--policy", "sa:T0=5,rate=5e-324"],
+    ["classify", "--policy", "sa:T0=1e-320,rate=0.5"],
+    ["classify", "--policy", "sa:T0=1e-320,rate=0"],
     ["simulate", "--policy", "sa:T0=5,rate=5e-324", "--seeds", "3", "--horizon", "4"],
     ["value", "--policy", "sa:T0=5,rate=5e-324", "--horizon", "4"],
     ["simulate", "--policy", "metropolis:T=1e-320", "--seeds", "3", "--horizon", "4"],
@@ -748,3 +785,24 @@ def test_subnormal_temperatures_warn_nothing(tmp_path, args):
                              "--objective", "onemax:n=3", "--out", str(tmp_path / "o")],
                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (result.returncode, result.stderr) == (0, "")
+
+
+REFUSED_OBJECTIVES = ["onemax:n=10,k=3", "onemax:n=10,n=12", "nk:n=12,k=3,seed=7,sed=8",
+                      "trap:n=8,k=4,seed=1", "maxsat:path={cnf},x=1"]
+REFUSED_POLICIES = ["sa:T0=10,rate=0.9,foo=3", "sa:T0=1,T0=2,rate=0.5", "metropolis:T=1,x=2"]
+
+
+@pytest.mark.parametrize("command", ["classify", "gamma", "value", "simulate", "compare"])
+@pytest.mark.parametrize("option, bad", [("objective", bad) for bad in REFUSED_OBJECTIVES]
+                         + [("policy", bad) for bad in REFUSED_POLICIES])
+def test_unknown_or_repeated_descriptor_keys_are_refused(tmp_path, capsys, command, option, bad):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    options = {"objective": "onemax:n=6", "policy": "walk", option: bad.format(cnf=cnf)}
+    out = tmp_path / "out"
+    assert run_cli([command, "--objective", options["objective"], "--policy", options["policy"],
+                    "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and options[option] in err
+    assert not out.exists()
+

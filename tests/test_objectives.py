@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from lsmdp.objectives import (CnfInstance, DimacsParseError, cnf_objective,
                               cnf_to_dimacs, load_dimacs, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap,
                               parse_objective)
+from lsmdp.search_space import ResourceLimitError
 
 
 class TestOneMax:
@@ -187,11 +189,30 @@ class TestDescriptors:
         obj = parse_objective(f"maxsat:path={path}")
         assert obj(0b10) == 2.0
 
-    @pytest.mark.parametrize("bad", ["nope:n=3", "onemax", "onemax:n=x", "trap:n=8"])
+    @pytest.mark.parametrize("bad", ["nope:n=3", "onemax", "onemax:n=x", "trap:n=8",
+                                     "onemax:n=10,k=3", "onemax:n=10,n=12",
+                                     "nk:n=12,k=3,seed=7,sed=8", "trap:n=8,k=4,seed=1",
+                                     "maxsat:path=f.cnf,x=1", "onemax:n=3,", "onemax:=3"])
     def test_bad_descriptors_name_the_input(self, bad):
         with pytest.raises(ValueError) as err:
             parse_objective(bad)
         assert bad.split(":")[0] in str(err.value)
+
+    @pytest.mark.parametrize("descriptor", ["nk:n=12,k=3,seed=7", "trap:n=8,k=4", "onemax:n=7",
+                                            "leading_ones:n=6", "leadingones:n=6"])
+    def test_keys_in_any_order_build_one_objective(self, descriptor):
+        head, _, argstr = descriptor.partition(":")
+        first = parse_objective(descriptor)
+        states = range(0, 1 << first.n, 37)
+        for order in itertools.permutations(argstr.split(",")):
+            objective = parse_objective(f"{head}:{','.join(order)}")
+            assert objective.name == first.name
+            assert [objective(s) for s in states] == [first(s) for s in states]
+
+    def test_nk_tables_past_the_budget_are_refused_before_drawing(self):
+        # 40 tables of 2**31 doubles would take 640 GiB.
+        with pytest.raises(ResourceLimitError, match="budget"):
+            make_nk_landscape(40, 30, 1)
 
 
 @given(st.integers(1, 16), st.data())

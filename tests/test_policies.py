@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,7 +216,12 @@ class TestParsing:
             parse_policy("bogus")
         assert "bogus" in str(err.value)
 
-    @pytest.mark.parametrize("bad", ["sa:T0=10", "sa:rate=0.9", "metropolis", "walk:x=1"])
+    @pytest.mark.parametrize("bad", ["sa:T0=10", "sa:rate=0.9", "metropolis", "walk:x=1",
+                                     "sa:T0=10,rate=0.9,foo=3", "sa:T0=1,T0=2,rate=0.5",
+                                     "metropolis:T=1,x=2", "sa:T0=x,rate=0.5"])
     def test_malformed_parameters(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_policy(bad)
+
+    def test_keys_in_any_order_build_one_policy(self):
+        assert parse_policy("sa:rate=0.9,T0=10").descriptor == "sa:T0=10.0,rate=0.9"

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import reference
-from lsmdp import cli
-from lsmdp.objectives import Objective, make_onemax
-from lsmdp.policies import HillClimbing, RandomWalk, SimulatedAnnealing
-from lsmdp.search_space import LocalSearchMdp
+from lsmdp import cli, objectives, simulator
+from lsmdp.objectives import Objective, make_nk_landscape, make_onemax
+from lsmdp.policies import HillClimbing, RandomWalk, SimulatedAnnealing, parse_policy
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
 from lsmdp.serialize import dumps_json_line
 from lsmdp.simulator import (TrajectoryStep, best_so_far_curve, derive_seed,
                              exploration_fraction_by_bucket,
@@ -256,3 +256,34 @@ class TestOnlineReduction:
         with pytest.raises(ValueError):
             summarize_records(simulate_batch(RandomWalk(), onemax5, 0, 10, 0, base_seed=0), 10,
                               bucket_width=0)
+
+    @pytest.mark.parametrize("descriptor", ["sa:T0=1,rate=0.99", "walk", "metropolis:T=1", "hc",
+                                            "hc:literal"])
+    def test_only_rows_that_moved_reevaluate_their_neighbors(self, descriptor):
+        # Every row's table is built at step 0, and after that only the
+        # tables of rows that moved in the step before: d (R + the moves
+        # taken before the last step) neighbor values, where rebuilding
+        # every running row every step would take up to d R H (240,000).
+        nk = make_nk_landscape(16, 3, 1)
+        evaluated = []
+
+        def counting(states):
+            evaluated.append(states.size)
+            return nk.batch(states)
+
+        mdp = LocalSearchMdp(Objective(16, nk.fn, nk.name, None, batch=counting))
+        batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", 300, 50, base_seed=0)
+        moves = int(batch.explore[:-1].sum() + batch.exploit[:-1].sum())
+        assert sum(evaluated) == 16 * (50 + moves)
+
+    def test_run_trajectory_checks_the_memory_budget(self, monkeypatch):
+        # 924 moves a step: one row's tables and masks alone take 111 kB.
+        mdp = LocalSearchMdp(make_onemax(12), HammingNeighborhood(6))
+        monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a run over the budget started")
+
+        monkeypatch.setattr(simulator, "_lockstep", unreachable)
+        with pytest.raises(ResourceLimitError, match="budget"):
+            run_trajectory(RandomWalk(), mdp, 0, 10, seed=1)
