@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_trace,
-                           extended_ratio, improving_counts)
+from .coefficients import (SWEEP_CHUNK, _check_series, check_chunk_tables, classify,
+                           convergence_trace, extended_ratio, improving_counts)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import parse_objective
 from .policies import parse_policy
@@ -31,6 +31,7 @@ from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError, pa
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
                         json_fragments)
 from .simulator import best_so_far_curve, check_rollout, simulate_batches, summarize_records
+from .streams import Uniforms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -256,10 +257,12 @@ def cmd_gamma(resolved, formats) -> int:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp = _build_mdp(resolved)
     f = mdp.landscape  # checks the exhaustive cap before the trace evaluates anything
+    # A chunk's table and its counts (tracemalloc measured 4.0-6.6 words an entry).
+    check_chunk_tables(mdp, mdp.num_states, 5)
     trace = None
     if resolved["start"]:  # traced first: a start outside the space leaves no output behind
         trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
-                                  np.random.default_rng(seed))
+                                  Uniforms(seed))
     ups = []
     for lo in range(0, mdp.num_states, SWEEP_CHUNK):
         chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))

@@ -118,6 +118,14 @@ class ConvergenceTrace:
     first_zero: int | None
 
 
+def check_chunk_tables(mdp: LocalSearchMdp, states: int, words: int) -> None:
+    """ResourceLimitError unless the move-gain tables of a sweep's chunk of
+    min(states, SWEEP_CHUNK) states fit the memory budget at `words` 8-byte
+    words an entry."""
+    rows, d = min(states, SWEEP_CHUNK), mdp.criterion.degree(mdp.n)
+    check_budget(8 * words * rows * d, f"move tables of {rows} states of {d} moves")
+
+
 def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: int,
                       rng) -> ConvergenceTrace:
     """Roll the policy for t_max steps and record the convergence coefficient
@@ -390,6 +398,9 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
             f = mdp.landscape  # a sample of every state is gathered as the full sweep is
     if not state_list:
         raise ValueError("empty state sample")
+    # A chunk's table with its series' temporaries (tracemalloc measured
+    # 4.0-8.8 words an entry at d = 13-252).
+    check_chunk_tables(mdp, len(state_list), 9)
     ups, series_ids, chunks = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
         chunk = state_list[lo:lo + SWEEP_CHUNK]

@@ -1,6 +1,7 @@
 """Benchmark objectives over fixed-length bit strings, plus a DIMACS CNF loader,
 the descriptor grammar, and the one memory budget every size check reads
-(this module imports no other lsmdp module, so every one can import it).
+(this module imports no other lsmdp module but the leaf `streams`, so every
+one can import it).
 
 A candidate solution is a plain int in [0, 2**n).  Bit b (least significant
 bit = bit 0) holds CNF variable b+1; written-out bit strings use ordinary
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .streams import Streams
 
 MAX_BITS = 63  # states are stored as unsigned 64-bit integers
 MEMORY_BUDGET = 2 << 30  # bytes one exact solve, rollout run or NK table may take
@@ -140,7 +143,7 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
     check_budget(8 * n << (k + 1), f"nk lookup tables at n={n}, k={k}")
-    tables = np.random.default_rng(seed).random((n, 1 << (k + 1)))
+    tables = Streams(seed).random(n << (k + 1)).reshape(n, 1 << (k + 1))
 
     def fn(x: int) -> float:
         total = 0.0

@@ -2,14 +2,15 @@
 
 Trajectories are independent and reproducible: trajectory k of a batch draws
 its generator seed from the entropy triple (base_seed, k, stream) through
-numpy's SeedSequence, so batches replay identically across machines.
+numpy's SeedSequence, replayed by `streams`, so batches replay identically
+across machines.
 
 One lockstep engine runs every batch.  A run of G policies over K seeds
 has G·K rows, row g·K + k being trajectory k of policy g, and all rows of a
 chunk advance together: one move-gain table per time step covers every
 running row, each policy's acceptance kernel reads its own contiguous block
 of rows, and one running-sum scan picks every row's move.  Each row draws
-its uniforms, in blocks, from its own generator, so its path depends
+its uniforms, in time-major blocks, from its own stream, so its path depends
 neither on the batch it runs in nor on the other policies.  The engine
 reduces online, to per-step move counts per policy and a rows x
 (horizon + 1) running-best matrix, keeps per-step arrays only when asked
@@ -20,7 +21,7 @@ commutative reduction, independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -30,15 +31,19 @@ from .objectives import check_budget
 from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
+from .streams import Streams, scratch_words, seed_state
 
 _DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 _KINDS = ("exploration", "exploitation")  # a move's kind, indexed by `improving`
 
 
-def derive_seed(base_seed: int, index: int, stream: int = 0) -> int:
-    """Portable per-trajectory seed for (base_seed, index); stream 0 drives
-    the walk, stream 1 the start-state draw."""
-    return int(np.random.SeedSequence([base_seed, index, stream]).generate_state(1, np.uint64)[0])
+def derive_seed(base_seed: int, indices, stream: int = 0) -> np.ndarray:
+    """Portable per-trajectory seeds (uint64, shaped as `indices`) of
+    (base_seed, index): numpy's `SeedSequence([base_seed, index,
+    stream]).generate_state(1, np.uint64)[0]`; stream 0 drives the walk,
+    stream 1 the start-state draw."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    return seed_state([base_seed, indices.ravel(), stream], indices.size, 1).reshape(indices.shape)
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,18 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
 def _check_run_memory(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool) -> None:
     """ResourceLimitError unless a run fits the memory budget, counted in
     8-byte words: its [rows, horizon + 1] running-best matrix, its three
-    [rows, horizon] per-step arrays when it keeps them, 8 words per entry
-    of a chunk's [min(rows, SWEEP_CHUNK), d] move tables and 7 per mask of
-    a move (tracemalloc measured 6-7.3 and 6 at d = 560-9,880)."""
+    [rows, horizon] per-step arrays when it keeps them, and 8 words of
+    stream state a row; and for a chunk of min(rows, SWEEP_CHUNK) rows, 8
+    words per entry of its [chunk, d] move tables and 7 per mask of a move
+    (tracemalloc measured 6-7.3 and 6 at d = 560-9,880), its block of
+    uniforms, [min(horizon, _DRAW_BLOCK), chunk], and the scratch of the
+    block's largest generation slab."""
     d = mdp.criterion.degree(mdp.n)
-    words = rows * (horizon + 1) + (3 * rows * horizon if keep_steps else 0)
-    check_budget(8 * (words + (8 * min(rows, SWEEP_CHUNK) + 7) * d),
+    chunk = min(rows, SWEEP_CHUNK)
+    block = min(horizon, _DRAW_BLOCK) * chunk
+    words = rows * (horizon + 1) + (3 * rows * horizon if keep_steps else 0) + 8 * rows
+    words += (8 * chunk + 7) * d + block + scratch_words(block)
+    check_budget(8 * words,
                  f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}")
 
 
@@ -193,14 +204,13 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
         raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
     policies = list(policies)
     _check_run_memory(mdp, len(policies) * num_trajectories, horizon, keep_steps)
-    indices = range(num_trajectories)
-    seeds = [derive_seed(base_seed, index, stream=0) for index in indices]
+    indices = np.arange(num_trajectories, dtype=np.uint64)
+    seeds = derive_seed(base_seed, indices, stream=0)
     if start_rule == "uniform":
-        starts = [int(np.random.default_rng(derive_seed(base_seed, index, stream=1))
-                      .integers(mdp.num_states)) for index in indices]
+        starts = Streams(derive_seed(base_seed, indices, stream=1)).integers(mdp.n).tolist()
     else:
         starts = [start_rule] * num_trajectories
-    return _lockstep(policies, mdp, starts, seeds, horizon, keep_steps)
+    return _lockstep(policies, mdp, starts, Streams(seeds), seeds.tolist(), horizon, keep_steps)
 
 
 def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
@@ -213,10 +223,11 @@ def simulate_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int
 
 class _Run(NamedTuple):
     """The arrays every row of a lockstep run writes into: row g·K + k is
-    trajectory k of policy g, and `explore[g]`/`exploit[g]` are policy g's
-    per-step move counts."""
+    trajectory k of policy g, `streams` row k is trajectory k's stream, and
+    `explore[g]`/`exploit[g]` are policy g's per-step move counts."""
 
     policies: list
+    streams: Streams
     seeds: list[int]
     starts: np.ndarray
     start_values: np.ndarray
@@ -226,11 +237,13 @@ class _Run(NamedTuple):
     steps: Steps | None
 
 
-def _lockstep(policies, mdp, starts, seeds, horizon, keep_steps) -> list[Rollouts]:
+def _lockstep(policies, mdp, starts, streams, seeds, horizon, keep_steps) -> list[Rollouts]:
     """Advance trajectory k of every policy together, in chunks of
-    `SWEEP_CHUNK` rows, and return each policy's block of rows as views."""
+    `SWEEP_CHUNK` rows, and return each policy's block of rows as views;
+    trajectory k starts at starts[k] and draws from row k of `streams`,
+    which seeds[k] seeded."""
     count, total = len(seeds), len(policies) * len(seeds)
-    run = _Run(policies, seeds, np.array(starts, dtype=np.int64),
+    run = _Run(policies, streams, seeds, np.array(starts, dtype=np.int64),
                np.array([mdp.value(s) for s in starts], dtype=float),
                np.empty((total, horizon + 1)), np.zeros((len(policies), horizon), dtype=np.int64),
                np.zeros((len(policies), horizon), dtype=np.int64),
@@ -279,7 +292,7 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
     group, trajectory = np.divmod(rows, len(run.seeds))
     spans = _policy_spans(run.policies, group)
     stoppers = _stoppers(spans)
-    rngs = [np.random.default_rng(run.seeds[k]) for k in trajectory.tolist()]
+    streams = run.streams.take(trajectory)
     values, masks = mdp.objective.values, mdp.criterion.masks(mdp.n)
     base = np.arange(0, rows.size * masks.size, masks.size)  # each row's first flat index
     states = run.starts[trajectory]
@@ -312,7 +325,7 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
                 at = rows
                 nbr, gain, reached = nbr[go], gain[go], reached[go]
                 if draws is not None:
-                    draws = draws[go]
+                    draws = draws[:, go]
                 if not rows.size:
                     break
                 base = base[:rows.size]
@@ -321,11 +334,11 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
         # A row's i-th uniform drives its i-th step, whatever the block.
         if t % _DRAW_BLOCK == 0:
             width = min(_DRAW_BLOCK, horizon - t)
-            draws = np.array([rngs[r - lo].random(width) for r in rows.tolist()])
+            draws = streams.random(width, rows - lo)
         cum = np.empty(gain.shape)
         for _, policy, a, b in spans:
             policy.move_probabilities(gain[a:b], t, reached[a:b]).cumsum(axis=1, out=cum[a:b])
-        flat, moved = choose(cum, draws[:, t % _DRAW_BLOCK], base)
+        flat, moved = choose(cum, draws[t % _DRAW_BLOCK], base)
         taken = np.where(moved, gain.take(flat), 0.0)
         up = improving(taken)  # a stay takes gain 0, so it is never improving
         for g, _, a, b in spans:
@@ -351,7 +364,8 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     _check_horizon(horizon)
     mdp.check_state(start)
     _check_run_memory(mdp, 1, horizon, True)
-    return _lockstep([policy], mdp, [start], [int(seed)], horizon, keep_steps=True)[0].records[0]
+    return _lockstep([policy], mdp, [start], Streams(int(seed)), [int(seed)], horizon,
+                     keep_steps=True)[0].records[0]
 
 
 def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
@@ -432,7 +446,8 @@ class RunSummary:
     exploration_ratio: list[float]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, their values shared, not copied."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     CSV_HEADER = ("num_trajectories", "hit_rate", "best_final_mean",
                   "best_final_p0", "best_final_p25", "best_final_p50",

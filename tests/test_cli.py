@@ -257,9 +257,10 @@ def test_metropolis_at_infinite_temperature_is_a_walk(tmp_path):
 
 def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, capsys,
                                                                     monkeypatch):
-    # 10 trajectories over 1,000 steps keep 80 kB of running bests and 6 kB
-    # of move tables, and 240 kB more of per-step arrays with --emit-trajectories.
-    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
+    # 10 trajectories over 1,000 steps keep 80 kB of running bests, 6 kB of
+    # move tables, a 20 kB block of uniforms and 143 kB of scratch while it
+    # is drawn, and 240 kB more of per-step arrays with --emit-trajectories.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 300_000)
     simulate = ["simulate", "--objective", "onemax:n=8", "--policy", "walk", "--seeds", "10",
                 "--horizon", "1000"]
     assert run_cli(simulate + ["--out", tmp_path / "fits"]) == 0
@@ -276,6 +277,30 @@ def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, ca
         assert run_cli(argv + ["--out", out]) == 3
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_rollout_draw_blocks_over_the_memory_budget_fail(tmp_path, capsys, monkeypatch):
+    # 400 walk rows over 20 steps at d = 20: running bests and move tables
+    # alone count 580 kB, but tracemalloc saw the run peak at 759 kB, with
+    # its [20, 400] block of uniforms and the scratch that draws it.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 700_000)
+    out = tmp_path / "over"
+    assert run_cli(["simulate", "--objective", "onemax:n=20", "--policy", "walk", "--seeds", "400",
+                    "--horizon", "20", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "gamma"])
+def test_chunk_tables_over_the_memory_budget_fail(tmp_path, capsys, monkeypatch, command):
+    # 1,024 states of 252 moves: each [1024, 252] table is 2 MB, and classify
+    # peaked at 10.4 MiB under tracemalloc.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
+    out = tmp_path / "over"
+    assert run_cli([command, "--objective", "onemax:n=10", "--neighborhood", "hamming:5",
+                    "--policy", "walk", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gamma_trace_over_the_memory_budget_fails_before_any_step(tmp_path, capsys,
@@ -753,6 +778,35 @@ def test_rollout_commands_leave_numpy_ma_unloaded(tmp_path):
     if words[2] == "True":
         pytest.skip("this numpy loads numpy.ma on import")
     assert words == ["0", "0", "False", "False"]
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy.random loads OpenSSL (through secrets and hashlib), about 6 MiB
+    # and 20 ms a command; lsmdp.streams draws numpy's streams without it.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    commands = []
+    for objective in ("onemax:n=6", "nk:n=6,k=2,seed=3"):
+        shared = ["--objective", objective]
+        commands += [["classify", "--policy", "sa:T0=5,rate=0.9"] + shared,
+                     ["value", "--policy", "walk"] + shared,
+                     ["gamma"] + shared,
+                     ["gamma", "--policy", "walk", "--start", "0", "--t-max", "20"] + shared,
+                     ["simulate", "--policy", "walk", "--seeds", "5", "--horizon", "30",
+                      "--emit-trajectories"] + shared,
+                     ["compare", "--policy", "hc", "--policy", "metropolis:T=1", "--seeds", "5",
+                      "--horizon", "30"] + shared]
+    code = ("import sys, numpy; loaded = lambda: ('numpy.random' in sys.modules) + "
+            "('_hashlib' in sys.modules); before = loaded(); "
+            "from lsmdp.cli import main; "
+            f"codes = [main(argv + ['--out', {str(tmp_path)!r} + '/' + str(i)]) "
+            f"for i, argv in enumerate({commands!r})]; "
+            "print(max(codes), before, loaded())")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    words = result.stdout.split()[-3:]
+    if words[1] != "0":
+        pytest.skip("this numpy loads numpy.random or _hashlib on import")
+    assert words == ["0", "0", "0"]
 
 
 def test_discounted_value_leaves_scipy_unloaded(tmp_path):

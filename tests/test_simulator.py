@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +130,15 @@ class TestBatches:
         flat = LocalSearchMdp(Objective(4, lambda x: 0.0, "flat", None))
         summary = run_batch(RandomWalk(), flat, 0, 10, 5, base_seed=0)
         assert summary.hit_rate is None
+
+    def test_summary_json_dict_is_asdict_without_the_copies(self, onemax5):
+        summary = run_batch(SimulatedAnnealing(2.0, 0.9), onemax5, "uniform", 30, 8,
+                            base_seed=3, bucket_width=4)
+        assert summary.exploration_fraction and summary.exploration_ratio
+        shallow = summary.to_json_dict()
+        assert shallow == dataclasses.asdict(summary)
+        assert list(shallow) == list(dataclasses.asdict(summary))
+        assert shallow["exploration_ratio"] is summary.exploration_ratio
 
 
 class TestBuckets:
@@ -275,6 +286,29 @@ class TestOnlineReduction:
         batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", 300, 50, base_seed=0)
         moves = int(batch.explore[:-1].sum() + batch.exploit[:-1].sum())
         assert sum(evaluated) == 16 * (50 + moves)
+
+    @pytest.mark.parametrize("objective,distance,policies,seeds,horizon,keep", [
+        ("trap:n=40,k=4", 1, ["walk"], 100, 1000, False),
+        ("trap:n=40,k=4", 1, ["hc", "walk", "sa:T0=5,rate=0.995", "metropolis:T=1"], 25, 1000,
+         True),
+        ("onemax:n=12", 3, ["walk"], 100, 100, False),
+    ])
+    def test_the_memory_check_counts_what_a_run_holds(self, monkeypatch, objective, distance,
+                                                      policies, seeds, horizon, keep):
+        # The count bounded tracemalloc's peak by 11-44% on these runs.
+        mdp = LocalSearchMdp(objectives.parse_objective(objective),
+                             HammingNeighborhood(distance))
+        policies = [parse_policy(p) for p in policies]
+        simulator.simulate_batches(policies, mdp, "uniform", 3, 2, 0)  # masks cached
+        counted = []
+        monkeypatch.setattr(simulator, "check_budget", lambda need, what: counted.append(need))
+        tracemalloc.start()
+        try:
+            simulator.simulate_batches(policies, mdp, "uniform", horizon, seeds, 0, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted[0] >= peak
 
     def test_run_trajectory_checks_the_memory_budget(self, monkeypatch):
         # 924 moves a step: one row's tables and masks alone take 111 kB.
