@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (SWEEP_CHUNK, _check_series, check_chunk_tables, classify,
-                           convergence_trace, extended_ratio, improving_counts)
+from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_trace,
+                           extended_ratio, improving_counts)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
-from .objectives import parse_objective
+from .objectives import check_memory, parse_objective
 from .policies import parse_policy
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
@@ -214,19 +214,20 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
 
 
 def _reachable_states(mdp: LocalSearchMdp, start: int) -> list[int]:
-    """Breadth-first closure of `start` under the neighborhood, one
+    """Breadth-first closure of `start` under the neighborhood, one priced
     neighbor table per frontier, refused before it passes the exhaustive cap."""
-    seen = {mdp.check_state(start)}
-    frontier = np.array([start], dtype=np.int64)
+    seen = frontier = np.array([mdp.check_state(start)], dtype=np.int64)
+    d = mdp.criterion.degree(mdp.n)
     while frontier.size:
-        fresh = [j for j in np.unique(mdp.criterion.neighbor_array(frontier, mdp.n)).tolist()
-                 if j not in seen]
-        if len(seen) + len(fresh) > 1 << EXHAUSTIVE_CAP:
+        # The frontier's neighbor table and the sorted copies that merge it into `seen`.
+        check_memory(f"neighbor table of {frontier.size} states of {d} moves", masks=d,
+                     words=3 * (frontier.size * d + seen.size))
+        fresh = np.setdiff1d(mdp.criterion.neighbor_array(frontier, mdp.n), seen)
+        if seen.size + fresh.size > 1 << EXHAUSTIVE_CAP:
             raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
                                      f"2**{EXHAUSTIVE_CAP}")
-        seen.update(fresh)
-        frontier = np.array(fresh, dtype=np.int64)
-    return sorted(seen)
+        seen, frontier = np.union1d(seen, fresh), fresh
+    return seen.tolist()
 
 
 def cmd_classify(resolved, formats) -> int:
@@ -257,23 +258,20 @@ def cmd_gamma(resolved, formats) -> int:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp = _build_mdp(resolved)
     f = mdp.landscape  # checks the exhaustive cap before the trace evaluates anything
-    # A chunk's table and its counts (tracemalloc measured 4.0-6.6 words an entry).
-    check_chunk_tables(mdp, mdp.num_states, 5)
+    # A chunk's table, and 7 words a state: f, two counts, local_max, gamma and 2 temporaries.
+    size, moves = mdp.num_states, mdp.criterion.degree(mdp.n)
+    check_memory(f"gamma of {size} states of {moves} moves",
+                 entries=min(size, SWEEP_CHUNK) * moves, masks=moves, words=7 * size)
     trace = None
     if resolved["start"]:  # traced first: a start outside the space leaves no output behind
         trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
                                   Uniforms(seed))
-    ups = []
-    for lo in range(0, mdp.num_states, SWEEP_CHUNK):
-        chunk = np.arange(lo, min(lo + SWEEP_CHUNK, mdp.num_states))
-        _, gain, _ = mdp.move_gains(chunk, f)
-        moves = gain.shape[1]
-        ups.append(improving_counts(gain))
-    ups = np.concatenate(ups)
+    chunks = (np.arange(lo, min(lo + SWEEP_CHUNK, size)) for lo in range(0, size, SWEEP_CHUNK))
+    ups = np.concatenate([improving_counts(mdp.move_gains(chunk, f)[1]) for chunk in chunks])
     local_max = (ups == 0).tolist()
     table = Table({"f": f, "improving": ups, "non_improving": moves - ups,
                    "gamma": extended_ratio(ups, moves - ups),
-                   "local_max": local_max}, keys=range(mdp.num_states))
+                   "local_max": local_max}, keys=range(size))
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
     if "csv" in formats:
@@ -288,7 +286,7 @@ def cmd_gamma(resolved, formats) -> int:
             atomic_write(outdir / "trace.csv", csv_fragments(("t", "state", "gamma"), steps))
         print(f"trace first_zero={trace.first_zero}")
     else:
-        print(f"{sum(local_max)} local maxima over {mdp.num_states} states")
+        print(f"{sum(local_max)} local maxima over {size} states")
     if "json" in formats:
         atomic_write(outdir / "gamma.json", json_fragments(payload))
     _write_manifest(outdir, "gamma", resolved)

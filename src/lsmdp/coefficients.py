@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .objectives import check_budget
+from .objectives import check_memory
 from .policies import Policy, SeriesCertificate, step
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
@@ -118,14 +118,6 @@ class ConvergenceTrace:
     first_zero: int | None
 
 
-def check_chunk_tables(mdp: LocalSearchMdp, states: int, words: int) -> None:
-    """ResourceLimitError unless the move-gain tables of a sweep's chunk of
-    min(states, SWEEP_CHUNK) states fit the memory budget at `words` 8-byte
-    words an entry."""
-    rows, d = min(states, SWEEP_CHUNK), mdp.criterion.degree(mdp.n)
-    check_budget(8 * words * rows * d, f"move tables of {rows} states of {d} moves")
-
-
 def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: int,
                       rng) -> ConvergenceTrace:
     """Roll the policy for t_max steps and record the convergence coefficient
@@ -133,19 +125,20 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp.check_state(start)
-    # The [t_max + 1, d] move-gain table with its temporaries (4d + 3 8-byte
-    # entries a state), and the states and coefficients kept as Python
-    # objects (about 80 bytes a state), refused before the first step.
-    check_budget((t_max + 1) * (8 * (4 * mdp.criterion.degree(mdp.n) + 3) + 80),
-                 f"trace of {t_max + 1} states")
+    # The table of the distinct visited states, and the states and
+    # coefficients kept as Python objects (about 10 words a state).
+    d = mdp.criterion.degree(mdp.n)
+    check_memory(f"trace of {t_max + 1} states", entries=min(t_max + 1, mdp.num_states) * d,
+                 masks=d, words=10 * (t_max + 1))
     states = [start]
     state = start
     for t in range(t_max):
         state, _, _ = step(policy, mdp, state, t, rng)
         states.append(state)
-    _, gain, _ = mdp.move_gains(states)
+    distinct, index = np.unique(states, return_inverse=True)
+    _, gain, _ = mdp.move_gains(distinct)
     ups = improving_counts(gain)
-    values = tuple(extended_ratio(ups, gain.shape[1] - ups).tolist())
+    values = tuple(extended_ratio(ups, d - ups)[index].tolist())
     first_zero = next((t for t, g in enumerate(values) if g == 0.0), None)
     return ConvergenceTrace(tuple(states), values, first_zero)
 
@@ -398,20 +391,23 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
             f = mdp.landscape  # a sample of every state is gathered as the full sweep is
     if not state_list:
         raise ValueError("empty state sample")
-    # A chunk's table with its series' temporaries (tracemalloc measured
-    # 4.0-8.8 words an entry at d = 13-252).
-    check_chunk_tables(mdp, len(state_list), 9)
+    rows, d = min(len(state_list), SWEEP_CHUNK), mdp.criterion.degree(mdp.n)
+    if not d:
+        raise UndefinedCoefficientError(f"state {state_list[0]} has no moves")
+    # A chunk's table and move probabilities, and 8 words of columns a state;
+    # a policy decided per gain profile also holds the sorted profiles, their
+    # byte keys and its certificate's terms, and 8 more words a state.
+    certified = not policy.stationary
+    check_memory(f"classify of {len(state_list)} states of {d} moves", entries=rows * d, masks=d,
+                 words=rows * d * (4 if certified else 1) + (16 if certified else 8) * len(state_list))
     ups, series_ids, chunks = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
-        chunk = state_list[lo:lo + SWEEP_CHUNK]
-        _, gain, reached = mdp.move_gains(chunk, f)
-        moves = gain.shape[1]
-        if not moves:
-            raise UndefinedCoefficientError(f"state {chunk[0]} has no moves")
+        gain, reached = mdp.move_gains(state_list[lo:lo + SWEEP_CHUNK], f)[1:]
         inverse, columns = _chunk_series(policy, gain, reached, horizon)
         ups.append(improving_counts(gain))
         series_ids.append(inverse + sum(len(c["rule"]) for c in chunks))
         chunks.append(columns)
+        del gain, reached  # before the next chunk's table is built
     series_id = np.concatenate(series_ids)
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     swept = np.array(state_list)
@@ -437,7 +433,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         series_max = math.inf
     else:  # every limit is a float: zero's 0.0 or a converged limit
         series_max = max(columns["delta_limit"].tolist())
-    return CoefficientReport(state_list, moves, np.concatenate(ups), series_id, columns,
+    return CoefficientReport(state_list, d, np.concatenate(ups), series_id, columns,
                              series_max, label, horizon, degenerate, inconclusive)
 
 

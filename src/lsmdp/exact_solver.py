@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ResourceLimitError, check_budget
+from .objectives import ResourceLimitError, check_memory
 from .policies import Policy
 from .search_space import LocalSearchMdp
 
@@ -19,13 +19,13 @@ ENUMERATION_LEAF_CAP = 10_000_000
 STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
 
 
-def _check_memory(mdp: LocalSearchMdp, dense: bool = False) -> None:
-    """ResourceLimitError unless the solve's 8-byte arrays fit the budget: three
-    N x N matrices if dense, else eight [N, d] tables (5-6.5 measured, n=16).
-    Runs before the landscape is read, so a refused solve evaluates nothing."""
-    size = mdp.num_states
-    check_budget(8 * size * (3 * size if dense else 8 * mdp.criterion.degree(mdp.n)),
-                 f"{'dense' if dense else 'table'} solve at n={mdp.n}")
+def _check_solve(mdp: LocalSearchMdp, dense: bool = False) -> None:
+    """Price a solve before the landscape is read, so a refused one evaluates
+    nothing: the [N, d] table and the kernel's probabilities, eight N-vectors
+    and, if dense, three N x N matrices (P, then I - discount * P)."""
+    size, d = mdp.num_states, mdp.criterion.degree(mdp.n)
+    check_memory(f"{'dense' if dense else 'table'} solve at n={mdp.n}", entries=size * d,
+                 masks=d, words=size * (d + 8 + (3 * size if dense else 0)))
 
 
 @dataclass
@@ -52,7 +52,7 @@ def _backup(p, stay, r, nbr: np.ndarray, v: np.ndarray, discount: float) -> np.n
 
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
-    _check_memory(mdp, dense=True)
+    _check_solve(mdp, dense=True)
     nbr, gain, reached = mdp.move_gains()
     p, stay, r = _transitions(policy, gain, reached, t)
     P = np.zeros((mdp.num_states, mdp.num_states))
@@ -90,7 +90,9 @@ def evaluate_stationary(matrices: PolicyMatrices, discount: float) -> ValueVecto
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     P, r = matrices.P, matrices.r
-    v = np.linalg.solve(np.eye(len(r)) - discount * P, r)
+    a = np.eye(len(r))
+    a -= discount * P  # in place: three N x N arrays at most, P included
+    v = np.linalg.solve(a, r)
     residual = float(np.max(np.abs(v - (r + discount * (P @ v)))))
     return ValueVector(v=v, discount=discount, method="policy_eval", residual=residual)
 
@@ -107,7 +109,7 @@ def evaluate_stationary_table(policy: Policy, mdp: LocalSearchMdp,
         raise ValueError("the table sweep evaluates stationary policies only")
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
-    _check_memory(mdp)
+    _check_solve(mdp)
     nbr, gain, reached = mdp.move_gains()
     frozen = _transitions(policy, gain, reached, 0)
     v = np.zeros(mdp.num_states)
@@ -128,7 +130,7 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
     ch. 4): with the policy frozen at each t, v_t = r_t + discount * P_t v_{t+1}
     from v_horizon = 0 down to t = 0.  P_t v is read off the move-gain
     table, built once: sum(p * v[nbr]) + stay * v, with no N x N matrix."""
-    _check_memory(mdp)
+    _check_solve(mdp)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not 0.0 <= discount <= 1.0:
@@ -152,7 +154,7 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
     next_state[i] is the state the greedy action moves i to, i itself for
     stay; ties prefer stay, then the lowest-numbered neighbor.
     """
-    _check_memory(mdp)
+    _check_solve(mdp)
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:

@@ -16,21 +16,34 @@ from typing import Callable
 
 import numpy as np
 
-from .streams import Streams
+from .streams import SLAB, Streams
 
 MAX_BITS = 63  # states are stored as unsigned 64-bit integers
-MEMORY_BUDGET = 2 << 30  # bytes one exact solve, rollout run or NK table may take
+MEMORY_BUDGET = 2 << 30  # bytes any one priced path may take
+# The 8-byte words a unit costs at its path's peak, over tracemalloc peaks of
+# every path (Python 3.11, numpy 2.4): 4.0-5.1 a move-table entry (nbr, gain,
+# reached and the temporaries that build and read them), 6.0 a neighbor mask
+# (its cached Python int and array entry), 4.0-5.3 a slab entry's scratch.
+ENTRY_WORDS, MASK_WORDS, SCRATCH_WORDS = 5, 7, 7
 
 
 class ResourceLimitError(RuntimeError):
     """An analysis would exceed its stated size cap."""
 
 
-def check_budget(need: int, what: str) -> None:
-    """ResourceLimitError if `what` needs more than MEMORY_BUDGET bytes."""
+def check_memory(what: str, *, words: int = 0, entries: int = 0, masks: int = 0,
+                 draws: int = 0) -> int:
+    """The bytes `what` needs, ResourceLimitError if over MEMORY_BUDGET.
+    Every path calls it once, before it allocates, with its shapes: the plain
+    8-byte `words` it keeps, its move-table `entries`, the neighbor `masks` it
+    builds and its block of `draws` uniforms (a word each, and the scratch of
+    the largest slab that draws them)."""
+    need = 8 * (words + ENTRY_WORDS * entries + MASK_WORDS * masks + draws
+                + SCRATCH_WORDS * min(SLAB, draws))
     if need > MEMORY_BUDGET:
         raise ResourceLimitError(f"{what} needs {need / 2**30:.3g} GiB, over the "
-                                 f"{MEMORY_BUDGET >> 30} GiB budget")
+                                 f"{MEMORY_BUDGET / 2**30:.3g} GiB budget")
+    return need
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     _check_bits(n)
     if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
-    check_budget(8 * n << (k + 1), f"nk lookup tables at n={n}, k={k}")
+    check_memory(f"nk lookup tables at n={n}, k={k}", draws=n << (k + 1))
     tables = Streams(seed).random(n << (k + 1)).reshape(n, 1 << (k + 1))
 
     def fn(x: int) -> float:

@@ -26,7 +26,7 @@ class Move(NamedTuple):
     dst: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # the few (n, distance) shapes a process reuses
 def _hamming_masks(n: int, distance: int) -> tuple[int, ...]:
     return tuple(sum(1 << b for b in bits) for bits in combinations(range(n), distance))
 

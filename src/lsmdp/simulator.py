@@ -27,11 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import SWEEP_CHUNK, extended_ratio, improving
-from .objectives import check_budget
+from .objectives import check_memory
 from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
-from .streams import Streams, scratch_words, seed_state
+from .streams import Streams, seed_state
 
 _DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 _KINDS = ("exploration", "exploitation")  # a move's kind, indexed by `improving`
@@ -169,22 +169,18 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
     mdp.check_state(start_rule)
 
 
-def _check_run_memory(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool) -> None:
-    """ResourceLimitError unless a run fits the memory budget, counted in
-    8-byte words: its [rows, horizon + 1] running-best matrix, its three
-    [rows, horizon] per-step arrays when it keeps them, and 8 words of
-    stream state a row; and for a chunk of min(rows, SWEEP_CHUNK) rows, 8
-    words per entry of its [chunk, d] move tables and 7 per mask of a move
-    (tracemalloc measured 6-7.3 and 6 at d = 560-9,880), its block of
-    uniforms, [min(horizon, _DRAW_BLOCK), chunk], and the scratch of the
-    block's largest generation slab."""
-    d = mdp.criterion.degree(mdp.n)
-    chunk = min(rows, SWEEP_CHUNK)
-    block = min(horizon, _DRAW_BLOCK) * chunk
-    words = rows * (horizon + 1) + (3 * rows * horizon if keep_steps else 0) + 8 * rows
-    words += (8 * chunk + 7) * d + block + scratch_words(block)
-    check_budget(8 * words,
-                 f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}")
+def _check_run(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool,
+               kept: int) -> None:
+    """Price a run before its first mask or seed: [rows, horizon + 1]
+    running bests, `kept` words more, three [rows, horizon] per-step arrays
+    when kept, 8 words of stream state a row; for a chunk of min(rows,
+    SWEEP_CHUNK) rows, the step's move table and the last step's, the running
+    sums of the move probabilities, the masks and a block of uniforms."""
+    d, chunk = mdp.criterion.degree(mdp.n), min(rows, SWEEP_CHUNK)
+    steps = 3 * horizon if keep_steps else 0
+    check_memory(f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}",
+                 words=rows * (horizon + 1 + steps + 8) + kept + chunk * d,
+                 entries=2 * chunk * d, masks=d, draws=min(horizon, _DRAW_BLOCK) * chunk)
 
 
 def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
@@ -203,7 +199,8 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     if num_trajectories < 0:
         raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
     policies = list(policies)
-    _check_run_memory(mdp, len(policies) * num_trajectories, horizon, keep_steps)
+    _check_run(mdp, len(policies) * num_trajectories, horizon, keep_steps,
+               num_trajectories * (horizon + 1))  # a summary's sorted copy of one policy's bests
     indices = np.arange(num_trajectories, dtype=np.uint64)
     seeds = derive_seed(base_seed, indices, stream=0)
     if start_rule == "uniform":
@@ -363,7 +360,7 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     a given seed: a batch of one."""
     _check_horizon(horizon)
     mdp.check_state(start)
-    _check_run_memory(mdp, 1, horizon, True)
+    _check_run(mdp, 1, horizon, True, 60 * horizon)  # a step's record: about 60 words of objects
     return _lockstep([policy], mdp, [start], Streams(int(seed)), [int(seed)], horizon,
                      keep_steps=True)[0].records[0]
 

@@ -43,8 +43,7 @@ _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
 SLAB = 1 << 15  # entries of one generation slab, [steps, rows]: 256 KiB a scratch array
-SCRATCH = 7  # words of scratch a slab entry takes (tracemalloc measured 5.0-6.2)
-_BUFFER = 1 << 12  # floats `Uniforms` draws at a time
+_BUFFER = 1 << 8  # floats `Uniforms` draws at a time
 
 
 def _jumps(count: int) -> list[tuple[int, int]]:
@@ -58,12 +57,6 @@ def _jumps(count: int) -> list[tuple[int, int]]:
 
 
 _JUMPS = _jumps(SLAB.bit_length())  # enough for a slab of SLAB steps
-
-
-def scratch_words(entries: int) -> int:
-    """The 8-byte words of scratch that drawing a block of `entries` takes
-    while its largest slab is made."""
-    return SCRATCH * min(SLAB, entries)
 
 
 def _int_words(value: int) -> list[int]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,10 +258,11 @@ def test_metropolis_at_infinite_temperature_is_a_walk(tmp_path):
 
 def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, capsys,
                                                                     monkeypatch):
-    # 10 trajectories over 1,000 steps keep 80 kB of running bests, 6 kB of
-    # move tables, a 20 kB block of uniforms and 143 kB of scratch while it
-    # is drawn, and 240 kB more of per-step arrays with --emit-trajectories.
-    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 300_000)
+    # 10 trajectories over 1,000 steps keep 80 kB of running bests and 80 kB
+    # for the summary's sorted copy, 7 kB of move tables, a 20 kB block of
+    # uniforms and 143 kB of scratch while it is drawn, and 240 kB more of
+    # per-step arrays with --emit-trajectories.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 350_000)
     simulate = ["simulate", "--objective", "onemax:n=8", "--policy", "walk", "--seeds", "10",
                 "--horizon", "1000"]
     assert run_cli(simulate + ["--out", tmp_path / "fits"]) == 0
@@ -277,6 +279,24 @@ def test_rollout_arrays_over_the_memory_budget_fail_before_any_seed(tmp_path, ca
         assert run_cli(argv + ["--out", out]) == 3
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_rollout_summary_copy_over_the_memory_budget_fails_before_any_seed(tmp_path, capsys,
+                                                                           monkeypatch):
+    # 100 trajectories over 10,000 steps keep 8.0 MB of running bests, and
+    # the summary sorts a copy of them: 10 MB without the copy, 18 MB with it
+    # (tracemalloc saw the run and its summaries peak at 16.7 MB).
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 12_000_000)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a seed was derived for a run over the budget")
+
+    monkeypatch.setattr(simulator, "derive_seed", unreachable)
+    out = tmp_path / "over"
+    assert run_cli(["simulate", "--objective", "trap:n=40,k=4", "--policy", "sa:T0=5,rate=0.9999",
+                    "--seeds", "100", "--horizon", "10000", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rollout_draw_blocks_over_the_memory_budget_fail(tmp_path, capsys, monkeypatch):
@@ -299,7 +319,7 @@ def test_chunk_tables_over_the_memory_budget_fail(tmp_path, capsys, monkeypatch,
     out = tmp_path / "over"
     assert run_cli([command, "--objective", "onemax:n=10", "--neighborhood", "hamming:5",
                     "--policy", "walk", "--out", out]) == 3
-    assert "budget" in capsys.readouterr().err
+    assert "over the 0.000977 GiB budget" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -344,9 +364,9 @@ def test_rollout_move_tables_over_the_memory_budget_fail_before_any_mask(tmp_pat
 
 
 def test_nk_tables_over_the_memory_budget_fail_before_drawing(tmp_path, capsys, monkeypatch):
-    # nk n=12 holds 12 lookup tables of 2**(k+1) doubles: 98 kB at k = 9,
-    # 197 kB at k = 10.
-    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
+    # nk n=12 draws 12 lookup tables of 2**(k+1) doubles with the scratch
+    # that draws them: 786 kB at k = 9, 1.57 MB at k = 10.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
     simulate = ["simulate", "--policy", "walk", "--seeds", "1", "--horizon", "1"]
     assert run_cli(simulate + ["--objective", "nk:n=12,k=9,seed=1",
                                "--out", tmp_path / "fits"]) == 0
@@ -354,6 +374,25 @@ def test_nk_tables_over_the_memory_budget_fail_before_drawing(tmp_path, capsys, 
     out = tmp_path / "over"
     assert run_cli(simulate + ["--objective", "nk:n=12,k=10,seed=1", "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reachable_frontier_over_the_memory_budget_fails_before_its_table(tmp_path, capsys,
+                                                                           monkeypatch):
+    # The second frontier of onemax n=12 under hamming:4 is 495 states of 495
+    # moves: its neighbor table alone is 2 MB.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
+    out = tmp_path / "over"
+    tracemalloc.start()
+    try:
+        code = run_cli(["classify", "--objective", "onemax:n=12", "--neighborhood", "hamming:4",
+                        "--policy", "hc", "--reachable-from", "0", "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
+    assert peak < objectives.MEMORY_BUDGET
     assert not out.exists()
 
 

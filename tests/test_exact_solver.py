@@ -5,7 +5,7 @@ import pytest
 
 from lsmdp import cli
 from lsmdp.coefficients import classify
-from lsmdp.exact_solver import (_check_memory, enumerate_trajectories, evaluate_nonstationary,
+from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
 from lsmdp.objectives import Objective, make_onemax
@@ -139,12 +139,28 @@ class TestMemoryBudget:
         assert not out.exists()
 
     def test_budget_edges(self):
-        # The checks alone: table solves reach the exhaustive cap n = 20 under
-        # hamming:1, dense solves stop at n = 13.
-        _check_memory(LocalSearchMdp(make_onemax(20)))
-        _check_memory(LocalSearchMdp(make_onemax(13)), dense=True)
+        # The prices alone: table solves reach the exhaustive cap n = 20 under
+        # hamming:1, dense solves stop at n = 13.  A solve its price lets
+        # through reads its table next, which stops it here.
+        class Priced(Exception):
+            pass
+
+        def mdp(n):
+            def read_table():
+                raise Priced
+            space = LocalSearchMdp(make_onemax(n))
+            space.move_gains = read_table
+            return space
+
+        for solve in (lambda space: evaluate_stationary_table(RandomWalk(), space, 0.9),
+                      lambda space: evaluate_nonstationary(RandomWalk(), space, 10, 0.9),
+                      lambda space: value_iteration(space, 0.9)):
+            with pytest.raises(Priced):
+                solve(mdp(20))
+        with pytest.raises(Priced):
+            freeze(RandomWalk(), mdp(13))
         with pytest.raises(ResourceLimitError, match="dense"):
-            _check_memory(LocalSearchMdp(make_onemax(14)), dense=True)
+            freeze(RandomWalk(), mdp(14))
 
 
 class TestLandscape:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lsmdp import search_space
 from lsmdp.objectives import make_leading_ones, make_nk_landscape, make_onemax
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, parse_criterion
 
@@ -92,6 +93,14 @@ def test_symmetry_and_reward_antisymmetry(n, distance, data):
     for j in mdp.neighbors(i):
         assert i in mdp.neighbors(j)
         assert gain_of(mdp, i, j) == -gain_of(mdp, j, i)
+
+
+def test_the_masks_cache_is_bounded():
+    cache = search_space._hamming_masks
+    bound = cache.cache_info().maxsize
+    for n in range(1, bound + 3):  # more distinct (n, distance) shapes than the bound
+        HammingNeighborhood(1).masks(n)
+    assert cache.cache_info().currsize == bound
 
 
 def test_exhaustive_symmetry_up_to_twelve_bits():

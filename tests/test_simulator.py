@@ -301,7 +301,9 @@ class TestOnlineReduction:
         policies = [parse_policy(p) for p in policies]
         simulator.simulate_batches(policies, mdp, "uniform", 3, 2, 0)  # masks cached
         counted = []
-        monkeypatch.setattr(simulator, "check_budget", lambda need, what: counted.append(need))
+        monkeypatch.setattr(simulator, "check_memory",
+                            lambda what, **shapes: counted.append(objectives.check_memory(
+                                what, **shapes)))
         tracemalloc.start()
         try:
             simulator.simulate_batches(policies, mdp, "uniform", horizon, seeds, 0, keep)
