@@ -214,20 +214,23 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
 
 
 def _reachable_states(mdp: LocalSearchMdp, start: int) -> list[int]:
-    """Breadth-first closure of `start` under the neighborhood, one priced
-    neighbor table per frontier, refused before it passes the exhaustive cap."""
-    seen = frontier = np.array([mdp.check_state(start)], dtype=np.int64)
-    d = mdp.criterion.degree(mdp.n)
-    while frontier.size:
-        # The frontier's neighbor table and the sorted copies that merge it into `seen`.
-        check_memory(f"neighbor table of {frontier.size} states of {d} moves", masks=d,
-                     words=3 * (frontier.size * d + seen.size))
-        fresh = np.setdiff1d(mdp.criterion.neighbor_array(frontier, mdp.n), seen)
-        if seen.size + fresh.size > 1 << EXHAUSTIVE_CAP:
-            raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
-                                     f"2**{EXHAUSTIVE_CAP}")
-        seen, frontier = np.union1d(seen, fresh), fresh
-    return seen.tolist()
+    """The states that flips of exactly k of n bits reach from `start`, in
+    ascending order: `start` and its complement if k = n, else every state of
+    odd k, or of `start`'s popcount parity for even k (two k-flips that differ
+    in one bit make any 2-bit flip).  Refused and priced before any is built."""
+    start, k = mdp.check_state(start), mdp.criterion.distance
+    if k >= mdp.n:  # the one move, to the complement, or none
+        return sorted({start, start ^ (mdp.num_states - 1) if k == mdp.n else start})
+    count = mdp.num_states >> (1 - k % 2)
+    if count > 1 << EXHAUSTIVE_CAP:
+        raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
+                                 f"2**{EXHAUSTIVE_CAP}")
+    # 6 words a state: the int64 states and their list, a pointer and a 32-byte int each.
+    check_memory(f"the {count} states reachable from {start}", words=6 * count)
+    states = np.arange(count)
+    if k % 2 == 0:  # state 2i + b, b the bit that gives it start's popcount parity
+        states = states << 1 | (np.bitwise_count(states) & 1 ^ start.bit_count() & 1)
+    return states.tolist()
 
 
 def cmd_classify(resolved, formats) -> int:
@@ -341,7 +344,7 @@ def _policy_table(descriptors, blocks) -> Table:
     return Table(columns)
 
 
-def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit):
+def _write_sim_outputs(outdir, formats, named_runs, emit):
     """named_runs: list of (descriptor, rollouts, summary)."""
     descriptors = [descriptor for descriptor, _, _ in named_runs]
     if "csv" in formats:
@@ -350,12 +353,12 @@ def _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
         atomic_write(outdir / "summary.csv", csv_fragments(header, summary_rows))
         best, explore, seeds = [], [], []
         for _, batch, summary in named_runs:
-            means, quartiles = best_so_far_curve(batch, horizon)
+            means, quartiles = best_so_far_curve(batch)
             best.append(dict(t=range(len(means)), mean=means, p25=quartiles.get("p25", ()),
                              p50=quartiles.get("p50", ()), p75=quartiles.get("p75", ())))
-            ends = np.arange(1, len(summary.exploration_fraction) + 1) * bucket_width
-            explore.append(dict(bucket=range(ends.size), t_lo=ends - bucket_width,
-                                t_hi=np.minimum(ends, horizon) - 1,
+            ends = np.arange(1, len(summary.exploration_fraction) + 1) * summary.bucket_width
+            explore.append(dict(bucket=range(ends.size), t_lo=ends - summary.bucket_width,
+                                t_hi=np.minimum(ends, summary.horizon) - 1,
                                 exploration_fraction=summary.exploration_fraction,
                                 exploration_ratio=summary.exploration_ratio))
             # Seeds are 64-bit unsigned: a column of them must not fall back to float.
@@ -393,11 +396,11 @@ def cmd_rollouts(resolved, formats) -> int:
     emit = resolved["emit_trajectories"] == "true"
     batches = simulate_batches(policies, mdp, start_rule, horizon, seeds, base_seed,
                                keep_steps=emit)
-    named_runs = [(descriptor, batch, summarize_records(batch, horizon, bucket_width,
+    named_runs = [(descriptor, batch, summarize_records(batch, bucket_width,
                                                          mdp.objective.known_optimum))
                   for descriptor, batch in zip(descriptors, batches)]
     outdir = _outdir(resolved)
-    _write_sim_outputs(outdir, formats, named_runs, horizon, bucket_width, emit)
+    _write_sim_outputs(outdir, formats, named_runs, emit)
     _write_manifest(outdir, "simulate" if single else "compare", resolved)
     for descriptor, _, summary in named_runs:
         print(f"{'' if single else descriptor + ': '}hit_rate={summary.hit_rate!r} "

@@ -31,9 +31,8 @@ from .objectives import check_memory
 from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
-from .streams import Streams, seed_state
+from .streams import DRAW_BLOCK, Streams, seed_state
 
-_DRAW_BLOCK = 256  # uniforms pre-drawn per trajectory at a time
 _KINDS = ("exploration", "exploitation")  # a move's kind, indexed by `improving`
 
 
@@ -180,7 +179,7 @@ def _check_run(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool,
     steps = 3 * horizon if keep_steps else 0
     check_memory(f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}",
                  words=rows * (horizon + 1 + steps + 8) + kept + chunk * d,
-                 entries=2 * chunk * d, masks=d, draws=min(horizon, _DRAW_BLOCK) * chunk)
+                 entries=2 * chunk * d, masks=d, draws=min(horizon, DRAW_BLOCK) * chunk)
 
 
 def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
@@ -329,13 +328,13 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
                 spans = _policy_spans(run.policies, group)
                 stoppers = _stoppers(spans)
         # A row's i-th uniform drives its i-th step, whatever the block.
-        if t % _DRAW_BLOCK == 0:
-            width = min(_DRAW_BLOCK, horizon - t)
+        if t % DRAW_BLOCK == 0:
+            width = min(DRAW_BLOCK, horizon - t)
             draws = streams.random(width, rows - lo)
         cum = np.empty(gain.shape)
         for _, policy, a, b in spans:
             policy.move_probabilities(gain[a:b], t, reached[a:b]).cumsum(axis=1, out=cum[a:b])
-        flat, moved = choose(cum, draws[t % _DRAW_BLOCK], base)
+        flat, moved = choose(cum, draws[t % DRAW_BLOCK], base)
         taken = np.where(moved, gain.take(flat), 0.0)
         up = improving(taken)  # a stay takes gain 0, so it is never improving
         for g, _, a, b in spans:
@@ -372,27 +371,25 @@ def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: i
                           keep_steps=True).records
 
 
-def _bucket_counts(batch: Rollouts, bucket_width: int,
-                   horizon: int) -> tuple[list[int], list[int]]:
+def _bucket_counts(batch: Rollouts, bucket_width: int) -> tuple[list[int], list[int]]:
     _check_bucket_width(bucket_width)
-    starts = np.arange(0, horizon, bucket_width)
+    starts = np.arange(0, batch.horizon, bucket_width)
     if not starts.size:
         return [], []
     return (np.add.reduceat(batch.explore, starts).tolist(),
             np.add.reduceat(batch.exploit, starts).tolist())
 
 
-def exploration_ratio_by_bucket(batch: Rollouts, bucket_width: int, horizon: int) -> list[float]:
+def exploration_ratio_by_bucket(batch: Rollouts, bucket_width: int) -> list[float]:
     """Per-bucket (#exploration moves / #exploitation moves), extended-real;
     stays excluded."""
-    return extended_ratio(*_bucket_counts(batch, bucket_width, horizon)).tolist()
+    return extended_ratio(*_bucket_counts(batch, bucket_width)).tolist()
 
 
-def exploration_fraction_by_bucket(batch: Rollouts, bucket_width: int,
-                                   horizon: int) -> list[float | None]:
+def exploration_fraction_by_bucket(batch: Rollouts, bucket_width: int) -> list[float | None]:
     """Per-bucket fraction of moves that are exploration; None when the bucket
     contains no moves at all."""
-    explore, exploit = _bucket_counts(batch, bucket_width, horizon)
+    explore, exploit = _bucket_counts(batch, bucket_width)
     return [e / (e + x) if e + x > 0 else None for e, x in zip(explore, exploit)]
 
 
@@ -420,7 +417,7 @@ def _quantiles(ordered: np.ndarray, qs) -> dict[str, np.ndarray]:
     return out
 
 
-def best_so_far_curve(batch: Rollouts, horizon: int):
+def best_so_far_curve(batch: Rollouts):
     """Across-trajectory mean and quartiles (arrays) of the running best at
     each t; early-terminated trajectories hold their final best."""
     if not len(batch):
@@ -456,28 +453,27 @@ class RunSummary:
                 q.get("p0"), q.get("p25"), q.get("p50"), q.get("p75"), q.get("p100"))
 
 
-def summarize_records(batch: Rollouts, horizon: int, bucket_width: int = 1,
+def summarize_records(batch: Rollouts, bucket_width: int = 1,
                       known_optimum: float | None = None) -> RunSummary:
-    """Aggregate a batch (order-independent)."""
+    """Aggregate a batch (order-independent) over its horizon."""
     _check_bucket_width(bucket_width)
     count = len(batch)
     if count == 0:
-        return RunSummary(0, horizon, bucket_width, None, None, None, [], [])
+        return RunSummary(0, batch.horizon, bucket_width, None, None, None, [], [])
     finals = np.sort(batch.best[:, -1])
     quantiles = {key: float(value)
                  for key, value in _quantiles(finals, (0.0, 0.25, 0.5, 0.75, 1.0)).items()}
-    hit_rate = None
-    if known_optimum is not None:
-        hit_rate = int(np.count_nonzero(finals >= known_optimum)) / count
+    hit_rate = (None if known_optimum is None
+                else int(np.count_nonzero(finals >= known_optimum)) / count)
     return RunSummary(
         num_trajectories=count,
-        horizon=horizon,
+        horizon=batch.horizon,
         bucket_width=bucket_width,
         hit_rate=hit_rate,
         best_final_mean=float(np.mean(finals)),
         best_final_quantiles=quantiles,
-        exploration_fraction=exploration_fraction_by_bucket(batch, bucket_width, horizon),
-        exploration_ratio=exploration_ratio_by_bucket(batch, bucket_width, horizon),
+        exploration_fraction=exploration_fraction_by_bucket(batch, bucket_width),
+        exploration_ratio=exploration_ratio_by_bucket(batch, bucket_width),
     )
 
 
@@ -486,4 +482,4 @@ def run_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
     """simulate_batch + summarize_records in one call."""
     check_rollout(mdp, start_rule, horizon, bucket_width)
     batch = simulate_batch(policy, mdp, start_rule, horizon, num_trajectories, base_seed)
-    return summarize_records(batch, horizon, bucket_width, mdp.objective.known_optimum)
+    return summarize_records(batch, bucket_width, mdp.objective.known_optimum)

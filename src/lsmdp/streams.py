@@ -43,7 +43,7 @@ _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
 SLAB = 1 << 15  # entries of one generation slab, [steps, rows]: 256 KiB a scratch array
-_BUFFER = 1 << 8  # floats `Uniforms` draws at a time
+DRAW_BLOCK = 1 << 8  # uniforms a stream draws at a time, for `Uniforms` and a rollout's row
 
 
 def _jumps(count: int) -> list[tuple[int, int]]:
@@ -232,7 +232,7 @@ class Streams:
 
 class Uniforms:
     """`np.random.default_rng(seed).random()`, one float a call, drawn
-    `_BUFFER` at a time from one stream."""
+    `DRAW_BLOCK` at a time from one stream."""
 
     def __init__(self, seed: int):
         self._stream = Streams(seed)
@@ -241,5 +241,5 @@ class Uniforms:
     def random(self) -> float:
         for value in self._buffer:
             return value
-        self._buffer = iter(self._stream.random(_BUFFER)[:, 0].tolist())
+        self._buffer = iter(self._stream.random(DRAW_BLOCK)[:, 0].tolist())
         return next(self._buffer)

@@ -9,10 +9,11 @@ forward through products of the frozen matrices, optimal values are swept
 state by state and move by move, and rollouts advance one trajectory and
 one step at a time, one `rng.random()` call per step, and are reduced to
 a `Rollouts` batch from their per-step records; `choose_moves` is the
-row-wise running-sum scan the engine's flat-index chooser must equal.  It
-shares no arithmetic with the library.  The balance series of the first H
-terms is decided by a heuristic judge, an independent check on the
-library's certificates.
+row-wise running-sum scan the engine's flat-index chooser must equal, and
+`reachable_states` the breadth-first closure the CLI's closed-form
+reachable set must equal.  It shares no arithmetic with the library.  The
+balance series of the first H terms is decided by a heuristic judge, an
+independent check on the library's certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -341,6 +343,18 @@ def choose_moves(probabilities, draws):
     running-sum scan over the moves, row by row."""
     hit = draws[:, None] < np.cumsum(probabilities, axis=-1)
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+
+
+def reachable_states(n, distance, start):
+    """The states that flips of exactly `distance` of n bits reach from
+    `start`, ascending: a breadth-first closure, one frontier at a time."""
+    masks = [sum(1 << bit for bit in bits)
+             for bits in itertools.combinations(range(n), distance)]
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {state ^ mask for state in frontier for mask in masks} - seen
+        seen |= frontier
+    return sorted(seen)
 
 
 def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_seed):

@@ -377,10 +377,10 @@ def test_nk_tables_over_the_memory_budget_fail_before_drawing(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_reachable_frontier_over_the_memory_budget_fails_before_its_table(tmp_path, capsys,
-                                                                           monkeypatch):
-    # The second frontier of onemax n=12 under hamming:4 is 495 states of 495
-    # moves: its neighbor table alone is 2 MB.
+def test_reachable_sweep_over_the_memory_budget_fails_before_its_table(tmp_path, capsys,
+                                                                        monkeypatch):
+    # onemax n=12 under hamming:4 reaches the 2,048 states of even popcount,
+    # each of 495 moves: one array of their move table alone is 8 MB.
     monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
     out = tmp_path / "over"
     tracemalloc.start()
@@ -419,7 +419,7 @@ def _reference_rollout_files(objective, descriptors, horizon, seeds, bucket_widt
     for descriptor in descriptors:
         batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", horizon, seeds, 0,
                                keep_steps=emit)
-        named.append((descriptor, batch, summarize_records(batch, horizon, bucket_width,
+        named.append((descriptor, batch, summarize_records(batch, bucket_width,
                                                            mdp.objective.known_optimum)))
     files = {}
     if "csv" in formats:
@@ -428,7 +428,7 @@ def _reference_rollout_files(objective, descriptors, horizon, seeds, bucket_widt
             [(descriptor,) + summary.csv_row() for descriptor, _, summary in named])
         best, explore, seed_rows = [], [], []
         for descriptor, batch, summary in named:
-            means, quartiles = best_so_far_curve(batch, horizon)
+            means, quartiles = best_so_far_curve(batch)
             best += [(descriptor, t, mean, quartiles["p25"][t], quartiles["p50"][t],
                       quartiles["p75"][t]) for t, mean in enumerate(means)]
             explore += [(descriptor, b, b * bucket_width, min(horizon, (b + 1) * bucket_width) - 1,
@@ -817,6 +817,24 @@ def test_rollout_commands_leave_numpy_ma_unloaded(tmp_path):
     if words[2] == "True":
         pytest.skip("this numpy loads numpy.ma on import")
     assert words == ["0", "0", "False", "False"]
+
+
+def test_reachable_sweep_leaves_numpy_ma_unloaded(tmp_path):
+    # The reachable set is built in closed form: no np.setdiff1d or
+    # np.union1d, whose bare np.unique would import numpy.ma.
+    src = str(Path(lsmdp.__file__).resolve().parent.parent)
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; "
+            "from lsmdp.cli import main; "
+            f"codes = [main(['classify', '--objective', 'onemax:n=8', '--neighborhood', "
+            f"'hamming:' + str(k), '--policy', 'hc', '--reachable-from', '5', "
+            f"'--out', {str(tmp_path)!r} + '/' + str(k)]) for k in (1, 2, 8)]; "
+            "print(*codes, before, 'numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    words = result.stdout.split()[-5:]
+    if words[3] == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert words == ["0", "0", "0", "False", "False"]
 
 
 def test_no_command_loads_numpy_random(tmp_path):

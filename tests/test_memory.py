@@ -35,8 +35,8 @@ def rollouts(descriptor, distance, policies, seeds, horizon, keep=False):
     def run():
         for batch in simulator.simulate_batches(policies, space, "uniform", horizon, seeds, 0,
                                                 keep):
-            simulator.summarize_records(batch, horizon, 1, space.objective.known_optimum)
-            simulator.best_so_far_curve(batch, horizon)
+            simulator.summarize_records(batch, 1, space.objective.known_optimum)
+            simulator.best_so_far_curve(batch)
     return run
 
 
@@ -83,8 +83,8 @@ PATHS = {
     "nk tables n=12 k=9": lambda tmp: lambda: make_nk_landscape(12, 9, 1),
     "nk tables n=14 k=12": lambda tmp: lambda: make_nk_landscape(14, 12, 1),
     "reachable onemax:n=14": lambda tmp: lambda: cli._reachable_states(mdp("onemax:n=14"), 0),
-    "reachable onemax:n=12 hamming:2": lambda tmp: lambda: cli._reachable_states(
-        mdp("onemax:n=12", 2), 0),
+    "reachable onemax:n=13 hamming:2": lambda tmp: lambda: cli._reachable_states(
+        mdp("onemax:n=13", 2), 0),
 }
 
 

@@ -1,7 +1,7 @@
 """The array-backed paths against the scalar reference in reference.py.
 
 Objectives, neighborhoods and policies are drawn by hypothesis over n <= 7
-(n <= 8 for rollouts).  Counts (alpha, beta, gamma) and verdicts must agree
+(n <= 8 for rollouts, n <= 10 for reachable sets).  Counts (alpha, beta, gamma) and verdicts must agree
 exactly (a certified series also decides where the heuristic judge is
 inconclusive); sums may differ in the last bits because numpy and `math.fsum` add
 in different orders, so they get tolerances fixed here: partial sums 1e-12
@@ -24,6 +24,7 @@ from scipy.special import exp1
 
 import reference
 from lsmdp import coefficients, simulator
+from lsmdp.cli import _reachable_states
 from lsmdp.cli import main as cli_main
 from lsmdp.coefficients import (CONVERGED, DIVERGING, INCONCLUSIVE, BalanceSeries,
                                 balance_series, classify, exploration_ratio)
@@ -37,6 +38,7 @@ from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
 from lsmdp.serialize import csv_text, dumps_json
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
                              simulate_batches)
+from lsmdp.streams import DRAW_BLOCK
 
 POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
             "sa:T0=2,rate=0.5", "sa:T0=10,rate=0.9", "sa:T0=10,rate=0.99"]
@@ -524,8 +526,7 @@ def test_lockstep_rollouts_equal_scalar_loop(mdp, descriptor, horizon, count, ba
 
 
 # Horizons at and past the block of uniforms drawn per trajectory at a time.
-BLOCK_HORIZONS = [simulator._DRAW_BLOCK - 1, simulator._DRAW_BLOCK, simulator._DRAW_BLOCK + 1,
-                  2 * simulator._DRAW_BLOCK + 8]
+BLOCK_HORIZONS = [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 8]
 
 
 @settings(max_examples=12, deadline=None)
@@ -670,3 +671,12 @@ def test_engine_choice_equals_choose_moves(rows):
     flat, moved = choose(np.cumsum(probabilities, axis=1), draws, base)
     assert np.array_equal(np.where(moved, flat - base, -1),
                           reference.choose_moves(probabilities, draws))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(0, 2**n - 1))))
+def test_reachable_states_equal_the_breadth_first_closure(case):
+    n, distance, start = case
+    mdp = LocalSearchMdp(make_onemax(n), HammingNeighborhood(distance))
+    assert _reachable_states(mdp, start) == reference.reachable_states(n, distance, start)

@@ -93,11 +93,11 @@ class TestSeedDerivation:
 class TestBatches:
     def test_summary_invariant_to_record_order(self, onemax5):
         records = generate_records(RandomWalk(), onemax5, "uniform", 40, 30, base_seed=9)
-        base = summarize_records(reference.rollouts_from_records(records, 40), 40, 5,
+        base = summarize_records(reference.rollouts_from_records(records, 40), 5,
                                  onemax5.objective.known_optimum)
         shuffled = list(records)
         random.Random(0).shuffle(shuffled)
-        assert summarize_records(reference.rollouts_from_records(shuffled, 40), 40, 5,
+        assert summarize_records(reference.rollouts_from_records(shuffled, 40), 5,
                                  onemax5.objective.known_optimum) == base
 
     def test_hill_climbing_from_uniform_starts_always_hits(self):
@@ -144,19 +144,19 @@ class TestBatches:
 class TestBuckets:
     def test_hill_climbing_ratios_all_zero(self, onemax5):
         batch = simulate_batch(HillClimbing(), onemax5, "uniform", 20, 20, base_seed=2)
-        assert all(r == 0.0 for r in exploration_ratio_by_bucket(batch, 5, 20))
+        assert all(r == 0.0 for r in exploration_ratio_by_bucket(batch, 5))
 
     def test_plateau_walk_is_all_exploration(self):
         flat = LocalSearchMdp(Objective(4, lambda x: 0.0, "flat", None))
         batch = simulate_batch(RandomWalk(), flat, 0, 20, 5, base_seed=0)
-        assert all(r == math.inf for r in exploration_ratio_by_bucket(batch, 5, 20))
-        assert all(f == 1.0 for f in exploration_fraction_by_bucket(batch, 5, 20))
+        assert all(r == math.inf for r in exploration_ratio_by_bucket(batch, 5))
+        assert all(f == 1.0 for f in exploration_fraction_by_bucket(batch, 5))
 
     def test_empty_bucket_conventions(self, onemax5):
         batch = simulate_batch(HillClimbing(), onemax5, 0, 40, 3, base_seed=0)
         # absorbed after <= 5 steps: later buckets hold no moves at all
-        ratios = exploration_ratio_by_bucket(batch, 10, 40)
-        fractions = exploration_fraction_by_bucket(batch, 10, 40)
+        ratios = exploration_ratio_by_bucket(batch, 10)
+        fractions = exploration_fraction_by_bucket(batch, 10)
         assert ratios[-1] == 0.0
         assert fractions[-1] is None
 
@@ -168,7 +168,7 @@ class TestBuckets:
         per_seed = []
         for seed in range(100):
             batch = simulate_batch(sa, mdp, "uniform", 60, 1, base_seed=seed)
-            per_seed.append(exploration_ratio_by_bucket(batch, 10, 60))
+            per_seed.append(exploration_ratio_by_bucket(batch, 10))
         medians = [float(np.median([row[b] for row in per_seed])) for b in range(6)]
         for a, b in zip(medians[1:], medians[2:]):
             assert b <= a + 1e-12
@@ -181,16 +181,24 @@ class TestBuckets:
         first, last = [], []
         for seed in range(100):
             batch = simulate_batch(sa, mdp, "uniform", 100, 1, base_seed=seed)
-            fractions = exploration_fraction_by_bucket(batch, 20, 100)
+            fractions = exploration_fraction_by_bucket(batch, 20)
             first.append(fractions[0] if fractions[0] is not None else 0.0)
             last.append(fractions[-1] if fractions[-1] is not None else 0.0)
         assert float(np.median(first)) > float(np.median(last))
+
+    def test_summary_reads_the_batch_horizon(self, onemax5):
+        # The summaries take no horizon: a 10-step batch at width 2 has 5 buckets.
+        batch = simulate_batch(RandomWalk(), onemax5, 0, 10, 3, base_seed=0)
+        summary = summarize_records(batch, bucket_width=2)
+        assert summary.horizon == 10
+        assert len(summary.exploration_fraction) == len(summary.exploration_ratio) == 5
+        assert len(best_so_far_curve(batch)[0]) == 11
 
 
 class TestCurves:
     def test_padding_and_shape(self, onemax5):
         batch = simulate_batch(HillClimbing(), onemax5, "uniform", 15, 10, base_seed=3)
-        means, quartiles = best_so_far_curve(batch, 15)
+        means, quartiles = best_so_far_curve(batch)
         assert len(means) == 16
         assert set(quartiles) == {"p25", "p50", "p75"}
         assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
@@ -265,7 +273,7 @@ class TestOnlineReduction:
             simulate_batch(RandomWalk(), onemax5, args["start_rule"], args["horizon"], 0,
                            base_seed=0)
         with pytest.raises(ValueError):
-            summarize_records(simulate_batch(RandomWalk(), onemax5, 0, 10, 0, base_seed=0), 10,
+            summarize_records(simulate_batch(RandomWalk(), onemax5, 0, 10, 0, base_seed=0),
                               bucket_width=0)
 
     @pytest.mark.parametrize("descriptor", ["sa:T0=1,rate=0.99", "walk", "metropolis:T=1", "hc",

@@ -99,7 +99,7 @@ def test_one_stream_of_any_seed_is_numpy_default_rng(seed, width):
 def test_uniforms_are_numpy_scalar_draws_across_buffers():
     numpy_rng = np.random.default_rng(2**70 + 9)
     uniforms = Uniforms(2**70 + 9)
-    for _ in range(3 * streams._BUFFER + 5):
+    for _ in range(3 * streams.DRAW_BLOCK + 5):
         value = uniforms.random()
         assert type(value) is float and value == numpy_rng.random()
 
