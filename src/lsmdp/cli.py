@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/config error, 2 inconclusive analysis,
 from __future__ import annotations
 
 import argparse
+import atexit
 import configparser
 import io
 import os
@@ -213,24 +214,26 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
     atomic_write_text(outdir / "manifest.ini", buf.getvalue())
 
 
-def _reachable_states(mdp: LocalSearchMdp, start: int) -> list[int]:
+def _reachable_states(mdp: LocalSearchMdp, start: int) -> np.ndarray:
     """The states that flips of exactly k of n bits reach from `start`, in
     ascending order: `start` and its complement if k = n, else every state of
     odd k, or of `start`'s popcount parity for even k (two k-flips that differ
     in one bit make any 2-bit flip).  Refused and priced before any is built."""
     start, k = mdp.check_state(start), mdp.criterion.distance
     if k >= mdp.n:  # the one move, to the complement, or none
-        return sorted({start, start ^ (mdp.num_states - 1) if k == mdp.n else start})
+        return np.array(sorted({start, start ^ (mdp.num_states - 1) if k == mdp.n else start}))
     count = mdp.num_states >> (1 - k % 2)
     if count > 1 << EXHAUSTIVE_CAP:
         raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
                                  f"2**{EXHAUSTIVE_CAP}")
-    # 6 words a state: the int64 states and their list, a pointer and a 32-byte int each.
-    check_memory(f"the {count} states reachable from {start}", words=6 * count)
+    # Words a state: the states, even k's parity bits (17 bytes at the peak) and 1 of slack.
+    check_memory(f"the {count} states reachable from {start}", words=(3 - k % 2) * count)
     states = np.arange(count)
     if k % 2 == 0:  # state 2i + b, b the bit that gives it start's popcount parity
-        states = states << 1 | (np.bitwise_count(states) & 1 ^ start.bit_count() & 1)
-    return states.tolist()
+        parity = (np.bitwise_count(states) & 1 ^ start.bit_count() & 1).astype(np.int64)
+        states <<= 1
+        states |= parity
+    return states
 
 
 def cmd_classify(resolved, formats) -> int:
@@ -426,5 +429,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The console entry: `main`, the exit handlers, a flush of stdout and
+    stderr, and `os._exit` with main's code, skipping interpreter teardown.
+    A flush that fails ends the run through `sys.exit`, as before."""
+    code = main()
+    atexit._run_exitfuncs()  # the interpreter's order: handlers, then the flush
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None when its fd is closed
+            stream.flush()
+    except (OSError, ValueError):  # a full device, or a stream closed by the command
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -357,6 +357,16 @@ class CoefficientReport:
         }
 
 
+def _sample(mdp: LocalSearchMdp, states: Iterable[int]) -> np.ndarray:
+    """`states` as int64, each once in order of first occurrence: one pass for
+    an int array in range, else `mdp.check_state` state by state (its error)."""
+    if not (isinstance(states, np.ndarray) and states.ndim == 1 and states.dtype.kind in "iu"
+            and states.size and states.min() >= 0 and states.max() < mdp.num_states):
+        states = np.array([mdp.check_state(state) for state in states], dtype=np.int64)
+    first = np.unique(states, return_index=True)[1]  # not bare: that imports numpy.ma
+    return states[np.sort(first)].astype(np.int64, copy=False)
+
+
 def classify(policy: Policy, mdp: LocalSearchMdp,
              horizon: int = DEFAULT_HORIZON,
              states: Iterable[int] | None = None) -> CoefficientReport:
@@ -384,11 +394,12 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     """
     _check_series(horizon)
     if states is None:
-        f, state_list = mdp.landscape, list(range(mdp.num_states))
+        f, swept = mdp.landscape, np.arange(mdp.num_states)
     else:
-        f, state_list = None, list(dict.fromkeys(mdp.check_state(i) for i in states))
-        if len(state_list) == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
+        f, swept = None, _sample(mdp, states)
+        if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
             f = mdp.landscape  # a sample of every state is gathered as the full sweep is
+    state_list = swept.tolist()
     if not state_list:
         raise ValueError("empty state sample")
     rows, d = min(len(state_list), SWEEP_CHUNK), mdp.criterion.degree(mdp.n)
@@ -402,7 +413,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
                  words=rows * d * (4 if certified else 1) + (16 if certified else 8) * len(state_list))
     ups, series_ids, chunks = [], [], []
     for lo in range(0, len(state_list), SWEEP_CHUNK):
-        gain, reached = mdp.move_gains(state_list[lo:lo + SWEEP_CHUNK], f)[1:]
+        gain, reached = mdp.move_gains(swept[lo:lo + SWEEP_CHUNK], f)[1:]
         inverse, columns = _chunk_series(policy, gain, reached, horizon)
         ups.append(improving_counts(gain))
         series_ids.append(inverse + sum(len(c["rule"]) for c in chunks))
@@ -410,7 +421,6 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         del gain, reached  # before the next chunk's table is built
     series_id = np.concatenate(series_ids)
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    swept = np.array(state_list)
     verdicts = columns["verdict"][series_id]
     degenerate = swept[verdicts == DEGENERATE].tolist()
     inconclusive = swept[verdicts == INCONCLUSIVE].tolist()

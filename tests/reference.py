@@ -11,9 +11,11 @@ one step at a time, one `rng.random()` call per step, and are reduced to
 a `Rollouts` batch from their per-step records; `choose_moves` is the
 row-wise running-sum scan the engine's flat-index chooser must equal, and
 `reachable_states` the breadth-first closure the CLI's closed-form
-reachable set must equal.  It shares no arithmetic with the library.  The
-balance series of the first H terms is decided by a heuristic judge, an
-independent check on the library's certificates.
+reachable set must equal, and `sample_states` the state-by-state check of
+a `classify` sample that its one array pass must equal.  It shares no
+arithmetic with the library.  The balance series of the first H terms is
+decided by a heuristic judge, an independent check on the library's
+certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -355,6 +357,12 @@ def reachable_states(n, distance, start):
         frontier = {state ^ mask for state in frontier for mask in masks} - seen
         seen |= frontier
     return sorted(seen)
+
+
+def sample_states(mdp, states):
+    """The states of a `classify` sample: each checked by `check_state`, in
+    order of first occurrence, a repeated state once."""
+    return list(dict.fromkeys(mdp.check_state(i) for i in states))
 
 
 def generate_records(policy, mdp, start_rule, horizon, num_trajectories, base_seed):

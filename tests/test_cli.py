@@ -1,8 +1,11 @@
+import atexit
 import configparser
 import csv
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -896,6 +899,104 @@ def test_subnormal_temperatures_warn_nothing(tmp_path, args):
                              "--objective", "onemax:n=3", "--out", str(tmp_path / "o")],
                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def entry_env(**extra):
+    # stdout block-buffered, as a pipe or file is without PYTHONUNBUFFERED:
+    # what `run` must flush before it ends the process.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(lsmdp.__file__).resolve().parent.parent), **extra}
+
+
+# `python -m lsmdp.cli` under runpy, as -m runs it, with annealing's certificate
+# removed: the one way a command ends inconclusive.
+UNCERTIFIED = ("import runpy; from lsmdp.policies import Policy, SimulatedAnnealing; "
+               "SimulatedAnnealing.balance_certificate = Policy.balance_certificate; "
+               "runpy.run_module('lsmdp.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("code, args", [
+    (0, ["classify", "--objective", "onemax:n=6", "--policy", "sa:T0=10,rate=0.9"]),
+    (1, ["classify", "--objective", "onemax:n=6", "--policy", "bogus"]),
+    (2, ["classify", "--objective", "onemax:n=4", "--policy", "sa:T0=10,rate=0.99"]),
+    (3, ["classify", "--objective", "onemax:n=21", "--policy", "hc"]),
+])
+def test_module_entry_matches_main_in_process(tmp_path, capsys, monkeypatch, code, args):
+    out = tmp_path / "out"
+    argv = [*args, "--out", str(out)]
+    entry = ["-c", UNCERTIFIED] if code == 2 else ["-m", "lsmdp.cli"]
+    child = subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True,
+                           env=entry_env())
+    written = snapshot(out) if out.exists() else None
+    shutil.rmtree(out, ignore_errors=True)
+    if code == 2:
+        monkeypatch.setattr(SimulatedAnnealing, "balance_certificate",
+                            Policy.balance_certificate)
+    assert main(argv) == child.returncode == code
+    captured = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert written == (snapshot(out) if out.exists() else None)
+    assert (written is None) == (code in (1, 3))
+
+
+@pytest.mark.parametrize("code, objective", [(0, "onemax:n=6"), (3, "onemax:n=21")])
+def test_run_keeps_exit_handlers_and_the_code(tmp_path, code, objective):
+    program = ("import atexit; from lsmdp import cli; "
+               "atexit.register(print, 'exit handler ran'); cli.run()")
+    result = subprocess.run([sys.executable, "-c", program, "classify", "--objective", objective,
+                             "--policy", "hc", "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=entry_env())
+    printed = "exploitation-oriented\n" if code == 0 else ""
+    assert (result.returncode, result.stdout) == (code, printed + "exit handler ran\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_failed_stdout_ends_as_sys_exit_did(tmp_path, unbuffered):
+    # A flush that fails leaves the ending to sys.exit: unbuffered, the print
+    # itself fails inside `main` (exit 1); buffered, the interpreter's own
+    # flush fails at teardown.
+    args = ["classify", "--objective", "onemax:n=4", "--policy", "hc", "--out", str(tmp_path)]
+    endings = {}
+    for name, entry in (("run", ["-m", "lsmdp.cli"]),
+                        ("sys.exit", ["-c", "import sys; from lsmdp.cli import main; "
+                                            "sys.exit(main())"])):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, *entry, *args], stdout=full,
+                                    stderr=subprocess.PIPE, text=True,
+                                    env=entry_env(PYTHONUNBUFFERED=unbuffered))
+        endings[name] = (result.returncode, result.stderr)
+    assert endings["run"] == endings["sys.exit"]
+    if unbuffered:
+        assert endings["run"] == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_run_ends_the_process_with_mains_code(tmp_path, monkeypatch, capsys):
+    ended = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ended.append("exit handlers"))
+    monkeypatch.setattr(os, "_exit", ended.append)
+    monkeypatch.setattr(sys, "argv", ["lsmdp", "classify", "--objective", "onemax:n=21",
+                                      "--policy", "hc", "--out", str(tmp_path)])
+    cli.run()
+    assert ended == ["exit handlers", 3]
+
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    ended.clear()
+    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(sys, "argv", ["lsmdp", "classify", "--objective", "onemax:n=4",
+                                      "--policy", "hc", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as raised:
+        cli.run()
+    assert (raised.value.code, ended) == (0, ["exit handlers"])
+
+
+def test_console_script_ends_through_run():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n")[1].split("\n[")[0]
+    assert scripts.split() == ["lsmdp", "=", '"lsmdp.cli:run"']
 
 
 REFUSED_OBJECTIVES = ["onemax:n=10,k=3", "onemax:n=10,n=12", "nk:n=12,k=3,seed=7,sed=8",

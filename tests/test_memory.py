@@ -5,7 +5,6 @@ to 2x of the path's traced peak."""
 import gc
 import tracemalloc
 
-import numpy.ma  # noqa: F401 -- a bare np.unique imports it on first use; no path prices imports
 import pytest
 
 from lsmdp import cli, coefficients, exact_solver, objectives, search_space, simulator
@@ -83,8 +82,8 @@ PATHS = {
     "nk tables n=12 k=9": lambda tmp: lambda: make_nk_landscape(12, 9, 1),
     "nk tables n=14 k=12": lambda tmp: lambda: make_nk_landscape(14, 12, 1),
     "reachable onemax:n=14": lambda tmp: lambda: cli._reachable_states(mdp("onemax:n=14"), 0),
-    "reachable onemax:n=13 hamming:2": lambda tmp: lambda: cli._reachable_states(
-        mdp("onemax:n=13", 2), 0),
+    "reachable onemax:n=14 hamming:2": lambda tmp: lambda: cli._reachable_states(
+        mdp("onemax:n=14", 2), 0),
 }
 
 

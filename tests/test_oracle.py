@@ -679,4 +679,35 @@ def test_engine_choice_equals_choose_moves(rows):
 def test_reachable_states_equal_the_breadth_first_closure(case):
     n, distance, start = case
     mdp = LocalSearchMdp(make_onemax(n), HammingNeighborhood(distance))
-    assert _reachable_states(mdp, start) == reference.reachable_states(n, distance, start)
+    assert _reachable_states(mdp, start).tolist() == reference.reachable_states(n, distance, start)
+
+
+def state_samples(num_states):
+    """Samples as callers might pass them: lists of ints (some out of range),
+    numpy integer, bool and float scalars among them, integer arrays of any
+    width, bool and float arrays, ragged and nested lists."""
+    ints = st.integers(-3, num_states + 3)
+    dtypes = st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int64, np.uint64,
+                              np.float64, np.bool_])
+    numpy_int = st.tuples(ints, dtypes).map(lambda case: np.array([case[0]]).astype(case[1])[0])
+    scalar = st.one_of(ints, st.booleans(), st.floats(-1, num_states), numpy_int)
+    array = st.tuples(st.lists(st.integers(0, num_states + 3), max_size=30), dtypes).map(
+        lambda case: np.array(case[0]).astype(case[1]))
+    return st.one_of(st.lists(ints, max_size=30), st.lists(scalar, max_size=30), array,
+                     st.lists(st.lists(ints, min_size=1, max_size=2), max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), state_samples(2**n))))
+def test_sample_pass_equals_the_state_by_state_check(case):
+    n, sample = case
+    mdp = LocalSearchMdp(make_onemax(n))
+    try:
+        expected = reference.sample_states(mdp, sample)
+    except (ValueError, TypeError) as error:
+        with pytest.raises(type(error)) as raised:
+            coefficients._sample(mdp, sample)
+        assert str(raised.value) == str(error)
+        return
+    swept = coefficients._sample(mdp, sample)
+    assert swept.dtype == np.int64 and swept.tolist() == expected
