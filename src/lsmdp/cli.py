@@ -28,7 +28,7 @@ from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_tra
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
 from .objectives import check_memory, parse_objective
 from .policies import parse_policy
-from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp, ResourceLimitError, parse_criterion
+from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
                         json_fragments)
 from .simulator import best_so_far_curve, check_rollout, simulate_batches, summarize_records
@@ -171,9 +171,12 @@ def _resolve(args) -> dict[str, str]:
 
 def _int_opt(resolved, key):
     try:
-        return int(resolved[key])
+        value = int(resolved[key])
     except ValueError:
         raise UsageError(f"option {key} must be an integer, got {resolved[key]!r}") from None
+    if value < 0 and key in ("seed", "base_seed"):  # the entropy of numpy's SeedSequence
+        raise UsageError(f"option {key} must be a non-negative integer, got {resolved[key]!r}")
+    return value
 
 
 def _float_opt(resolved, key):
@@ -197,11 +200,11 @@ def _outdir(resolved) -> Path:
 
 
 def _build_mdp(resolved) -> LocalSearchMdp:
-    objective = parse_objective(resolved["objective"])
-    criterion = parse_criterion(resolved["neighborhood"])
-    if not criterion.degree(objective.n):
-        raise ValueError(f"neighborhood {criterion.descriptor} gives no moves at n={objective.n}")
-    return LocalSearchMdp(objective, criterion)
+    mdp = LocalSearchMdp(parse_objective(resolved["objective"]),
+                         parse_criterion(resolved["neighborhood"]))
+    if not mdp.degree:
+        raise ValueError(f"neighborhood {mdp.criterion.descriptor} gives no moves at n={mdp.n}")
+    return mdp
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> None:
@@ -214,28 +217,6 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
     atomic_write_text(outdir / "manifest.ini", buf.getvalue())
 
 
-def _reachable_states(mdp: LocalSearchMdp, start: int) -> np.ndarray:
-    """The states that flips of exactly k of n bits reach from `start`, in
-    ascending order: `start` and its complement if k = n, else every state of
-    odd k, or of `start`'s popcount parity for even k (two k-flips that differ
-    in one bit make any 2-bit flip).  Refused and priced before any is built."""
-    start, k = mdp.check_state(start), mdp.criterion.distance
-    if k >= mdp.n:  # the one move, to the complement, or none
-        return np.array(sorted({start, start ^ (mdp.num_states - 1) if k == mdp.n else start}))
-    count = mdp.num_states >> (1 - k % 2)
-    if count > 1 << EXHAUSTIVE_CAP:
-        raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
-                                 f"2**{EXHAUSTIVE_CAP}")
-    # Words a state: the states, even k's parity bits (17 bytes at the peak) and 1 of slack.
-    check_memory(f"the {count} states reachable from {start}", words=(3 - k % 2) * count)
-    states = np.arange(count)
-    if k % 2 == 0:  # state 2i + b, b the bit that gives it start's popcount parity
-        parity = (np.bitwise_count(states) & 1 ^ start.bit_count() & 1).astype(np.int64)
-        states <<= 1
-        states |= parity
-    return states
-
-
 def cmd_classify(resolved, formats) -> int:
     horizon = _int_opt(resolved, "horizon")
     _check_series(horizon)
@@ -243,7 +224,7 @@ def cmd_classify(resolved, formats) -> int:
     policy = parse_policy(resolved["policy"])
     states = None
     if resolved["reachable_from"]:
-        states = _reachable_states(mdp, _int_opt(resolved, "reachable_from"))
+        states = mdp.reachable_states(_int_opt(resolved, "reachable_from"))
     report = classify(policy, mdp, horizon=horizon, states=states)
     outdir = _outdir(resolved)
     if "json" in formats:
@@ -265,7 +246,7 @@ def cmd_gamma(resolved, formats) -> int:
     mdp = _build_mdp(resolved)
     f = mdp.landscape  # checks the exhaustive cap before the trace evaluates anything
     # A chunk's table, and 7 words a state: f, two counts, local_max, gamma and 2 temporaries.
-    size, moves = mdp.num_states, mdp.criterion.degree(mdp.n)
+    size, moves = mdp.num_states, mdp.degree
     check_memory(f"gamma of {size} states of {moves} moves",
                  entries=min(size, SWEEP_CHUNK) * moves, masks=moves, words=7 * size)
     trace = None

@@ -127,7 +127,7 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     mdp.check_state(start)
     # The table of the distinct visited states, and the states and
     # coefficients kept as Python objects (about 10 words a state).
-    d = mdp.criterion.degree(mdp.n)
+    d = mdp.degree
     check_memory(f"trace of {t_max + 1} states", entries=min(t_max + 1, mdp.num_states) * d,
                  masks=d, words=10 * (t_max + 1))
     states = [start]
@@ -399,41 +399,41 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         f, swept = None, _sample(mdp, states)
         if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
             f = mdp.landscape  # a sample of every state is gathered as the full sweep is
-    state_list = swept.tolist()
-    if not state_list:
+    if not swept.size:
         raise ValueError("empty state sample")
-    rows, d = min(len(state_list), SWEEP_CHUNK), mdp.criterion.degree(mdp.n)
+    rows, d = min(swept.size, SWEEP_CHUNK), mdp.degree
     if not d:
-        raise UndefinedCoefficientError(f"state {state_list[0]} has no moves")
-    # A chunk's table and move probabilities, and 8 words of columns a state;
-    # a policy decided per gain profile also holds the sorted profiles, their
-    # byte keys and its certificate's terms, and 8 more words a state.
+        raise UndefinedCoefficientError(f"state {swept[0]} has no moves")
+    # A chunk's table and move probabilities (a policy decided per gain profile
+    # also holds the sorted profiles, their byte keys and its certificate's
+    # terms), and 12 words a state: the sample, its landscape, the columns and,
+    # once the sweep is done, the report's list of states (4.5 words).
     certified = not policy.stationary
-    check_memory(f"classify of {len(state_list)} states of {d} moves", entries=rows * d, masks=d,
-                 words=rows * d * (4 if certified else 1) + (16 if certified else 8) * len(state_list))
-    ups, series_ids, chunks = [], [], []
-    for lo in range(0, len(state_list), SWEEP_CHUNK):
+    check_memory(f"classify of {swept.size} states of {d} moves", entries=rows * d, masks=d,
+                 words=rows * d * (4 if certified else 1) + 12 * swept.size)
+    up, series_id, chunks = np.empty(swept.size, np.intp), np.empty(swept.size, np.intp), []
+    for lo in range(0, swept.size, SWEEP_CHUNK):
         gain, reached = mdp.move_gains(swept[lo:lo + SWEEP_CHUNK], f)[1:]
         inverse, columns = _chunk_series(policy, gain, reached, horizon)
-        ups.append(improving_counts(gain))
-        series_ids.append(inverse + sum(len(c["rule"]) for c in chunks))
+        up[lo:lo + SWEEP_CHUNK] = improving_counts(gain)
+        series_id[lo:lo + SWEEP_CHUNK] = inverse + sum(len(c["rule"]) for c in chunks)
         chunks.append(columns)
         del gain, reached  # before the next chunk's table is built
-    series_id = np.concatenate(series_ids)
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    verdicts = columns["verdict"][series_id]
-    degenerate = swept[verdicts == DEGENERATE].tolist()
-    inconclusive = swept[verdicts == INCONCLUSIVE].tolist()
+    del chunks  # before the report's list of states is built
+    verdict = columns["verdict"]
+    degenerate = swept[(verdict == DEGENERATE)[series_id]].tolist()
+    inconclusive = swept[(verdict == INCONCLUSIVE)[series_id]].tolist()
     # Every series is some swept state's, so the rules can read the columns.
-    found = set(columns["verdict"].tolist())
-    converged_limits = columns["delta_limit"][columns["verdict"] == CONVERGED].tolist()
+    found = set(verdict.tolist())
+    converged_limits = columns["delta_limit"][verdict == CONVERGED].tolist()
     if DIVERGING in found:
         label = Classification("exploration-oriented", None)
     elif inconclusive:
         label = Classification("inconclusive", None)
     elif converged_limits:
         label = Classification("balanced", max(converged_limits))
-    elif degenerate and len(degenerate) == len(state_list):
+    elif degenerate and len(degenerate) == swept.size:
         label = Classification("exploration-oriented", None)
     else:
         label = Classification("exploitation-oriented", None)
@@ -443,7 +443,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
         series_max = math.inf
     else:  # every limit is a float: zero's 0.0 or a converged limit
         series_max = max(columns["delta_limit"].tolist())
-    return CoefficientReport(state_list, d, np.concatenate(ups), series_id, columns,
+    return CoefficientReport(swept.tolist(), d, up, series_id, columns,
                              series_max, label, horizon, degenerate, inconclusive)
 
 

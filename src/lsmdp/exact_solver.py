@@ -23,7 +23,7 @@ def _check_solve(mdp: LocalSearchMdp, dense: bool = False) -> None:
     """Price a solve before the landscape is read, so a refused one evaluates
     nothing: the [N, d] table and the kernel's probabilities, eight N-vectors
     and, if dense, three N x N matrices (P, then I - discount * P)."""
-    size, d = mdp.num_states, mdp.criterion.degree(mdp.n)
+    size, d = mdp.num_states, mdp.degree
     check_memory(f"{'dense' if dense else 'table'} solve at n={mdp.n}", entries=size * d,
                  masks=d, words=size * (d + 8 + (3 * size if dense else 0)))
 

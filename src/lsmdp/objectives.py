@@ -22,9 +22,9 @@ MAX_BITS = 63  # states are stored as unsigned 64-bit integers
 MEMORY_BUDGET = 2 << 30  # bytes any one priced path may take
 # The 8-byte words a unit costs at its path's peak, over tracemalloc peaks of
 # every path (Python 3.11, numpy 2.4): 4.0-5.1 a move-table entry (nbr, gain,
-# reached and the temporaries that build and read them), 6.0 a neighbor mask
-# (its cached Python int and array entry), 4.0-5.3 a slab entry's scratch.
-ENTRY_WORDS, MASK_WORDS, SCRATCH_WORDS = 5, 7, 7
+# reached and the temporaries that build and read them), 1.0-1.1 a neighbor
+# mask (its entry of the cached array), 4.0-5.3 a slab entry's scratch.
+ENTRY_WORDS, MASK_WORDS, SCRATCH_WORDS = 5, 2, 7
 
 
 class ResourceLimitError(RuntimeError):
@@ -155,6 +155,8 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     _check_bits(n)
     if not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
+    if seed < 0:  # the entropy of numpy's SeedSequence
+        raise ValueError(f"nk:n={n},k={k},seed={seed}: the seed must be non-negative")
     check_memory(f"nk lookup tables at n={n}, k={k}", draws=n << (k + 1))
     tables = Streams(seed).random(n << (k + 1)).reshape(n, 1 << (k + 1))
 

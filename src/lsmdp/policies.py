@@ -132,10 +132,12 @@ class HillClimbing(Policy):
     def move_probabilities(self, gain, t, reached):
         _check_time(t)
         # Ties come from the reached values, because distinct values can round
-        # to equal gains; the sign of a gain is exact, so `absorbed` may read
-        # gains.
+        # to equal gains.  A move of the row's largest reached value also has
+        # its largest gain (subtracting one current value rounds monotonically),
+        # so the strict variant keeps it exactly when some move improves.
         chosen = reached == reached.max(axis=-1, keepdims=True)
-        chosen &= ~self.absorbed(gain)[..., None]
+        if self.variant == "strict":
+            chosen &= gain > 0
         return chosen / np.maximum(chosen.sum(axis=-1, keepdims=True), 1)
 
     def absorbed(self, gain):

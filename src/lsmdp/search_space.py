@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import Objective, ResourceLimitError
+from .objectives import Objective, ResourceLimitError, check_memory
 
 EXHAUSTIVE_CAP = 20  # exhaustive analyses enumerate all 2**n states
 
@@ -27,8 +27,11 @@ class Move(NamedTuple):
 
 
 @lru_cache(maxsize=8)  # the few (n, distance) shapes a process reuses
-def _hamming_masks(n: int, distance: int) -> tuple[int, ...]:
-    return tuple(sum(1 << b for b in bits) for bits in combinations(range(n), distance))
+def _hamming_masks(n: int, distance: int) -> np.ndarray:
+    masks = np.fromiter((sum(1 << b for b in bits) for bits in combinations(range(n), distance)),
+                        dtype=np.int64, count=math.comb(n, distance))
+    masks.flags.writeable = False  # one array serves every MDP of the shape
+    return masks
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,7 @@ class HammingNeighborhood:
 
     def masks(self, n: int) -> np.ndarray:
         """The bit flips of one move, one entry per neighbor: state ^ mask."""
-        return np.array(_hamming_masks(n, self.distance), dtype=np.int64)
-
-    def neighbor_array(self, states: np.ndarray, n: int) -> np.ndarray:
-        """The neighbors of every state in `states`, one ascending row each."""
-        return np.sort(states[:, None] ^ self.masks(n), axis=1)
+        return _hamming_masks(n, self.distance)
 
     def degree(self, n: int) -> int:
         return math.comb(n, self.distance)  # neighbors per state, no row built
@@ -81,6 +80,7 @@ class LocalSearchMdp:
         self.criterion = criterion if criterion is not None else HammingNeighborhood(1)
         self.n = objective.n
         self.num_states = 1 << objective.n
+        self.degree = self.criterion.degree(self.n)  # moves per state, before any mask is built
 
     @cached_property
     def landscape(self) -> np.ndarray:
@@ -104,8 +104,34 @@ class LocalSearchMdp:
 
     def neighbors(self, state: int) -> tuple[int, ...]:
         """Neighbor states in ascending integer order (canonical tie-break order)."""
-        row = np.array([self.check_state(state)], dtype=np.int64)
-        return tuple(self.criterion.neighbor_array(row, self.n)[0].tolist())
+        return tuple(self.neighbor_rows(np.array([self.check_state(state)]))[0].tolist())
+
+    def neighbor_rows(self, states: np.ndarray) -> np.ndarray:
+        """The neighbors of each unchecked int64 state, one ascending row each."""
+        nbr = states[:, None] ^ self.criterion.masks(self.n)
+        nbr.sort(axis=1)
+        return nbr
+
+    def reachable_states(self, start: int) -> np.ndarray:
+        """The states that flips of exactly k of n bits reach from `start`, in
+        ascending order: `start` and its complement if k = n, else every state of
+        odd k, or of `start`'s popcount parity for even k (two k-flips that differ
+        in one bit make any 2-bit flip).  Refused and priced before any is built."""
+        start, k = self.check_state(start), self.criterion.distance
+        if k >= self.n:  # the one move, to the complement, or none
+            return np.array(sorted({start, start ^ (self.num_states - 1) if k == self.n else start}))
+        count = self.num_states >> (1 - k % 2)
+        if count > 1 << EXHAUSTIVE_CAP:
+            raise ResourceLimitError(f"the states reachable from {start} exceed the cap of "
+                                     f"2**{EXHAUSTIVE_CAP}")
+        # Words a state: the states, even k's parity bits (17 bytes at the peak) and 1 of slack.
+        check_memory(f"the {count} states reachable from {start}", words=(3 - k % 2) * count)
+        states = np.arange(count)
+        if k % 2 == 0:  # state 2i + b, b the bit that gives it start's popcount parity
+            parity = (np.bitwise_count(states) & 1 ^ start.bit_count() & 1).astype(np.int64)
+            states <<= 1
+            states |= parity
+        return states
 
     def move_gains(self, states=None, f=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The move-gain table of `states`: (nbr, gain, reached), each [k, d].
@@ -125,7 +151,7 @@ class LocalSearchMdp:
             bad = states[(states < 0) | (states >= self.num_states)][0]
             raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
         states = states.astype(np.int64)
-        nbr = self.criterion.neighbor_array(states, self.n)
+        nbr = self.neighbor_rows(states)
         involved = np.concatenate([states, nbr.ravel()])
         values = self.objective.values(involved) if f is None else f[involved]
         current, reached = values[:len(states)], values[len(states):].reshape(nbr.shape)

@@ -175,7 +175,7 @@ def _check_run(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool,
     when kept, 8 words of stream state a row; for a chunk of min(rows,
     SWEEP_CHUNK) rows, the step's move table and the last step's, the running
     sums of the move probabilities, the masks and a block of uniforms."""
-    d, chunk = mdp.criterion.degree(mdp.n), min(rows, SWEEP_CHUNK)
+    d, chunk = mdp.degree, min(rows, SWEEP_CHUNK)
     steps = 3 * horizon if keep_steps else 0
     check_memory(f"rollout of {rows} trajectories of {d} moves a step over horizon {horizon}",
                  words=rows * (horizon + 1 + steps + 8) + kept + chunk * d,
@@ -265,15 +265,12 @@ def _stoppers(spans):
     return [span for span in spans if type(span[1]).absorbed is not Policy.absorbed]
 
 
-def _step_table(values, masks, states, current):
-    """The move-gain table (nbr, gain, reached) of `states`, whose objective
-    values are `current`: what `mdp.move_gains(states)` gives, since batch
-    values equal the scalar ones bit for bit, with one objective call over
-    the neighbors only.  Unlike `move_gains` it checks no state: the engine
-    passes checked starts and the neighbors they reached."""
-    nbr = states[:, None] ^ masks
-    nbr.sort(axis=1)
-    reached = values(nbr.ravel()).reshape(nbr.shape)
+def _step_table(mdp, states, current):
+    """`mdp.move_gains(states)` bit for bit, for states whose values are
+    `current`, from one objective call over the neighbors and no state check:
+    the engine passes checked starts and the neighbors they reached."""
+    nbr = mdp.neighbor_rows(states)
+    reached = mdp.objective.values(nbr.ravel()).reshape(nbr.shape)
     return nbr, reached - current[:, None], reached
 
 
@@ -289,8 +286,7 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
     spans = _policy_spans(run.policies, group)
     stoppers = _stoppers(spans)
     streams = run.streams.take(trajectory)
-    values, masks = mdp.objective.values, mdp.criterion.masks(mdp.n)
-    base = np.arange(0, rows.size * masks.size, masks.size)  # each row's first flat index
+    base = np.arange(0, rows.size * mdp.degree, mdp.degree)  # each row's first flat index
     states = run.starts[trajectory]
     current = run.start_values[trajectory]
     running = current.copy()
@@ -301,12 +297,12 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
     for t in range(horizon):
         # A row that stayed keeps its state, so its table is still exact.
         if moved is None or moved.all():
-            nbr, gain, reached = _step_table(values, masks, states, current)
+            nbr, gain, reached = _step_table(mdp, states, current)
         else:
             fresh = np.flatnonzero(moved)
             if fresh.size:
-                nbr[fresh], gain[fresh], reached[fresh] = _step_table(
-                    values, masks, states[fresh], current[fresh])
+                nbr[fresh], gain[fresh], reached[fresh] = _step_table(mdp, states[fresh],
+                                                                      current[fresh])
         if stoppers:
             stop = np.zeros(rows.size, dtype=bool)
             for _, policy, a, b in stoppers:

@@ -8,14 +8,16 @@ matrices are filled entry by entry, finite-horizon values are pushed
 forward through products of the frozen matrices, optimal values are swept
 state by state and move by move, and rollouts advance one trajectory and
 one step at a time, one `rng.random()` call per step, and are reduced to
-a `Rollouts` batch from their per-step records; `choose_moves` is the
-row-wise running-sum scan the engine's flat-index chooser must equal, and
-`reachable_states` the breadth-first closure the CLI's closed-form
-reachable set must equal, and `sample_states` the state-by-state check of
-a `classify` sample that its one array pass must equal.  It shares no
-arithmetic with the library.  The balance series of the first H terms is
-decided by a heuristic judge, an independent check on the library's
-certificates.
+a `Rollouts` batch from their per-step records.  `hill_climbing_probabilities`
+is hill climbing's table kernel as it was while it asked `absorbed` twice,
+`choose_moves` the row-wise running-sum scan the engine's flat-index chooser
+must equal, `hamming_neighbors` a state's neighbors found by a scan of every
+state, `reachable_states` the breadth-first closure the closed-form
+`LocalSearchMdp.reachable_states` must equal, and `sample_states` the
+state-by-state check of a `classify` sample that its one array pass must
+equal.  It shares no arithmetic with the library.  The balance series of
+the first H terms is decided by a heuristic judge, an independent check on
+the library's certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -58,6 +60,16 @@ def neighborhoods(mdp):
         return mdp.value(state), tuple((j, mdp.value(j)) for j in mdp.neighbors(state))
 
     return hood
+
+
+def hill_climbing_probabilities(gain, reached, variant):
+    """Hill climbing's kernel over a move-gain table as the library wrote it
+    while it asked `absorbed` again: the moves of each row's largest reached
+    value, none in a row the strict variant is absorbed in."""
+    chosen = reached == reached.max(axis=-1, keepdims=True)
+    if variant == "strict":  # `absorbed`: no move improves
+        chosen &= ~(gain.max(axis=-1) <= 0)[..., None]
+    return chosen / np.maximum(chosen.sum(axis=-1, keepdims=True), 1)
 
 
 def hill_climbing_distribution(state, hood, variant):
@@ -357,6 +369,12 @@ def reachable_states(n, distance, start):
         frontier = {state ^ mask for state in frontier for mask in masks} - seen
         seen |= frontier
     return sorted(seen)
+
+
+def hamming_neighbors(n, distance, state):
+    """The states at Hamming distance exactly `distance` from `state`, by a
+    scan of all 2**n states, ascending."""
+    return [j for j in range(2**n) if (state ^ j).bit_count() == distance]
 
 
 def sample_states(mdp, states):

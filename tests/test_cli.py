@@ -87,7 +87,7 @@ class TestClassify:
         def sweep(*args):
             raise AssertionError("the reachable set was swept")
 
-        monkeypatch.setattr(cli, "_reachable_states", sweep)
+        monkeypatch.setattr(LocalSearchMdp, "reachable_states", sweep)
         code = run_cli(["classify", "--objective", "onemax:n=4", "--policy",
                         "sa:T0=10,rate=0.99", "--horizon", "120", "--tail-tolerance", tolerance,
                         "--reachable-from", "0", "--out", tmp_path / "out"])
@@ -237,6 +237,24 @@ def test_neighborhood_without_moves_fails_before_any_output(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--objective", "onemax:n=4", "--policy", "walk", "--base-seed", "-1"],
+     "option base_seed"),
+    (["gamma", "--objective", "onemax:n=4", "--policy", "walk", "--seed", "-1", "--start", "0"],
+     "option seed"),
+    (["gamma", "--objective", "onemax:n=4", "--seed", "-1"], "option seed"),
+    (["simulate", "--objective", "nk:n=4,k=3,seed=-1", "--policy", "walk"],
+     "nk:n=4,k=3,seed=-1")])
+def test_negative_seeds_fail_before_any_output_naming_their_input(tmp_path, capsys, argv, name):
+    # A seed is the entropy of numpy's SeedSequence, which takes no negative word.
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}") and "non-negative" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, options", [
     ("classify", []), ("value", []), ("simulate", ["--seeds", "2", "--horizon", "5"])])
 def test_annealing_that_never_cools_fails_before_any_output(tmp_path, capsys, command, options):
@@ -366,6 +384,25 @@ def test_rollout_move_tables_over_the_memory_budget_fail_before_any_mask(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, options", [
+    ("classify", ["--policy", "hc"]), ("gamma", []), ("value", ["--policy", "walk"])])
+def test_exhaustive_move_tables_over_the_memory_budget_fail_before_any_mask(
+        tmp_path, capsys, monkeypatch, command, options):
+    # At hamming:6, onemax n=12 has 924 moves a state: a chunk of 4,096
+    # states has a 30 MB move table, over a 1 MiB budget.
+    monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep over the budget built its masks")
+
+    monkeypatch.setattr(search_space, "_hamming_masks", unreachable)
+    out = tmp_path / "out"
+    assert run_cli([command, "--objective", "onemax:n=12", "--neighborhood", "hamming:6",
+                    *options, "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nk_tables_over_the_memory_budget_fail_before_drawing(tmp_path, capsys, monkeypatch):
     # nk n=12 draws 12 lookup tables of 2**(k+1) doubles with the scratch
     # that draws them: 786 kB at k = 9, 1.57 MB at k = 10.
@@ -403,7 +440,7 @@ def test_reachable_sweep_over_the_memory_budget_fails_before_its_table(tmp_path,
 def test_reachable_closure_refused_past_the_exhaustive_cap(tmp_path, capsys, monkeypatch, cap,
                                                            code):
     # hamming:1 reaches all 2**10 states from 0: within a cap of 2**10, past 2**8.
-    monkeypatch.setattr(cli, "EXHAUSTIVE_CAP", cap)
+    monkeypatch.setattr(search_space, "EXHAUSTIVE_CAP", cap)
     out = tmp_path / "out"
     assert run_cli(["classify", "--objective", "onemax:n=10", "--policy", "hc",
                     "--reachable-from", "0", "--out", out]) == code

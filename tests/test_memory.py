@@ -78,12 +78,11 @@ PATHS = {
     "trajectory trap:n=40": lambda tmp: lambda: simulator.run_trajectory(
         parse_policy("walk"), mdp("trap:n=40,k=4"), 0, 1000, 1),
     "trajectory onemax:n=12 hamming:6": lambda tmp: lambda: simulator.run_trajectory(
-        parse_policy("walk"), mdp("onemax:n=12", 6), 0, 100, 1),
+        parse_policy("walk"), mdp("onemax:n=12", 6), 0, 500, 1),
     "nk tables n=12 k=9": lambda tmp: lambda: make_nk_landscape(12, 9, 1),
     "nk tables n=14 k=12": lambda tmp: lambda: make_nk_landscape(14, 12, 1),
-    "reachable onemax:n=14": lambda tmp: lambda: cli._reachable_states(mdp("onemax:n=14"), 0),
-    "reachable onemax:n=14 hamming:2": lambda tmp: lambda: cli._reachable_states(
-        mdp("onemax:n=14", 2), 0),
+    "reachable onemax:n=14": lambda tmp: lambda: mdp("onemax:n=14").reachable_states(0),
+    "reachable onemax:n=14 hamming:2": lambda tmp: lambda: mdp("onemax:n=14", 2).reachable_states(0),
 }
 
 
@@ -95,7 +94,7 @@ def test_the_price_bounds_the_peak(tmp_path, monkeypatch, path):
         priced.append(price(what, **shapes))
         return priced[-1]
 
-    for module in (objectives, coefficients, exact_solver, simulator, cli):
+    for module in (objectives, search_space, coefficients, exact_solver, simulator, cli):
         monkeypatch.setattr(module, "check_memory", check_memory)
     run = PATHS[path](tmp_path / "out")
     priced.clear()

@@ -24,7 +24,6 @@ from scipy.special import exp1
 
 import reference
 from lsmdp import coefficients, simulator
-from lsmdp.cli import _reachable_states
 from lsmdp.cli import main as cli_main
 from lsmdp.coefficients import (CONVERGED, DIVERGING, INCONCLUSIVE, BalanceSeries,
                                 balance_series, classify, exploration_ratio)
@@ -33,7 +32,8 @@ from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 value_iteration)
 from lsmdp.objectives import (CnfInstance, Objective, cnf_objective, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap, parse_objective)
-from lsmdp.policies import SeriesCertificate, SimulatedAnnealing, choose, parse_policy
+from lsmdp.policies import (HillClimbing, SeriesCertificate, SimulatedAnnealing, choose,
+                            parse_policy)
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp
 from lsmdp.serialize import csv_text, dumps_json
 from lsmdp.simulator import (generate_records, run_trajectory, simulate_batch,
@@ -615,10 +615,50 @@ def test_step_table_equals_move_gains(objective, distance, raw):
     mdp = LocalSearchMdp(objective, HammingNeighborhood(min(distance, objective.n)))
     states = np.array([s & (mdp.num_states - 1) for s in raw], dtype=np.int64)
     current = np.array([mdp.value(s) for s in states.tolist()])
-    table = simulator._step_table(objective.values, mdp.criterion.masks(mdp.n), states, current)
+    table = simulator._step_table(mdp, states, current)
     for mine, theirs in zip(table, mdp.move_gains(states)):
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 1))))
+def test_every_neighbor_row_equals_the_hamming_scan(case):
+    # k = n leaves the complement, k > n no move at all.
+    n, k = case
+    mdp = LocalSearchMdp(make_onemax(n), HammingNeighborhood(k))
+    expected = [reference.hamming_neighbors(n, k, i) for i in range(2**n)]
+    states = np.arange(2**n)
+    assert mdp.degree == len(expected[0])
+    assert [list(mdp.neighbors(i)) for i in range(2**n)] == expected
+    assert mdp.neighbor_rows(states).tolist() == expected
+    assert mdp.move_gains(states)[0].tolist() == expected
+    assert mdp.move_gains()[0].tolist() == expected
+
+
+@st.composite
+def hill_climbing_tables(draw):
+    """Move-gain tables as `move_gains` builds them, gain = reached - current:
+    tied reached values, values that round to one gain, gains of 0."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    base = draw(st.floats(-1e6, 1e6))
+    offsets = st.sampled_from([0.0, 1.0, -1.0, 1e-12, -1e-12, 2.0**-40, 5e-324])
+    value = st.one_of(offsets.map(lambda x: base + x), st.floats(-1e6, 1e6))
+    current = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    reached = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                     min_size=k, max_size=k)))
+    return reached - current[:, None], reached
+
+
+@settings(max_examples=500, deadline=None)
+@given(hill_climbing_tables(), st.sampled_from(["strict", "literal"]))
+def test_hill_climbing_kernel_equals_the_absorbed_check(table, variant):
+    # The kernel reads the gains once; the reference asks `absorbed` again.
+    gain, reached = table
+    for g, r in ((gain, reached), (gain[0], reached[0])):  # a table, and one state's row
+        got = HillClimbing(variant).move_probabilities(g, 0, r)
+        expected = reference.hill_climbing_probabilities(g, r, variant)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -679,7 +719,7 @@ def test_engine_choice_equals_choose_moves(rows):
 def test_reachable_states_equal_the_breadth_first_closure(case):
     n, distance, start = case
     mdp = LocalSearchMdp(make_onemax(n), HammingNeighborhood(distance))
-    assert _reachable_states(mdp, start).tolist() == reference.reachable_states(n, distance, start)
+    assert mdp.reachable_states(start).tolist() == reference.reachable_states(n, distance, start)
 
 
 def state_samples(num_states):

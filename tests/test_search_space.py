@@ -103,6 +103,27 @@ def test_the_masks_cache_is_bounded():
     assert cache.cache_info().currsize == bound
 
 
+def test_one_read_only_masks_array_serves_every_mdp_of_a_shape():
+    first = LocalSearchMdp(make_onemax(6), HammingNeighborhood(2))
+    second = LocalSearchMdp(make_leading_ones(6), HammingNeighborhood(2))
+    masks = first.criterion.masks(6)
+    assert masks is second.criterion.masks(6) is search_space._hamming_masks(6, 2)
+    assert masks.dtype == np.int64 and not masks.flags.writeable
+    with pytest.raises(ValueError):
+        masks[0] = 0
+    rows = first.neighbor_rows(np.arange(64))  # sorted in place, a fresh array
+    assert rows.flags.writeable and not np.shares_memory(rows, masks)
+    assert len(masks) == first.degree == 15
+
+
+def test_degree_builds_no_mask(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr(search_space, "_hamming_masks", unreachable)
+    assert LocalSearchMdp(make_onemax(12), HammingNeighborhood(6)).degree == 924
+
+
 def test_exhaustive_symmetry_up_to_twelve_bits():
     for n in list(range(1, 7)) + [12]:
         mdp = LocalSearchMdp(make_onemax(n))
