@@ -298,7 +298,8 @@ def cmd_value(resolved, formats) -> int:
     gap = optimal_values.v - policy_values.v
     outdir = _outdir(resolved)
     if "csv" in formats:
-        # Scalar `mdp.value`, not the landscape: bench/run.py --trace 1 divides by their count.
+        # One `mdp.value` a state, which reads the landscape the solves built:
+        # bench/run.py --trace 1 divides by the count of these calls.
         values = Table({"f": [mdp.value(i) for i in states], "v_policy": policy_values.v,
                         "v_optimal": optimal_values.v, "gap": gap}, keys=states)
         atomic_write(outdir / "value.csv",

@@ -50,20 +50,20 @@ def check_memory(what: str, *, words: int = 0, entries: int = 0, masks: int = 0,
 class Objective:
     """Total, deterministic function from n-bit states to real values.
 
-    `batch`, when given, evaluates a whole int64 array of states with numpy
-    and must equal `fn` on every state bit for bit; `values` falls back to
-    calling `fn` once per distinct state.
+    `batch` evaluates a whole int64 array of states with numpy; every built-in
+    objective is this one function and passes no `fn`.  Without `batch`,
+    `values` calls a user's scalar `fn` once per distinct state.  Calling the
+    objective on one state is a one-state `values` call.
     """
 
     n: int
-    fn: Callable[[int], float]
+    fn: Callable[[int], float] | None
     name: str
     known_optimum: float | None = None
-    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False,
-                                                             compare=False)
+    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __call__(self, state: int) -> float:
-        return self.fn(state)
+        return float(self.values([state])[0])
 
     def values(self, states) -> np.ndarray:
         """Objective value of every state in the flat int array `states`."""
@@ -82,21 +82,13 @@ def _check_bits(n: int) -> None:
 def make_onemax(n: int) -> Objective:
     """Count of one-bits; maximum n at the all-ones string."""
     _check_bits(n)
-    return Objective(n, lambda x: float(x.bit_count()), f"onemax:n={n}", float(n),
+    return Objective(n, None, f"onemax:n={n}", float(n),
                      batch=lambda x: np.bitwise_count(x).astype(float))
 
 
 def make_leading_ones(n: int) -> Objective:
     """Length of the run of ones starting at the most significant bit."""
     _check_bits(n)
-
-    def fn(x: int) -> float:
-        run = 0
-        for b in range(n - 1, -1, -1):
-            if not (x >> b) & 1:
-                break
-            run += 1
-        return float(run)
 
     def batch(x):
         # The run of leading ones ends at the highest zero bit: smear the
@@ -106,7 +98,7 @@ def make_leading_ones(n: int) -> Objective:
             zeros |= zeros >> shift
         return (n - np.bitwise_count(zeros)).astype(float)
 
-    return Objective(n, fn, f"leading_ones:n={n}", float(n), batch=batch)
+    return Objective(n, None, f"leading_ones:n={n}", float(n), batch=batch)
 
 
 def make_trap(n: int, k: int) -> Objective:
@@ -118,15 +110,6 @@ def make_trap(n: int, k: int) -> Objective:
     _check_bits(n)
     if not isinstance(k, int) or not 1 <= k <= n or n % k != 0:
         raise ValueError(f"trap block size k={k!r} must divide n={n}")
-    block_mask = (1 << k) - 1
-
-    def fn(x: int) -> float:
-        total = 0
-        for lo in range(0, n, k):
-            u = ((x >> lo) & block_mask).bit_count()
-            total += k if u == k else k - 1 - u
-        return float(total)
-
     blocks = n // k
     lows = sum(1 << lo for lo in range(0, n, k))  # the lowest bit of every block
 
@@ -145,7 +128,7 @@ def make_trap(n: int, k: int) -> Objective:
         return ((k + 1.0) * np.bitwise_count(full & lows) - np.bitwise_count(x)
                 + float(blocks * (k - 1)))
 
-    return Objective(n, fn, f"trap:n={n},k={k}", float(n), batch=batch)
+    return Objective(n, None, f"trap:n={n},k={k}", float(n), batch=batch)
 
 
 def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
@@ -159,27 +142,17 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
         raise ValueError(f"nk:n={n},k={k},seed={seed}: the seed must be non-negative")
     check_memory(f"nk lookup tables at n={n}, k={k}", draws=n << (k + 1))
     tables = Streams(seed).random(n << (k + 1)).reshape(n, 1 << (k + 1))
-
-    def fn(x: int) -> float:
-        total = 0.0
-        for i in range(n):
-            idx = 0
-            for j in range(k + 1):
-                idx |= ((x >> ((i + j) % n)) & 1) << j
-            total += tables[i, idx]
-        return float(total)
+    low = (1 << (k + 1)) - 1
 
     def batch(x):
-        # Same i = 0..n-1 accumulation order as `fn`, so the sums are bit-equal.
+        # Bits i..i+k (mod n) of x are the low k+1 bits of x rotated right by
+        # i; the terms are summed in the order i = 0..n-1.
         total = np.zeros(x.shape)
-        for i in range(n):
-            idx = np.zeros(x.shape, dtype=np.int64)
-            for j in range(k + 1):
-                idx |= ((x >> ((i + j) % n)) & 1) << j
-            total += tables[i, idx]
+        for i, table in enumerate(tables):
+            total += table.take(((x >> i) | (x << (n - i))) & low)
         return total
 
-    return Objective(n, fn, f"nk:n={n},k={k},seed={seed}", None, batch=batch)
+    return Objective(n, None, f"nk:n={n},k={k},seed={seed}", None, batch=batch)
 
 
 class DimacsParseError(ValueError):
@@ -276,15 +249,6 @@ def cnf_objective(instance: CnfInstance, name: str = "maxsat") -> Objective:
     _check_bits(instance.num_vars)
     clauses = instance.clauses
 
-    def fn(x: int) -> float:
-        satisfied = 0
-        for clause in clauses:
-            for lit in clause:
-                if ((x >> (lit - 1)) & 1) if lit > 0 else not ((x >> (-lit - 1)) & 1):
-                    satisfied += 1
-                    break
-        return float(satisfied)
-
     def batch(x):
         satisfied = np.zeros(x.shape, dtype=np.int64)
         for clause in clauses:
@@ -297,7 +261,7 @@ def cnf_objective(instance: CnfInstance, name: str = "maxsat") -> Objective:
             satisfied += ((x & positive) != 0) | ((~x & negative) != 0)
         return satisfied.astype(float)
 
-    return Objective(instance.num_vars, fn, name, None, batch=batch)
+    return Objective(instance.num_vars, None, name, None, batch=batch)
 
 
 def parse_params(descriptor: str, types: dict[str, type]) -> list:

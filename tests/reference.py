@@ -1,23 +1,26 @@
 """Scalar reference implementations: the oracle for the array-backed paths.
 
 This is the per-move code the library ran before the move-gain table: every
-distribution is built one move at a time from values read through
-`LocalSearchMdp.value` (once per state and call, see `neighborhoods`), the
-balance series is summed state by state with `math.fsum`, transition
-matrices are filled entry by entry, finite-horizon values are pushed
-forward through products of the frozen matrices, optimal values are swept
-state by state and move by move, and rollouts advance one trajectory and
-one step at a time, one `rng.random()` call per step, and are reduced to
-a `Rollouts` batch from their per-step records.  `hill_climbing_probabilities`
+distribution is built one move at a time from values read by one objective
+call per state's neighborhood (see `neighborhoods`), the balance series is
+summed state by state with `math.fsum`, transition matrices are filled
+entry by entry, finite-horizon values are pushed forward through products
+of the frozen matrices, optimal values are swept state by state and move by
+move, and rollouts advance one trajectory and one step at a time, one
+`rng.random()` call per step, and are reduced to a `Rollouts` batch from
+their per-step records.  `hill_climbing_probabilities`
 is hill climbing's table kernel as it was while it asked `absorbed` twice,
 `choose_moves` the row-wise running-sum scan the engine's flat-index chooser
 must equal, `hamming_neighbors` a state's neighbors found by a scan of every
 state, `reachable_states` the breadth-first closure the closed-form
 `LocalSearchMdp.reachable_states` must equal, and `sample_states` the
 state-by-state check of a `classify` sample that its one array pass must
-equal.  It shares no arithmetic with the library.  The balance series of
-the first H terms is decided by a heuristic judge, an independent check on
-the library's certificates.
+equal.  `onemax`, `leading_ones`, `trap`, `nk_landscape` and `maxsat` are
+the scalar objectives that each built-in batch objective must equal bit for
+bit, nk's tables drawn by numpy's own `default_rng`.  It shares no
+arithmetic with the library.  The balance series of the first H terms is
+decided by a heuristic judge, an independent check on the library's
+certificates.
 
 The output writers are kept too: every value is converted by `to_jsonable`
 and written by `json.dumps` and `csv.writer`, and the classify report and
@@ -51,13 +54,73 @@ class UncertifiedAnnealing(SimulatedAnnealing):
     balance_certificate = Policy.balance_certificate
 
 
+def onemax(n):
+    return lambda x: float(x.bit_count())
+
+
+def leading_ones(n):
+    def fn(x):
+        run = 0
+        for b in range(n - 1, -1, -1):
+            if not (x >> b) & 1:
+                break
+            run += 1
+        return float(run)
+
+    return fn
+
+
+def trap(n, k):
+    block_mask = (1 << k) - 1
+
+    def fn(x):
+        total = 0
+        for lo in range(0, n, k):
+            u = ((x >> lo) & block_mask).bit_count()
+            total += k if u == k else k - 1 - u
+        return float(total)
+
+    return fn
+
+
+def nk_landscape(n, k, seed):
+    tables = np.random.default_rng(seed).random((n, 1 << (k + 1)))
+
+    def fn(x):
+        total = 0.0
+        for i in range(n):
+            idx = 0
+            for j in range(k + 1):
+                idx |= ((x >> ((i + j) % n)) & 1) << j
+            total += tables[i, idx]
+        return float(total)
+
+    return fn
+
+
+def maxsat(instance):
+    def fn(x):
+        satisfied = 0
+        for clause in instance.clauses:
+            for lit in clause:
+                if ((x >> (lit - 1)) & 1) if lit > 0 else not ((x >> (-lit - 1)) & 1):
+                    satisfied += 1
+                    break
+        return float(satisfied)
+
+    return fn
+
+
 def neighborhoods(mdp):
     """state -> (f(state), ((j, f(j)) for each neighbor j in ascending
-    order)), read through `mdp.value` and `mdp.neighbors` once per state and
-    then reused, so time loops do not read the landscape again."""
+    order)), the neighbors read through `mdp.neighbors` and the values by one
+    objective call per state, then reused, so time loops do not evaluate
+    again."""
     @functools.cache
     def hood(state):
-        return mdp.value(state), tuple((j, mdp.value(j)) for j in mdp.neighbors(state))
+        nbrs = mdp.neighbors(state)
+        values = mdp.objective.values([state, *nbrs]).tolist()
+        return values[0], tuple(zip(nbrs, values[1:]))
 
     return hood
 

@@ -168,7 +168,7 @@ class TestLandscape:
     def counting(n):
         batches = []
         onemax = make_onemax(n)
-        return batches, Objective(n, onemax.fn, "counting", float(n),
+        return batches, Objective(n, None, "counting", float(n),
                                   batch=lambda x: batches.append(len(x)) or onemax.values(x))
 
     def test_building_an_mdp_evaluates_nothing(self):

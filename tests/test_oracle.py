@@ -426,49 +426,67 @@ def test_hill_climbing_ties_use_values_not_rounded_gains():
     assert np.array_equal(frozen.P, P) and np.array_equal(frozen.r, r)
 
 
+BUILT_INS = {  # family -> (library constructor, scalar reference), same arguments
+    "onemax": (make_onemax, reference.onemax),
+    "leading_ones": (make_leading_ones, reference.leading_ones),
+    "trap": (make_trap, reference.trap),
+    "nk": (make_nk_landscape, reference.nk_landscape),
+    "maxsat": (cnf_objective, reference.maxsat),
+}
+
+
+def built_in(family, *args):
+    """The built-in objective and its scalar reference."""
+    make, scalar = BUILT_INS[family]
+    return make(*args), scalar(*args)
+
+
 @st.composite
 def wide_objectives(draw):
     """Every objective family up to n = 63 (nk up to n = 10, where its
-    tables stay small), with repeated and contradictory CNF literals."""
-    family = draw(st.sampled_from(["onemax", "trap", "leading_ones", "nk", "maxsat"]))
+    tables stay small), with repeated and contradictory CNF literals, each
+    with its scalar reference."""
+    family = draw(st.sampled_from(sorted(BUILT_INS)))
     n = draw(st.integers(1, 10 if family == "nk" else 63))
-    if family == "onemax":
-        return make_onemax(n)
+    if family in ("onemax", "leading_ones"):
+        return built_in(family, n)
     if family == "trap":
-        return make_trap(n, draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0])))
-    if family == "leading_ones":
-        return make_leading_ones(n)
+        return built_in(family, n, draw(st.sampled_from([k for k in range(1, n + 1)
+                                                          if n % k == 0])))
     if family == "nk":
         k = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
-        return make_nk_landscape(n, k, draw(st.integers(0, 2**16)))
+        return built_in(family, n, k, draw(st.integers(0, 2**16)))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple),
                             min_size=1, max_size=8))
-    return cnf_objective(CnfInstance(n, tuple(clauses)))
+    return built_in(family, CnfInstance(n, tuple(clauses)))
 
 
-def assert_batch_matches_scalar(objective, states):
-    expected = np.array([objective.fn(s) for s in states], dtype=float)
+def assert_batch_matches_scalar(objective, scalar, states):
+    expected = np.array([scalar(s) for s in states], dtype=float)
     assert objective.values(np.array(states, dtype=np.int64)).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(wide_objectives(), st.lists(st.integers(0, 2**63 - 1), max_size=30))
-def test_batch_objective_equals_scalar(objective, raw):
+def test_batch_objective_equals_scalar(pair, raw):
+    objective, scalar = pair
     top = (1 << objective.n) - 1
     states = [s & top for s in raw] + [0, top]
     if objective.n == 63:
         states += [s | (1 << 62) for s in raw]
-    assert_batch_matches_scalar(objective, states)
+    assert_batch_matches_scalar(objective, scalar, states)
 
 
-@pytest.mark.parametrize("objective", [
-    make_onemax(63), make_leading_ones(63), make_trap(63, 1), make_trap(63, 7),
-    make_trap(63, 9), make_trap(63, 63), make_trap(62, 31),
-    cnf_objective(CnfInstance(63, ((63,), (-63, 1), (62, -62), (-1, -2, -63)))),
-    make_nk_landscape(10, 9, 4), make_nk_landscape(1, 0, 4),
-])
-def test_batch_objective_edges(objective):
+@pytest.mark.parametrize("pair", [
+    built_in("onemax", 63), built_in("leading_ones", 63), built_in("trap", 63, 1),
+    built_in("trap", 63, 7), built_in("trap", 63, 9), built_in("trap", 63, 63),
+    built_in("trap", 62, 31),
+    built_in("maxsat", CnfInstance(63, ((63,), (-63, 1), (62, -62), (-1, -2, -63)))),
+    built_in("nk", 10, 9, 4), built_in("nk", 1, 0, 4),
+], ids=lambda pair: pair[0].name)
+def test_batch_objective_edges(pair):
+    objective, scalar = pair
     rng = np.random.default_rng(11)
     n = objective.n
     top = (1 << n) - 1
@@ -483,7 +501,7 @@ def test_batch_objective_edges(objective):
         for pick, noise in zip(rng.integers(0, 2, (20, n // width)), noisy):
             filled = sum(((1 << width) - 1) << (b * width) for b in np.flatnonzero(pick).tolist())
             states += [filled, filled | noise, filled ^ (1 << int(rng.integers(n)))]
-    assert_batch_matches_scalar(objective, states + [0, top])
+    assert_batch_matches_scalar(objective, scalar, states + [0, top])
 
 
 def test_plain_objective_calls_fn_once_per_distinct_state():
@@ -496,6 +514,9 @@ def test_plain_objective_calls_fn_once_per_distinct_state():
     objective = Objective(5, fn, "plain", None)
     assert objective.values([4, 1, 4, 31]).tolist() == [4 / 3, 1 / 3, 4 / 3, 31 / 3]
     assert sorted(calls) == [1, 4, 31]
+    calls.clear()
+    assert objective(7) == 7 / 3 and type(objective(7)) is float
+    assert calls == [7, 7]
 
 
 ROLLOUT_POLICIES = ["hc", "hc:literal", "walk", "metropolis:T=1", "sa:T0=2,rate=0",
@@ -607,8 +628,8 @@ def test_fused_batches_across_draw_blocks_equal_one_batch_per_policy(
 
 
 @settings(max_examples=200, deadline=None)
-@given(wide_objectives(), st.sampled_from([1, 2]), st.lists(st.integers(0, 2**63 - 1),
-                                                           min_size=1, max_size=12))
+@given(wide_objectives().map(lambda pair: pair[0]), st.sampled_from([1, 2]),
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12))
 def test_step_table_equals_move_gains(objective, distance, raw):
     # The engine's table, built from states it made and the values they
     # carry, is bit for bit the checked table of `move_gains`.

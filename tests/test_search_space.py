@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lsmdp import search_space
-from lsmdp.objectives import make_leading_ones, make_nk_landscape, make_onemax
+from lsmdp.objectives import Objective, make_leading_ones, make_nk_landscape, make_onemax
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, parse_criterion
 
 
@@ -48,6 +48,20 @@ class TestValue:
     def test_in_range_states(self):
         mdp = LocalSearchMdp(make_onemax(4))
         assert [mdp.value(s) for s in (0, 15, np.int64(7), np.uint8(3))] == [0.0, 4.0, 3.0, 2.0]
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_one_objective_call_until_the_landscape_is_built(self, built):
+        nk = make_nk_landscape(6, 2, 1)
+        calls = []
+        mdp = LocalSearchMdp(Objective(6, None, nk.name, batch=lambda x: calls.append(x.size)
+                                       or nk.values(x)))
+        if built:
+            mdp.landscape
+            calls.clear()
+        values = [mdp.value(s) for s in range(2**6)]
+        assert calls == ([] if built else [1] * 2**6)
+        assert values == nk.values(np.arange(2**6)).tolist()
+        assert all(type(v) is float for v in values)
 
 
 def gain_of(mdp, i, j):

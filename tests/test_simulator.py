@@ -282,7 +282,8 @@ class TestOnlineReduction:
         # Every row's table is built at step 0, and after that only the
         # tables of rows that moved in the step before: d (R + the moves
         # taken before the last step) neighbor values, where rebuilding
-        # every running row every step would take up to d R H (240,000).
+        # every running row every step would take up to d R H (240,000),
+        # after one value for each of the R starts.
         nk = make_nk_landscape(16, 3, 1)
         evaluated = []
 
@@ -290,10 +291,11 @@ class TestOnlineReduction:
             evaluated.append(states.size)
             return nk.batch(states)
 
-        mdp = LocalSearchMdp(Objective(16, nk.fn, nk.name, None, batch=counting))
+        mdp = LocalSearchMdp(Objective(16, None, nk.name, None, batch=counting))
         batch = simulate_batch(parse_policy(descriptor), mdp, "uniform", 300, 50, base_seed=0)
         moves = int(batch.explore[:-1].sum() + batch.exploit[:-1].sum())
-        assert sum(evaluated) == 16 * (50 + moves)
+        assert evaluated[:50] == [1] * 50
+        assert sum(evaluated) == 50 + 16 * (50 + moves)
 
     @pytest.mark.parametrize("objective,distance,policies,seeds,horizon,keep", [
         ("trap:n=40,k=4", 1, ["walk"], 100, 1000, False),
