@@ -244,17 +244,17 @@ def cmd_gamma(resolved, formats) -> int:
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp = _build_mdp(resolved)
-    f = mdp.landscape  # checks the exhaustive cap before the trace evaluates anything
-    # A chunk's table, and 7 words a state: f, two counts, local_max, gamma and 2 temporaries.
+    f = mdp.landscape  # checks the cap, and the trace's steps and the sweep read it
+    # A chunk's table at 4 words an entry (no kernel reads it), and 8 words a state.
     size, moves = mdp.num_states, mdp.degree
-    check_memory(f"gamma of {size} states of {moves} moves",
-                 entries=min(size, SWEEP_CHUNK) * moves, masks=moves, words=7 * size)
+    check_memory(f"gamma of {size} states of {moves} moves", masks=moves,
+                 words=4 * min(size, SWEEP_CHUNK) * moves + 8 * size)
     trace = None
     if resolved["start"]:  # traced first: a start outside the space leaves no output behind
         trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
                                   Uniforms(seed))
     chunks = (np.arange(lo, min(lo + SWEEP_CHUNK, size)) for lo in range(0, size, SWEEP_CHUNK))
-    ups = np.concatenate([improving_counts(mdp.move_gains(chunk, f)[1]) for chunk in chunks])
+    ups = np.concatenate([improving_counts(mdp.move_gains(chunk)[1]) for chunk in chunks])
     local_max = (ups == 0).tolist()
     table = Table({"f": f, "improving": ups, "non_improving": moves - ups,
                    "gamma": extended_ratio(ups, moves - ups),

@@ -38,6 +38,7 @@ from .objectives import check_memory
 from .policies import Policy, SeriesCertificate, step
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
+from .streams import DRAW_BLOCK
 
 # States per move-gain table in `classify`, and trajectories per lockstep
 # batch in the simulator: memory O(chunk * (d + horizon)).
@@ -125,11 +126,11 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     mdp.check_state(start)
-    # The table of the distinct visited states, and the states and
-    # coefficients kept as Python objects (about 10 words a state).
+    # The distinct visited states' table, 4 words an entry (no kernel), a block of
+    # uniforms, and the states and coefficients as Python objects (about 10 words a state).
     d = mdp.degree
-    check_memory(f"trace of {t_max + 1} states", entries=min(t_max + 1, mdp.num_states) * d,
-                 masks=d, words=10 * (t_max + 1))
+    check_memory(f"trace of {t_max + 1} states", masks=d, draws=min(t_max, DRAW_BLOCK),
+                 words=4 * min(t_max + 1, mdp.num_states) * d + 10 * (t_max + 1))
     states = [start]
     state = start
     for t in range(t_max):
@@ -394,11 +395,10 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     """
     _check_series(horizon)
     if states is None:
-        f, swept = mdp.landscape, np.arange(mdp.num_states)
-    else:
-        f, swept = None, _sample(mdp, states)
-        if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
-            f = mdp.landscape  # a sample of every state is gathered as the full sweep is
+        mdp.landscape  # refused past the cap before any state is built
+    swept = np.arange(mdp.num_states) if states is None else _sample(mdp, states)
+    if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
+        mdp.landscape  # a sample of every state is gathered as the full sweep is
     if not swept.size:
         raise ValueError("empty state sample")
     rows, d = min(swept.size, SWEEP_CHUNK), mdp.degree
@@ -413,7 +413,7 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
                  words=rows * d * (4 if certified else 1) + 12 * swept.size)
     up, series_id, chunks = np.empty(swept.size, np.intp), np.empty(swept.size, np.intp), []
     for lo in range(0, swept.size, SWEEP_CHUNK):
-        gain, reached = mdp.move_gains(swept[lo:lo + SWEEP_CHUNK], f)[1:]
+        gain, reached = mdp.move_gains(swept[lo:lo + SWEEP_CHUNK])[1:]
         inverse, columns = _chunk_series(policy, gain, reached, horizon)
         up[lo:lo + SWEEP_CHUNK] = improving_counts(gain)
         series_id[lo:lo + SWEEP_CHUNK] = inverse + sum(len(c["rule"]) for c in chunks)

@@ -154,7 +154,9 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
     next_state[i] is the state the greedy action moves i to, i itself for
     stay; ties prefer stay, then the lowest-numbered neighbor.
     """
-    _check_solve(mdp)
+    # No kernel: the table and its backup's temporaries, and eight N-vectors.
+    size, d = mdp.num_states, mdp.degree
+    check_memory(f"value iteration at n={mdp.n}", entries=size * d, masks=d, words=8 * size)
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:

@@ -2,8 +2,8 @@
 
 States are plain ints in [0, 2**n).  A move i -> j is available exactly when
 j lies in the neighborhood of i; executing it has deterministic effect and
-pays the objective gain f(j) - f(i).  The move-gain table of `move_gains`
-holds every move of a set of states and its reward.
+pays the objective gain f(j) - f(i).  One builder, `move_table`, makes the
+move-gain table of a set of states: every move and its reward.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ class HammingNeighborhood:
         if not isinstance(self.distance, int) or self.distance < 1:
             raise ValueError(f"hamming distance must be a positive int, got {self.distance!r}")
 
-    def masks(self, n: int) -> np.ndarray:
-        """The bit flips of one move, one entry per neighbor: state ^ mask."""
-        return _hamming_masks(n, self.distance)
-
-    def degree(self, n: int) -> int:
-        return math.comb(n, self.distance)  # neighbors per state, no row built
-
     @property
     def descriptor(self) -> str:
         return f"hamming:{self.distance}"
@@ -71,9 +64,9 @@ def parse_criterion(descriptor: str) -> HammingNeighborhood:
 class LocalSearchMdp:
     """Immutable pairing of an objective with a neighborhood criterion.
 
-    It keeps one thing, the `landscape`: every full move-gain table, and
-    `value` once it is built, is read from it; samples, rollouts and `value`
-    before it evaluate what they touch.
+    It keeps one thing, the `landscape`, and reads every value it hands out
+    from it once it is built; before, it evaluates the states it touches.
+    `move_table` builds every move-gain table, from the neighborhood's masks.
     """
 
     def __init__(self, objective: Objective, criterion=None):
@@ -81,7 +74,7 @@ class LocalSearchMdp:
         self.criterion = criterion if criterion is not None else HammingNeighborhood(1)
         self.n = objective.n
         self.num_states = 1 << objective.n
-        self.degree = self.criterion.degree(self.n)  # moves per state, before any mask is built
+        self.degree = math.comb(self.n, self.criterion.distance)  # moves per state, no mask built
 
     @cached_property
     def landscape(self) -> np.ndarray:
@@ -95,8 +88,9 @@ class LocalSearchMdp:
 
     def check_state(self, state: int) -> int:
         """`state` as a Python int; ValueError unless it is an int (numpy
-        integers included) in [0, 2**n)."""
-        if not isinstance(state, (int, np.integer)) or not 0 <= state < self.num_states:
+        integers included, bool not) in [0, 2**n)."""
+        if (isinstance(state, bool) or not isinstance(state, (int, np.integer))
+                or not 0 <= state < self.num_states):
             raise ValueError(f"state {state!r} out of range [0, 2**{self.n})")
         return int(state)
 
@@ -111,7 +105,7 @@ class LocalSearchMdp:
 
     def neighbor_rows(self, states: np.ndarray) -> np.ndarray:
         """The neighbors of each unchecked int64 state, one ascending row each."""
-        nbr = states[:, None] ^ self.criterion.masks(self.n)
+        nbr = states[:, None] ^ _hamming_masks(self.n, self.criterion.distance)
         nbr.sort(axis=1)
         return nbr
 
@@ -137,26 +131,30 @@ class LocalSearchMdp:
             states |= parity
         return states
 
-    def move_gains(self, states=None, f=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The move-gain table of `states`: (nbr, gain, reached), each [k, d].
+    def _values(self, states: np.ndarray) -> np.ndarray:
+        """f of unchecked int64 `states`, by the rule of `value`, in one batch."""
+        f = vars(self).get("landscape")
+        return self.objective.values(states) if f is None else f[states]
 
-        Row i of `nbr` lists the neighbors of states[i] in ascending order,
-        `reached` holds their objective values and `gain` the move gains
-        f(nbr) - f(state).  Values are gathered from the landscape `f` when
-        given, and for every state (`states` None); else one batch objective
-        call covers a sample of a huge space or one lockstep rollout step.
-        """
+    def move_table(self, states: np.ndarray, current: np.ndarray):
+        """The move-gain table (nbr, gain, reached), each [k, d], of unchecked
+        int64 `states` whose values are `current`: each state's ascending
+        neighbors, their values and the move gains f(nbr) - f(state)."""
+        nbr = self.neighbor_rows(states)
+        reached = self._values(nbr.ravel()).reshape(nbr.shape)
+        return nbr, reached - current[:, None], reached
+
+    def move_gains(self, states=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`move_table` of checked `states`, every state when None (the
+        landscape built first), with the values `_values` gives them."""
         if states is None:
-            states, f = np.arange(self.num_states), self.landscape
+            self.landscape  # refused past EXHAUSTIVE_CAP before any state is built
+            states = np.arange(self.num_states)
         states = np.asarray(states)
         if states.ndim != 1 or (states.size and states.dtype.kind not in "iu"):
             raise ValueError("states must be a flat sequence of ints")
         if states.size and not (states.min() >= 0 and states.max() < self.num_states):
             bad = states[(states < 0) | (states >= self.num_states)][0]
             raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
-        states = states.astype(np.int64)
-        nbr = self.neighbor_rows(states)
-        involved = np.concatenate([states, nbr.ravel()])
-        values = self.objective.values(involved) if f is None else f[involved]
-        current, reached = values[:len(states)], values[len(states):].reshape(nbr.shape)
-        return nbr, reached - current[:, None], reached
+        states = states.astype(np.int64, copy=False)
+        return self.move_table(states, self._values(states))

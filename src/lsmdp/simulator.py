@@ -161,11 +161,8 @@ def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: i
     its size."""
     _check_horizon(horizon)
     _check_bucket_width(bucket_width)
-    if start_rule == "uniform":
-        return
-    if isinstance(start_rule, bool) or not isinstance(start_rule, int):
-        raise ValueError(f"start rule must be an int state or 'uniform', got {start_rule!r}")
-    mdp.check_state(start_rule)
+    if start_rule != "uniform":
+        mdp.check_state(start_rule)
 
 
 def _check_run(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool,
@@ -205,7 +202,7 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     if start_rule == "uniform":
         starts = Streams(derive_seed(base_seed, indices, stream=1)).integers(mdp.n).tolist()
     else:
-        starts = [start_rule] * num_trajectories
+        starts = [int(start_rule)] * num_trajectories
     return _lockstep(policies, mdp, starts, Streams(seeds), seeds.tolist(), horizon, keep_steps)
 
 
@@ -265,15 +262,6 @@ def _stoppers(spans):
     return [span for span in spans if type(span[1]).absorbed is not Policy.absorbed]
 
 
-def _step_table(mdp, states, current):
-    """`mdp.move_gains(states)` bit for bit, for states whose values are
-    `current`, from one objective call over the neighbors and no state check:
-    the engine passes checked starts and the neighbors they reached."""
-    nbr = mdp.neighbor_rows(states)
-    reached = mdp.objective.values(nbr.ravel()).reshape(nbr.shape)
-    return nbr, reached - current[:, None], reached
-
-
 def _advance_chunk(run, mdp, lo, hi) -> None:
     """Roll rows lo..hi-1 of `run` forward together for up to the horizon;
     a row stops once its policy is absorbed, which only the policies that
@@ -297,12 +285,12 @@ def _advance_chunk(run, mdp, lo, hi) -> None:
     for t in range(horizon):
         # A row that stayed keeps its state, so its table is still exact.
         if moved is None or moved.all():
-            nbr, gain, reached = _step_table(mdp, states, current)
+            nbr, gain, reached = mdp.move_table(states, current)
         else:
             fresh = np.flatnonzero(moved)
             if fresh.size:
-                nbr[fresh], gain[fresh], reached[fresh] = _step_table(mdp, states[fresh],
-                                                                      current[fresh])
+                nbr[fresh], gain[fresh], reached[fresh] = mdp.move_table(states[fresh],
+                                                                         current[fresh])
         if stoppers:
             stop = np.zeros(rows.size, dtype=bool)
             for _, policy, a, b in stoppers:
@@ -354,7 +342,7 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     records `terminated_at`) once the policy is absorbed.  Deterministic for
     a given seed: a batch of one."""
     _check_horizon(horizon)
-    mdp.check_state(start)
+    start = mdp.check_state(start)
     _check_run(mdp, 1, horizon, True, 60 * horizon)  # a step's record: about 60 words of objects
     return _lockstep([policy], mdp, [start], Streams(int(seed)), [int(seed)], horizon,
                      keep_steps=True)[0].records[0]

@@ -346,7 +346,7 @@ def test_chunk_tables_over_the_memory_budget_fail(tmp_path, capsys, monkeypatch,
 
 def test_gamma_trace_over_the_memory_budget_fails_before_any_step(tmp_path, capsys,
                                                                   monkeypatch):
-    # onemax n=8 has 8 moves a state: a trace keeps about 360 bytes a state,
+    # onemax n=8 has 8 moves a state: a trace keeps about 340 bytes a state,
     # so 101 states fit 100 kB and 1,001 do not.
     monkeypatch.setattr(objectives, "MEMORY_BUDGET", 100_000)
     gamma = ["gamma", "--objective", "onemax:n=8", "--policy", "walk", "--start", "0"]
@@ -536,8 +536,9 @@ def test_compare_writes_the_reference_files(tmp_path, capsys, seeds, bucket_widt
 
 class TestSingleSweep:
     """An exhaustive command evaluates the objective once per state: one
-    batch call over exactly the 2**n states; `value`'s f column reads the
-    landscape that call built, and the scalar `fn` is never called."""
+    batch call over exactly the 2**n states; `value`'s f column and the
+    steps of a `gamma` trace read the landscape that call built, and the
+    scalar `fn` is never called."""
 
     N_BITS = 9
 
@@ -554,9 +555,10 @@ class TestSingleSweep:
     @pytest.mark.parametrize("command, options", [
         ("classify", ["--policy", "sa:T0=10,rate=0.9"]),
         ("gamma", []),
+        ("gamma", ["--policy", "sa:T0=10,rate=0.9", "--start", "0", "--t-max", "300"]),
         ("value", ["--policy", "metropolis:T=1"]),
         ("value", ["--policy", "sa:T0=10,rate=0.9", "--horizon", "20"]),
-    ], ids=["classify", "gamma", "value-stationary", "value-nonstationary"])
+    ], ids=["classify", "gamma", "gamma-trace", "value-stationary", "value-nonstationary"])
     def test_one_batch_call_over_every_state(self, tmp_path, calls, command, options):
         batches, scalars = calls
         assert run_cli([command, "--objective", "counted", *options, "--out", tmp_path]) == 0

@@ -380,15 +380,16 @@ def test_zero_temperature_plateaus(tmp_path):
 @settings(max_examples=150, deadline=None)
 @given(landscapes(), st.data())
 def test_gathered_table_equals_evaluated_table(mdp, data):
-    # The table gathered from the landscape, for a sample or for every state,
-    # is bit for bit the table of one batch objective call.
+    # The table of a sample or of every state that the MDP evaluates before
+    # its landscape is built is bit for bit the one it gathers after.
     sample = data.draw(st.lists(st.integers(0, mdp.num_states - 1), max_size=20))
-    for states, gathered in ((sample, mdp.move_gains(sample, mdp.landscape)),
-                             (range(mdp.num_states), mdp.move_gains())):
-        evaluated = mdp.move_gains(list(states))
-        for mine, theirs in zip(gathered, evaluated):
-            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
-            assert mine.tobytes() == theirs.tobytes()
+    evaluated = [mdp.move_gains(sample), mdp.move_gains(list(range(mdp.num_states)))]
+    assert "landscape" not in vars(mdp)
+    mdp.landscape
+    for gathered, theirs in zip([mdp.move_gains(sample), mdp.move_gains()], evaluated):
+        for mine, oracle in zip(gathered, theirs):
+            assert mine.dtype == oracle.dtype and mine.shape == oracle.shape
+            assert mine.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, 2**6])
@@ -594,15 +595,20 @@ def assert_fused_equals_one_batch_per_policy(mdp, descriptors, keep_steps, horiz
     # Small chunks end inside a policy's block of rows.
     with mock.patch.object(simulator, "SWEEP_CHUNK", chunk):
         fused = simulate_batches(policies, mdp, start, horizon, count, base_seed, keep_steps)
-    assert len(fused) == len(policies)
-    for batch, expected in zip(fused, alone):
-        assert (batch.seeds, batch.starts) == (expected.seeds, expected.starts)
+    assert all((batch.steps is None) == (not keep_steps) for batch in fused)
+    assert_same_batches(fused, alone)
+
+
+def assert_same_batches(got, expected):
+    assert len(got) == len(expected)
+    for batch, oracle in zip(got, expected):
+        assert (batch.seeds, batch.starts) == (oracle.seeds, oracle.starts)
         for name in ("best", "explore", "exploit"):
-            assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
-        assert (batch.steps is None) == (not keep_steps)
-        if keep_steps:
-            for name, array, oracle in zip(batch.steps._fields, batch.steps, expected.steps):
-                assert np.array_equal(array, oracle), name
+            assert np.array_equal(getattr(batch, name), getattr(oracle, name)), name
+        assert (batch.steps is None) == (oracle.steps is None)
+        if batch.steps is not None:
+            for name, array, kept in zip(batch.steps._fields, batch.steps, oracle.steps):
+                assert np.array_equal(array, kept), name
 
 
 @settings(max_examples=150, deadline=None)
@@ -627,19 +633,41 @@ def test_fused_batches_across_draw_blocks_equal_one_batch_per_policy(
                                              base_seed, chunk, data)
 
 
+@settings(max_examples=40, deadline=None)
+@given(landscapes(max_bits=8), st.integers(0, 40), st.integers(0, 4), st.integers(0, 2**32),
+       st.data())
+def test_rollouts_on_a_built_landscape_equal_a_fresh_run(mdp, horizon, count, base_seed, data):
+    # Once the landscape is built, every step's table reads it instead of
+    # calling the objective, and no path of any policy changes.
+    start = data.draw(st.one_of(st.just("uniform"), st.integers(0, mdp.num_states - 1)))
+    policies = [parse_policy(descriptor) for descriptor in POLICIES]
+    fresh = simulate_batches(policies, mdp, start, horizon, count, base_seed, keep_steps=True)
+    assert "landscape" not in vars(mdp)
+    mdp.landscape
+    assert_same_batches(simulate_batches(policies, mdp, start, horizon, count, base_seed,
+                                         keep_steps=True), fresh)
+
+
 @settings(max_examples=200, deadline=None)
 @given(wide_objectives().map(lambda pair: pair[0]), st.sampled_from([1, 2]),
        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12))
-def test_step_table_equals_move_gains(objective, distance, raw):
+def test_move_table_equals_move_gains(objective, distance, raw):
     # The engine's table, built from states it made and the values they
-    # carry, is bit for bit the checked table of `move_gains`.
-    mdp = LocalSearchMdp(objective, HammingNeighborhood(min(distance, objective.n)))
-    states = np.array([s & (mdp.num_states - 1) for s in raw], dtype=np.int64)
-    current = np.array([mdp.value(s) for s in states.tolist()])
-    table = simulator._step_table(mdp, states, current)
-    for mine, theirs in zip(table, mdp.move_gains(states)):
-        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
-        assert mine.tobytes() == theirs.tobytes()
+    # carry, on a fresh MDP and (up to n = 10) on one whose landscape is
+    # built, is bit for bit the checked table of `move_gains` on a fresh MDP.
+    criterion = HammingNeighborhood(min(distance, objective.n))
+    fresh = LocalSearchMdp(objective, criterion)
+    states = np.array([s & (fresh.num_states - 1) for s in raw], dtype=np.int64)
+    expected = fresh.move_gains(states)
+    mdps = [LocalSearchMdp(objective, criterion)]
+    if objective.n <= 10:
+        mdps.append(LocalSearchMdp(objective, criterion))
+        mdps[-1].landscape
+    for mdp in mdps:
+        current = np.array([mdp.value(s) for s in states.tolist()])
+        for mine, theirs in zip(mdp.move_table(states, current), expected):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

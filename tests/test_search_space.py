@@ -4,8 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lsmdp import search_space
+from lsmdp.coefficients import balance_series, classify, count_fractions
 from lsmdp.objectives import Objective, make_leading_ones, make_nk_landscape, make_onemax
+from lsmdp.policies import HillClimbing
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, parse_criterion
+from lsmdp.simulator import run_trajectory, simulate_batch
 
 
 @pytest.fixture
@@ -113,19 +116,22 @@ def test_the_masks_cache_is_bounded():
     cache = search_space._hamming_masks
     bound = cache.cache_info().maxsize
     for n in range(1, bound + 3):  # more distinct (n, distance) shapes than the bound
-        HammingNeighborhood(1).masks(n)
+        search_space._hamming_masks(n, 1)
     assert cache.cache_info().currsize == bound
 
 
 def test_one_read_only_masks_array_serves_every_mdp_of_a_shape():
     first = LocalSearchMdp(make_onemax(6), HammingNeighborhood(2))
     second = LocalSearchMdp(make_leading_ones(6), HammingNeighborhood(2))
-    masks = first.criterion.masks(6)
-    assert masks is second.criterion.masks(6) is search_space._hamming_masks(6, 2)
+    cache = search_space._hamming_masks
+    cache.cache_clear()
+    rows = first.neighbor_rows(np.arange(64))  # sorted in place, a fresh array
+    assert second.neighbor_rows(np.arange(64)).tolist() == rows.tolist()
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)  # built once
+    masks = cache(6, 2)
     assert masks.dtype == np.int64 and not masks.flags.writeable
     with pytest.raises(ValueError):
         masks[0] = 0
-    rows = first.neighbor_rows(np.arange(64))  # sorted in place, a fresh array
     assert rows.flags.writeable and not np.shares_memory(rows, masks)
     assert len(masks) == first.degree == 15
 
@@ -144,6 +150,23 @@ def test_exhaustive_symmetry_up_to_twelve_bits():
         for i in range(1 << n):
             for j in mdp.neighbors(i):
                 assert i in mdp.neighbors(j)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda mdp: mdp.value(True),
+    lambda mdp: mdp.neighbors(True),
+    lambda mdp: mdp.reachable_states(True),
+    lambda mdp: classify(HillClimbing(), mdp, states=[True, 3]),
+    lambda mdp: balance_series(HillClimbing(), mdp, True),
+    lambda mdp: count_fractions(mdp, True),
+    lambda mdp: run_trajectory(HillClimbing(), mdp, True, 3, 0),
+    lambda mdp: simulate_batch(HillClimbing(), mdp, True, 3, 2, 0),
+], ids=["value", "neighbors", "reachable_states", "classify", "balance_series",
+        "count_fractions", "run_trajectory", "simulate_batch"])
+def test_a_bool_is_no_state(onemax3, entry):
+    # True == 1, but a state is an int, not a flag.
+    with pytest.raises(ValueError):
+        entry(onemax3)
 
 
 class TestCriterionParsing:
