@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (SWEEP_CHUNK, _check_series, classify, convergence_trace,
-                           extended_ratio, improving_counts)
+from .coefficients import (SWEEP_CHUNK, classify, convergence_trace, extended_ratio,
+                           improving_counts, price_trace)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
-from .objectives import check_memory, parse_objective
+from .objectives import check_at_least, check_memory, parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
@@ -219,7 +219,7 @@ def _write_manifest(outdir: Path, command: str, resolved: dict[str, str]) -> Non
 
 def cmd_classify(resolved, formats) -> int:
     horizon = _int_opt(resolved, "horizon")
-    _check_series(horizon)
+    check_at_least("horizon", horizon, 1)
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
     states = None
@@ -241,18 +241,19 @@ def cmd_gamma(resolved, formats) -> int:
     if resolved["start"] and policy is None:
         raise UsageError("option --start needs --policy")
     seed, t_max = _int_opt(resolved, "seed"), _int_opt(resolved, "t_max")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_at_least("t_max", t_max)
     mdp = _build_mdp(resolved)
-    f = mdp.landscape  # checks the cap, and the trace's steps and the sweep read it
+    start = mdp.check_state(_int_opt(resolved, "start")) if resolved["start"] else None
+    mdp.check_exhaustive()
     # A chunk's table at 4 words an entry (no kernel reads it), and 8 words a state.
     size, moves = mdp.num_states, mdp.degree
     check_memory(f"gamma of {size} states of {moves} moves", masks=moves,
                  words=4 * min(size, SWEEP_CHUNK) * moves + 8 * size)
-    trace = None
-    if resolved["start"]:  # traced first: a start outside the space leaves no output behind
-        trace = convergence_trace(policy, mdp, _int_opt(resolved, "start"), t_max,
-                                  Uniforms(seed))
+    if start is not None:
+        price_trace(mdp, t_max)
+    f = mdp.landscape  # the trace's steps and the sweep read it
+    trace = None if start is None else convergence_trace(policy, mdp, start, t_max,
+                                                           Uniforms(seed))
     chunks = (np.arange(lo, min(lo + SWEEP_CHUNK, size)) for lo in range(0, size, SWEEP_CHUNK))
     ups = np.concatenate([improving_counts(mdp.move_gains(chunk)[1]) for chunk in chunks])
     local_max = (ups == 0).tolist()
@@ -285,8 +286,7 @@ def cmd_value(resolved, formats) -> int:
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value needs discount in (0, 1), got {discount!r}")
     horizon = _int_opt(resolved, "horizon")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_at_least("horizon", horizon)
     mdp = _build_mdp(resolved)
     policy = parse_policy(resolved["policy"])
     if policy.stationary:

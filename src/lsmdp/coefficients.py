@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .objectives import check_memory
+from .objectives import check_at_least, check_memory
 from .policies import Policy, SeriesCertificate, step
 from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
@@ -119,18 +119,21 @@ class ConvergenceTrace:
     first_zero: int | None
 
 
+def price_trace(mdp: LocalSearchMdp, t_max: int) -> None:
+    """Price a trace of t_max steps before its first step: the distinct visited
+    states' table, 4 words an entry (no kernel), a block of uniforms, and the
+    states and coefficients as Python objects (about 10 words a state)."""
+    check_memory(f"trace of {t_max + 1} states", masks=mdp.degree, draws=min(t_max, DRAW_BLOCK),
+                 words=4 * min(t_max + 1, mdp.num_states) * mdp.degree + 10 * (t_max + 1))
+
+
 def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: int,
                       rng) -> ConvergenceTrace:
     """Roll the policy for t_max steps and record the convergence coefficient
     of every visited state; absorbed states simply repeat."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_at_least("t_max", t_max)
     mdp.check_state(start)
-    # The distinct visited states' table, 4 words an entry (no kernel), a block of
-    # uniforms, and the states and coefficients as Python objects (about 10 words a state).
-    d = mdp.degree
-    check_memory(f"trace of {t_max + 1} states", masks=d, draws=min(t_max, DRAW_BLOCK),
-                 words=4 * min(t_max + 1, mdp.num_states) * d + 10 * (t_max + 1))
+    price_trace(mdp, t_max)
     states = [start]
     state = start
     for t in range(t_max):
@@ -139,7 +142,7 @@ def convergence_trace(policy: Policy, mdp: LocalSearchMdp, start: int, t_max: in
     distinct, index = np.unique(states, return_inverse=True)
     _, gain, _ = mdp.move_gains(distinct)
     ups = improving_counts(gain)
-    values = tuple(extended_ratio(ups, d - ups)[index].tolist())
+    values = tuple(extended_ratio(ups, mdp.degree - ups)[index].tolist())
     first_zero = next((t for t, g in enumerate(values) if g == 0.0), None)
     return ConvergenceTrace(tuple(states), values, first_zero)
 
@@ -212,11 +215,6 @@ def balance_series(policy: Policy, mdp: LocalSearchMdp, state: int,
     gets ``inconclusive`` with the rule ``no-certificate``.
     """
     return classify(policy, mdp, horizon, [state]).series[state]
-
-
-def _check_series(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def _chunk_series(policy: Policy, gain: np.ndarray, reached: np.ndarray,
@@ -358,16 +356,6 @@ class CoefficientReport:
         }
 
 
-def _sample(mdp: LocalSearchMdp, states: Iterable[int]) -> np.ndarray:
-    """`states` as int64, each once in order of first occurrence: one pass for
-    an int array in range, else `mdp.check_state` state by state (its error)."""
-    if not (isinstance(states, np.ndarray) and states.ndim == 1 and states.dtype.kind in "iu"
-            and states.size and states.min() >= 0 and states.max() < mdp.num_states):
-        states = np.array([mdp.check_state(state) for state in states], dtype=np.int64)
-    first = np.unique(states, return_index=True)[1]  # not bare: that imports numpy.ma
-    return states[np.sort(first)].astype(np.int64, copy=False)
-
-
 def classify(policy: Policy, mdp: LocalSearchMdp,
              horizon: int = DEFAULT_HORIZON,
              states: Iterable[int] | None = None) -> CoefficientReport:
@@ -391,14 +379,16 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     series is decided as in `balance_series`, once per chunk for all states
     with the same constant term (stationary policies) or the same sorted gain
     row (certified policies), so memory is O(chunk * moves) whatever the
-    horizon.
+    horizon.  Its horizon, cap, sample and price are checked, in that order,
+    before the objective is evaluated.
     """
-    _check_series(horizon)
+    check_at_least("horizon", horizon, 1)
     if states is None:
-        mdp.landscape  # refused past the cap before any state is built
-    swept = np.arange(mdp.num_states) if states is None else _sample(mdp, states)
-    if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
-        mdp.landscape  # a sample of every state is gathered as the full sweep is
+        mdp.check_exhaustive()  # before any state is built
+        swept = np.arange(mdp.num_states)
+    else:  # each state once, in order of first occurrence (a bare unique imports numpy.ma)
+        swept = mdp.check_states(states)
+        swept = swept[np.sort(np.unique(swept, return_index=True)[1])]
     if not swept.size:
         raise ValueError("empty state sample")
     rows, d = min(swept.size, SWEEP_CHUNK), mdp.degree
@@ -411,6 +401,8 @@ def classify(policy: Policy, mdp: LocalSearchMdp,
     certified = not policy.stationary
     check_memory(f"classify of {swept.size} states of {d} moves", entries=rows * d, masks=d,
                  words=rows * d * (4 if certified else 1) + 12 * swept.size)
+    if swept.size == mdp.num_states and mdp.n <= EXHAUSTIVE_CAP:
+        mdp.landscape  # a sample of every state is gathered as the full sweep is
     up, series_id, chunks = np.empty(swept.size, np.intp), np.empty(swept.size, np.intp), []
     for lo in range(0, swept.size, SWEEP_CHUNK):
         gain, reached = mdp.move_gains(swept[lo:lo + SWEEP_CHUNK])[1:]

@@ -1,8 +1,8 @@
 """Exact policy evaluation and optimal values on the move-gain table, with no
 N x N matrix: a stationary sweep to its contraction bound, finite-horizon
 backward induction and value iteration.  Dense `freeze`/`evaluate_stationary`
-remain as the small-n oracle; every solver checks a byte estimate against
-`objectives.MEMORY_BUDGET` first."""
+remain as the small-n oracle; every solver checks its arguments, then a byte
+estimate against `objectives.MEMORY_BUDGET`, before it reads the landscape."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ResourceLimitError, check_memory
+from .objectives import ResourceLimitError, check_at_least, check_memory
 from .policies import Policy
 from .search_space import LocalSearchMdp
 
@@ -52,6 +52,7 @@ def _backup(p, stay, r, nbr: np.ndarray, v: np.ndarray, discount: float) -> np.n
 
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
+    check_at_least("time index", t)
     _check_solve(mdp, dense=True)
     nbr, gain, reached = mdp.move_gains()
     p, stay, r = _transitions(policy, gain, reached, t)
@@ -130,11 +131,10 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
     ch. 4): with the policy frozen at each t, v_t = r_t + discount * P_t v_{t+1}
     from v_horizon = 0 down to t = 0.  P_t v is read off the move-gain
     table, built once: sum(p * v[nbr]) + stay * v, with no N x N matrix."""
-    _check_solve(mdp)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_at_least("horizon", horizon)
     if not 0.0 <= discount <= 1.0:
         raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
+    _check_solve(mdp)
     nbr, gain, reached = mdp.move_gains()
     v = np.zeros(mdp.num_states)
     frozen = _transitions(policy, gain, reached, 0) if policy.stationary else None
@@ -154,13 +154,13 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
     next_state[i] is the state the greedy action moves i to, i itself for
     stay; ties prefer stay, then the lowest-numbered neighbor.
     """
-    # No kernel: the table and its backup's temporaries, and eight N-vectors.
-    size, d = mdp.num_states, mdp.degree
-    check_memory(f"value iteration at n={mdp.n}", entries=size * d, masks=d, words=8 * size)
     if not 0.0 < discount < 1.0:
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    # No kernel: the table and its backup's temporaries, and eight N-vectors.
+    size, d = mdp.num_states, mdp.degree
+    check_memory(f"value iteration at n={mdp.n}", entries=size * d, masks=d, words=8 * size)
     nbr, gain, _ = mdp.move_gains()
     v = np.zeros(mdp.num_states)
     threshold = tolerance * (1.0 - discount) / discount
@@ -189,10 +189,9 @@ def enumerate_trajectories(policy: Policy, mdp: LocalSearchMdp, start: int,
     """Exact expected total (discounted) reward by expanding every branch of
     the decision tree — no matrices, no memoization, so it serves as an
     independent oracle for both evaluators."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_at_least("horizon", horizon)
     mdp.check_state(start)
-    branching = len(mdp.neighbors(start)) + 1
+    branching = mdp.degree + 1
     if branching ** horizon > ENUMERATION_LEAF_CAP:
         raise ResourceLimitError(
             f"enumeration would expand about {branching}**{horizon} leaves "

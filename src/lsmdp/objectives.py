@@ -1,7 +1,7 @@
 """Benchmark objectives over fixed-length bit strings, plus a DIMACS CNF loader,
-the descriptor grammar, and the one memory budget every size check reads
-(this module imports no other lsmdp module but the leaf `streams`, so every
-one can import it).
+the descriptor grammar, the one memory budget every size check reads and the
+one rule every lower bound on an argument reads (this module imports no
+other lsmdp module but the leaf `streams`, so every one can import it).
 
 A candidate solution is a plain int in [0, 2**n).  Bit b (least significant
 bit = bit 0) holds CNF variable b+1; written-out bit strings use ordinary
@@ -29,6 +29,12 @@ ENTRY_WORDS, MASK_WORDS, SCRATCH_WORDS = 5, 2, 7
 
 class ResourceLimitError(RuntimeError):
     """An analysis would exceed its stated size cap."""
+
+
+def check_at_least(name: str, value, low: int = 0) -> None:
+    """ValueError naming `name` unless `value` >= `low`."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def check_memory(what: str, *, words: int = 0, entries: int = 0, masks: int = 0,
@@ -75,7 +81,7 @@ class Objective:
 
 
 def _check_bits(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_BITS:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BITS:
         raise ValueError(f"bit length must be an int in [1, {MAX_BITS}], got {n!r}")
 
 
@@ -108,7 +114,7 @@ def make_trap(n: int, k: int) -> Objective:
     scores k, so the gradient points away from the global optimum.
     """
     _check_bits(n)
-    if not isinstance(k, int) or not 1 <= k <= n or n % k != 0:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n or n % k != 0:
         raise ValueError(f"trap block size k={k!r} must divide n={n}")
     blocks = n // k
     lows = sum(1 << lo for lo in range(0, n, k))  # the lowest bit of every block
@@ -136,7 +142,7 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     and its k circular successors; the n tables of size 2**(k+1) are drawn
     once from the seed and cached on the objective."""
     _check_bits(n)
-    if not isinstance(k, int) or not 0 <= k <= n - 1:
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
     if seed < 0:  # the entropy of numpy's SeedSequence
         raise ValueError(f"nk:n={n},k={k},seed={seed}: the seed must be non-negative")
@@ -169,7 +175,7 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_vars, int) or self.num_vars < 1:
+        if isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int) or self.num_vars < 1:
             raise ValueError(f"num_vars must be a positive int, got {self.num_vars!r}")
         for clause in self.clauses:
             if not clause:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import parse_params
+from .objectives import check_at_least, parse_params
 from .search_space import LocalSearchMdp, Move
 
 
@@ -59,11 +59,6 @@ class SeriesCertificate(NamedTuple):
 # entry still alive, so a cut-off row's limit and tail bound depend on the
 # other rows of its table.
 CERTIFICATE_WORK_CAP = 1 << 28
-
-
-def _check_time(t: int) -> None:
-    if t < 0:
-        raise ValueError(f"time index must be >= 0, got {t}")
 
 
 class Policy:
@@ -130,7 +125,7 @@ class HillClimbing(Policy):
         self.variant = variant
 
     def move_probabilities(self, gain, t, reached):
-        _check_time(t)
+        check_at_least("time index", t)
         # Ties come from the reached values, because distinct values can round
         # to equal gains.  A move of the row's largest reached value also has
         # its largest gain (subtracting one current value rounds monotonically),
@@ -185,7 +180,7 @@ class SimulatedAnnealing(Policy):
         self.cooling_rate = float(cooling_rate)
 
     def temperature(self, t: int) -> float:
-        _check_time(t)
+        check_at_least("time index", t)
         return self.t0 * self.cooling_rate ** t
 
     def move_probabilities(self, gain, t, reached):
@@ -278,7 +273,7 @@ class Metropolis(Policy):
         self.fixed_temperature = float(temperature)
 
     def move_probabilities(self, gain, t, reached):
-        _check_time(t)
+        check_at_least("time index", t)
         return _metropolis_probabilities(gain, self.fixed_temperature)
 
     action_distribution = Policy.action_distribution
@@ -292,7 +287,7 @@ class RandomWalk(Policy):
     """Uniform over all neighbors; never stays."""
 
     def move_probabilities(self, gain, t, reached):
-        _check_time(t)
+        check_at_least("time index", t)
         return np.full(gain.shape, 1.0 / gain.shape[-1])
 
     action_distribution = Policy.action_distribution

@@ -3,7 +3,9 @@
 States are plain ints in [0, 2**n).  A move i -> j is available exactly when
 j lies in the neighborhood of i; executing it has deterministic effect and
 pays the objective gain f(j) - f(i).  One builder, `move_table`, makes the
-move-gain table of a set of states: every move and its reward.
+move-gain table of a set of states: every move and its reward.  States pass
+`check_state` (`check_states`: an array in one pass), and every sweep of all
+states `check_exhaustive`, before anything is priced or evaluated.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class HammingNeighborhood:
     distance: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.distance, int) or self.distance < 1:
+        if isinstance(self.distance, bool) or not isinstance(self.distance, int) or self.distance < 1:
             raise ValueError(f"hamming distance must be a positive int, got {self.distance!r}")
 
     @property
@@ -76,12 +78,16 @@ class LocalSearchMdp:
         self.num_states = 1 << objective.n
         self.degree = math.comb(self.n, self.criterion.distance)  # moves per state, no mask built
 
-    @cached_property
-    def landscape(self) -> np.ndarray:
-        """f[2**n], read-only, from one batch objective call, refused past EXHAUSTIVE_CAP."""
+    def check_exhaustive(self) -> None:
+        """ResourceLimitError past EXHAUSTIVE_CAP, the cap of every sweep of all states."""
         if self.n > EXHAUSTIVE_CAP:
             raise ResourceLimitError(f"exhaustive sweep is capped at n <= {EXHAUSTIVE_CAP} "
                                      f"(got n={self.n})")
+
+    @cached_property
+    def landscape(self) -> np.ndarray:
+        """f[2**n], read-only, from one batch objective call, refused past EXHAUSTIVE_CAP."""
+        self.check_exhaustive()
         f = self.objective.values(np.arange(self.num_states))
         f.flags.writeable = False  # one array serves every caller of this MDP
         return f
@@ -93,6 +99,14 @@ class LocalSearchMdp:
                 or not 0 <= state < self.num_states):
             raise ValueError(f"state {state!r} out of range [0, 2**{self.n})")
         return int(state)
+
+    def check_states(self, states) -> np.ndarray:
+        """`states` as int64: one pass over a 1-D int array in range, else
+        `check_state` state by state (its error)."""
+        if not (isinstance(states, np.ndarray) and states.ndim == 1 and states.dtype.kind in "iu"
+                and states.size and states.min() >= 0 and states.max() < self.num_states):
+            states = np.array([self.check_state(state) for state in states], dtype=np.int64)
+        return states.astype(np.int64, copy=False)
 
     def value(self, state: int) -> float:
         """f(state), read from the landscape once it is built, else one objective call."""
@@ -150,11 +164,5 @@ class LocalSearchMdp:
         if states is None:
             self.landscape  # refused past EXHAUSTIVE_CAP before any state is built
             states = np.arange(self.num_states)
-        states = np.asarray(states)
-        if states.ndim != 1 or (states.size and states.dtype.kind not in "iu"):
-            raise ValueError("states must be a flat sequence of ints")
-        if states.size and not (states.min() >= 0 and states.max() < self.num_states):
-            bad = states[(states < 0) | (states >= self.num_states)][0]
-            raise ValueError(f"state {int(bad)} out of range [0, 2**{self.n})")
-        states = states.astype(np.int64, copy=False)
+        states = self.check_states(states)
         return self.move_table(states, self._values(states))

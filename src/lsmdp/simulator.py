@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import SWEEP_CHUNK, extended_ratio, improving
-from .objectives import check_memory
+from .objectives import check_at_least, check_memory
 from .policies import Policy, choose
 from .search_space import LocalSearchMdp, Move
 from .serialize import Rows, Table
@@ -146,21 +146,11 @@ def _empty_steps(count: int, horizon: int) -> Steps:
                  np.zeros((count, horizon)), np.zeros(count, dtype=np.int64))
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-
-
-def _check_bucket_width(bucket_width: int) -> None:
-    if bucket_width < 1:
-        raise ValueError(f"bucket width must be >= 1, got {bucket_width}")
-
-
 def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: int = 1) -> None:
     """Raise ValueError for rollout options that no batch can run, whatever
     its size."""
-    _check_horizon(horizon)
-    _check_bucket_width(bucket_width)
+    check_at_least("horizon", horizon)
+    check_at_least("bucket width", bucket_width, 1)
     if start_rule != "uniform":
         mdp.check_state(start_rule)
 
@@ -192,8 +182,7 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     runs; per-step arrays are kept only with `keep_steps`.
     """
     check_rollout(mdp, start_rule, horizon)
-    if num_trajectories < 0:
-        raise ValueError(f"num_trajectories must be >= 0, got {num_trajectories}")
+    check_at_least("num_trajectories", num_trajectories)
     policies = list(policies)
     _check_run(mdp, len(policies) * num_trajectories, horizon, keep_steps,
                num_trajectories * (horizon + 1))  # a summary's sorted copy of one policy's bests
@@ -341,7 +330,7 @@ def run_trajectory(policy: Policy, mdp: LocalSearchMdp, start: int, horizon: int
     """Roll the policy forward for up to `horizon` steps; stops early (and
     records `terminated_at`) once the policy is absorbed.  Deterministic for
     a given seed: a batch of one."""
-    _check_horizon(horizon)
+    check_at_least("horizon", horizon)
     start = mdp.check_state(start)
     _check_run(mdp, 1, horizon, True, 60 * horizon)  # a step's record: about 60 words of objects
     return _lockstep([policy], mdp, [start], Streams(int(seed)), [int(seed)], horizon,
@@ -356,7 +345,7 @@ def generate_records(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: i
 
 
 def _bucket_counts(batch: Rollouts, bucket_width: int) -> tuple[list[int], list[int]]:
-    _check_bucket_width(bucket_width)
+    check_at_least("bucket width", bucket_width, 1)
     starts = np.arange(0, batch.horizon, bucket_width)
     if not starts.size:
         return [], []
@@ -440,7 +429,7 @@ class RunSummary:
 def summarize_records(batch: Rollouts, bucket_width: int = 1,
                       known_optimum: float | None = None) -> RunSummary:
     """Aggregate a batch (order-independent) over its horizon."""
-    _check_bucket_width(bucket_width)
+    check_at_least("bucket width", bucket_width, 1)
     count = len(batch)
     if count == 0:
         return RunSummary(0, batch.horizon, bucket_width, None, None, None, [], [])

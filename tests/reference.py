@@ -14,8 +14,8 @@ is hill climbing's table kernel as it was while it asked `absorbed` twice,
 must equal, `hamming_neighbors` a state's neighbors found by a scan of every
 state, `reachable_states` the breadth-first closure the closed-form
 `LocalSearchMdp.reachable_states` must equal, and `sample_states` the
-state-by-state check of a `classify` sample that its one array pass must
-equal.  `onemax`, `leading_ones`, `trap`, `nk_landscape` and `maxsat` are
+states a `classify` sample sweeps, each checked alone and kept once.
+`onemax`, `leading_ones`, `trap`, `nk_landscape` and `maxsat` are
 the scalar objectives that each built-in batch objective must equal bit for
 bit, nk's tables drawn by numpy's own `default_rng`.  It shares no
 arithmetic with the library.  The balance series of the first H terms is

@@ -384,22 +384,57 @@ def test_rollout_move_tables_over_the_memory_budget_fail_before_any_mask(tmp_pat
     assert not out.exists()
 
 
+def counted_objective(monkeypatch, n):
+    """The sizes of the batch calls of a counting onemax n, which
+    `cli.parse_objective` now returns for every --objective."""
+    calls, onemax = [], parse_objective(f"onemax:n={n}")
+    counting = Objective(n, None, onemax.name, onemax.known_optimum,
+                         batch=lambda x: calls.append(x.size) or onemax.values(x))
+    monkeypatch.setattr(cli, "parse_objective", lambda descriptor: counting)
+    return calls
+
+
 @pytest.mark.parametrize("command, options", [
     ("classify", ["--policy", "hc"]), ("gamma", []), ("value", ["--policy", "walk"])])
 def test_exhaustive_move_tables_over_the_memory_budget_fail_before_any_mask(
         tmp_path, capsys, monkeypatch, command, options):
     # At hamming:6, onemax n=12 has 924 moves a state: a chunk of 4,096
-    # states has a 30 MB move table, over a 1 MiB budget.
+    # states has a 30 MB move table, over a 1 MiB budget.  The price comes
+    # before the landscape, so the objective is never called.
     monkeypatch.setattr(objectives, "MEMORY_BUDGET", 1 << 20)
+    calls = counted_objective(monkeypatch, 12)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a sweep over the budget built its masks")
 
     monkeypatch.setattr(search_space, "_hamming_masks", unreachable)
     out = tmp_path / "out"
-    assert run_cli([command, "--objective", "onemax:n=12", "--neighborhood", "hamming:6",
+    assert run_cli([command, "--objective", "counted", "--neighborhood", "hamming:6",
                     *options, "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget, options, code, message", [
+    (None, ["--policy", "hc", "--start", "99999"], 1, "state 99999 out of range [0, 2**12)"),
+    (None, ["--policy", "hc", "--start", "-1"], 1, "state -1 out of range [0, 2**12)"),
+    (None, ["--t-max", "-1"], 1, "t_max must be >= 0, got -1"),
+    # The sweep's price, 1.8 MB, fits 4 MiB; the trace's, 9.6 MB, does not.
+    (4 << 20, ["--policy", "walk", "--start", "0", "--t-max", "100000"], 3,
+     "trace of 100001 states"),
+], ids=["start-past-the-space", "negative-start", "negative-t-max", "trace-over-the-budget"])
+def test_refused_gamma_evaluates_nothing(tmp_path, capsys, monkeypatch, budget, options, code,
+                                         message):
+    # gamma checks its options, then the cap, then the prices of its sweep
+    # and trace, and only then builds the landscape.
+    if budget is not None:
+        monkeypatch.setattr(objectives, "MEMORY_BUDGET", budget)
+    calls = counted_objective(monkeypatch, 12)
+    out = tmp_path / "out"
+    assert run_cli(["gamma", "--objective", "counted", *options, "--out", out]) == code
+    assert message in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

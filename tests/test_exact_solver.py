@@ -138,6 +138,23 @@ class TestMemoryBudget:
         assert calls == []
         assert not out.exists()
 
+    def test_freeze_checks_its_time_before_any_evaluation(self):
+        calls, objective = self.counting(12)
+        with pytest.raises(ValueError, match="time index must be >= 0, got -1"):
+            freeze(HillClimbing(), LocalSearchMdp(objective), -1)
+        assert calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda mdp: value_iteration(mdp, 2.0),
+        lambda mdp: evaluate_nonstationary(HillClimbing(), mdp, -1, 0.9),
+    ], ids=["value_iteration", "evaluate_nonstationary"])
+    def test_arguments_are_checked_before_the_price(self, solve):
+        # At n=22 the table is over the budget, but the bad argument is named.
+        calls, objective = self.counting(22)
+        with pytest.raises(ValueError):
+            solve(LocalSearchMdp(objective))
+        assert calls == []
+
     def test_budget_edges(self):
         # The prices alone: table solves reach the exhaustive cap n = 20 under
         # hamming:1, dense solves stop at n = 13.  A solve its price lets

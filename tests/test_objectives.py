@@ -9,7 +9,23 @@ from lsmdp.objectives import (CnfInstance, DimacsParseError, cnf_objective,
                               cnf_to_dimacs, load_dimacs, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap,
                               parse_objective)
-from lsmdp.search_space import ResourceLimitError
+from lsmdp.search_space import HammingNeighborhood, ResourceLimitError
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_onemax(True),
+    lambda: make_leading_ones(True),
+    lambda: make_trap(4, True),
+    lambda: make_trap(True, True),
+    lambda: make_nk_landscape(4, False, 1),
+    lambda: make_nk_landscape(True, 0, 1),
+    lambda: HammingNeighborhood(True),
+    lambda: CnfInstance(True, ((1,),)),
+], ids=["onemax", "leading_ones", "trap-k", "trap-n", "nk-k", "nk-n", "hamming", "cnf"])
+def test_a_bool_is_no_size(build):
+    # True == 1 and False == 0, but a size is an int, not a flag.
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestOneMax:

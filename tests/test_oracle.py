@@ -792,11 +792,18 @@ def test_sample_pass_equals_the_state_by_state_check(case):
     n, sample = case
     mdp = LocalSearchMdp(make_onemax(n))
     try:
-        expected = reference.sample_states(mdp, sample)
+        expected = [mdp.check_state(i) for i in sample]
     except (ValueError, TypeError) as error:
         with pytest.raises(type(error)) as raised:
-            coefficients._sample(mdp, sample)
+            mdp.check_states(sample)
         assert str(raised.value) == str(error)
         return
-    swept = coefficients._sample(mdp, sample)
-    assert swept.dtype == np.int64 and swept.tolist() == expected
+    states = mdp.check_states(sample)
+    assert states.dtype == np.int64 and states.tolist() == expected
+
+
+@pytest.mark.parametrize("sample", [[5, 3, 5, 0, 3], np.array([5, 3, 5, 0, 3], dtype=np.uint8)])
+def test_classify_sweeps_a_sampled_state_once(sample):
+    mdp = LocalSearchMdp(make_onemax(4))
+    report = classify(parse_policy("hc"), mdp, states=sample)
+    assert report.states == reference.sample_states(mdp, sample) == [5, 3, 0]

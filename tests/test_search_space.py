@@ -161,8 +161,9 @@ def test_exhaustive_symmetry_up_to_twelve_bits():
     lambda mdp: count_fractions(mdp, True),
     lambda mdp: run_trajectory(HillClimbing(), mdp, True, 3, 0),
     lambda mdp: simulate_batch(HillClimbing(), mdp, True, 3, 2, 0),
+    lambda mdp: mdp.move_gains([True, 3]),
 ], ids=["value", "neighbors", "reachable_states", "classify", "balance_series",
-        "count_fractions", "run_trajectory", "simulate_batch"])
+        "count_fractions", "run_trajectory", "simulate_batch", "move_gains"])
 def test_a_bool_is_no_state(onemax3, entry):
     # True == 1, but a state is an int, not a flag.
     with pytest.raises(ValueError):
