@@ -22,7 +22,7 @@ from .coefficients import (BalanceSeries, Classification, CoefficientReport,
                            balance_series, classify, convergence_coefficient,
                            convergence_trace, count_fractions, decomposition_residual,
                            exploration_masses, exploration_ratio, gamma_from_counts,
-                           improving, improving_counts)
+                           improving, improving_counts, improving_sweep)
 from .exact_solver import (PolicyMatrices, ValueVector, enumerate_trajectories,
                            evaluate_nonstationary, evaluate_stationary,
                            evaluate_stationary_table, freeze, value_iteration)

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (SWEEP_CHUNK, classify, convergence_trace, extended_ratio,
-                           improving_counts, price_trace)
+from .coefficients import (classify, convergence_trace, extended_ratio, improving_sweep,
+                           price_trace)
 from .exact_solver import evaluate_nonstationary, evaluate_stationary_table, value_iteration
-from .objectives import check_at_least, check_memory, parse_objective
+from .objectives import check_at_least, parse_objective
 from .policies import parse_policy
 from .search_space import LocalSearchMdp, ResourceLimitError, parse_criterion
 from .serialize import (Table, atomic_write, atomic_write_text, csv_fragments, dumps_json_line,
@@ -245,21 +245,14 @@ def cmd_gamma(resolved, formats) -> int:
     mdp = _build_mdp(resolved)
     start = mdp.check_state(_int_opt(resolved, "start")) if resolved["start"] else None
     mdp.check_exhaustive()
-    # A chunk's table at 4 words an entry (no kernel reads it), and 8 words a state.
-    size, moves = mdp.num_states, mdp.degree
-    check_memory(f"gamma of {size} states of {moves} moves", masks=moves,
-                 words=4 * min(size, SWEEP_CHUNK) * moves + 8 * size)
     if start is not None:
         price_trace(mdp, t_max)
-    f = mdp.landscape  # the trace's steps and the sweep read it
-    trace = None if start is None else convergence_trace(policy, mdp, start, t_max,
-                                                           Uniforms(seed))
-    chunks = (np.arange(lo, min(lo + SWEEP_CHUNK, size)) for lo in range(0, size, SWEEP_CHUNK))
-    ups = np.concatenate([improving_counts(mdp.move_gains(chunk)[1]) for chunk in chunks])
-    local_max = (ups == 0).tolist()
-    table = Table({"f": f, "improving": ups, "non_improving": moves - ups,
-                   "gamma": extended_ratio(ups, moves - ups),
-                   "local_max": local_max}, keys=range(size))
+    ups = improving_sweep(mdp)  # its price, then the landscape the trace's steps read
+    trace = None if start is None else convergence_trace(policy, mdp, start, t_max, Uniforms(seed))
+    local_max, downs = (ups == 0).tolist(), mdp.degree - ups
+    table = Table({"f": mdp.landscape, "improving": ups, "non_improving": downs,
+                   "gamma": extended_ratio(ups, downs), "local_max": local_max},
+                  keys=range(mdp.num_states))
     outdir = _outdir(resolved)
     header = ("state", "f", "improving", "non_improving", "gamma", "local_max")
     if "csv" in formats:
@@ -274,7 +267,7 @@ def cmd_gamma(resolved, formats) -> int:
             atomic_write(outdir / "trace.csv", csv_fragments(("t", "state", "gamma"), steps))
         print(f"trace first_zero={trace.first_zero}")
     else:
-        print(f"{sum(local_max)} local maxima over {size} states")
+        print(f"{sum(local_max)} local maxima over {mdp.num_states} states")
     if "json" in formats:
         atomic_write(outdir / "gamma.json", json_fragments(payload))
     _write_manifest(outdir, "gamma", resolved)
@@ -363,10 +356,13 @@ def _write_sim_outputs(outdir, formats, named_runs, emit):
 
 
 def cmd_rollouts(resolved, formats) -> int:
-    """`simulate` (key `policy`) and `compare` (keys `policy_<i>`): every
-    option is checked before any trajectory runs."""
+    """`simulate` (key `policy`) and `compare` (keys `policy_<i>`): the numbers
+    are checked before the objective, the start before any trajectory runs."""
     single = "policy" in resolved
     descriptors = [value for key, value in resolved.items() if key.startswith("policy")]
+    horizon, seeds, base_seed, bucket_width = (
+        _int_opt(resolved, key) for key in ("horizon", "seeds", "base_seed", "bucket_width"))
+    check_rollout(horizon, seeds, bucket_width)
     mdp = _build_mdp(resolved)
     policies = [parse_policy(descriptor) for descriptor in descriptors]
     start_rule = resolved["start"]
@@ -375,9 +371,6 @@ def cmd_rollouts(resolved, formats) -> int:
             start_rule = int(start_rule)
         except ValueError:
             raise UsageError(f"start must be an int state or 'uniform', got {start_rule!r}") from None
-    horizon, seeds, base_seed, bucket_width = (
-        _int_opt(resolved, key) for key in ("horizon", "seeds", "base_seed", "bucket_width"))
-    check_rollout(mdp, start_rule, horizon, bucket_width)
     emit = resolved["emit_trajectories"] == "true"
     batches = simulate_batches(policies, mdp, start_rule, horizon, seeds, base_seed,
                                keep_steps=emit)

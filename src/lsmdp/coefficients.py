@@ -12,7 +12,7 @@ Derived quantities:
 * count fractions  alpha = |non-improving| / |all moves|,
                    beta  = |improving| / |all moves|   (exact rationals);
 * convergence coefficient  gamma = |improving| / |non-improving|, which is 0
-  exactly at local maxima;
+  exactly at local maxima (`improving_sweep` counts every state's moves);
 * balance ratio  = exploration mass / exploitation mass at (state, t), and
   its time series whose summability classifies a policy as
   exploitation-oriented, balanced, or exploration-oriented.  Each series is
@@ -40,7 +40,7 @@ from .search_space import EXHAUSTIVE_CAP, LocalSearchMdp
 from .serialize import Table
 from .streams import DRAW_BLOCK
 
-# States per move-gain table in `classify`, and trajectories per lockstep
+# States per move-gain table in the sweeps, and trajectories per lockstep
 # batch in the simulator: memory O(chunk * (d + horizon)).
 SWEEP_CHUNK = 1 << 12
 
@@ -354,6 +354,19 @@ class CoefficientReport:
             "inconclusive_states": self.inconclusive_states,
             "states": self.table(),
         }
+
+
+def improving_sweep(mdp: LocalSearchMdp) -> np.ndarray:
+    """The improving-move count of every state, by move-gain tables of
+    `SWEEP_CHUNK` states: the cap, then the price (a chunk's table at 4 words
+    an entry, which no kernel reads, and 8 words a state), then the landscape."""
+    mdp.check_exhaustive()
+    size, d = mdp.num_states, mdp.degree
+    check_memory(f"gamma of {size} states of {d} moves", masks=d,
+                 words=4 * min(size, SWEEP_CHUNK) * d + 8 * size)
+    mdp.landscape  # every chunk's table reads it
+    chunks = (np.arange(lo, min(lo + SWEEP_CHUNK, size)) for lo in range(0, size, SWEEP_CHUNK))
+    return np.concatenate([improving_counts(mdp.move_gains(chunk)[1]) for chunk in chunks])
 
 
 def classify(policy: Policy, mdp: LocalSearchMdp,

@@ -1,8 +1,8 @@
 """Exact policy evaluation and optimal values on the move-gain table, with no
 N x N matrix: a stationary sweep to its contraction bound, finite-horizon
 backward induction and value iteration.  Dense `freeze`/`evaluate_stationary`
-remain as the small-n oracle; every solver checks its arguments, then a byte
-estimate against `objectives.MEMORY_BUDGET`, before it reads the landscape."""
+remain as the small-n oracle.  Every solver checks its arguments, then gets
+its table from one gate, `_table`: the cap, its price, then the landscape."""
 
 from __future__ import annotations
 
@@ -19,13 +19,15 @@ ENUMERATION_LEAF_CAP = 10_000_000
 STATIONARY_TOLERANCE = 2.0**-52  # relative sup-norm error of a table evaluation
 
 
-def _check_solve(mdp: LocalSearchMdp, dense: bool = False) -> None:
-    """Price a solve before the landscape is read, so a refused one evaluates
-    nothing: the [N, d] table and the kernel's probabilities, eight N-vectors
-    and, if dense, three N x N matrices (P, then I - discount * P)."""
+def _table(mdp: LocalSearchMdp, what: str, kernel: bool = True, dense: bool = False):
+    """The move-gain table of every state, once the exhaustive cap and the price
+    pass: the [N, d] table, eight N-vectors, a kernel's probabilities if one
+    reads it and, if dense, three N x N matrices (P, then I - discount * P)."""
+    mdp.check_exhaustive()
     size, d = mdp.num_states, mdp.degree
-    check_memory(f"{'dense' if dense else 'table'} solve at n={mdp.n}", entries=size * d,
-                 masks=d, words=size * (d + 8 + (3 * size if dense else 0)))
+    check_memory(f"{what} at n={mdp.n}", entries=size * d, masks=d,
+                 words=size * ((d if kernel else 0) + 8 + (3 * size if dense else 0)))
+    return mdp.move_gains()
 
 
 @dataclass
@@ -53,8 +55,7 @@ def _backup(p, stay, r, nbr: np.ndarray, v: np.ndarray, discount: float) -> np.n
 def freeze(policy: Policy, mdp: LocalSearchMdp, t: int = 0) -> PolicyMatrices:
     """The policy's kernel applied to the move-gain table of every state."""
     check_at_least("time index", t)
-    _check_solve(mdp, dense=True)
-    nbr, gain, reached = mdp.move_gains()
+    nbr, gain, reached = _table(mdp, "dense solve", dense=True)
     p, stay, r = _transitions(policy, gain, reached, t)
     P = np.zeros((mdp.num_states, mdp.num_states))
     np.put_along_axis(P, nbr, p, axis=1)
@@ -110,8 +111,7 @@ def evaluate_stationary_table(policy: Policy, mdp: LocalSearchMdp,
         raise ValueError("the table sweep evaluates stationary policies only")
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
-    _check_solve(mdp)
-    nbr, gain, reached = mdp.move_gains()
+    nbr, gain, reached = _table(mdp, "table solve")
     frozen = _transitions(policy, gain, reached, 0)
     v = np.zeros(mdp.num_states)
     limit = math.ceil(math.log(STATIONARY_TOLERANCE) / math.log(discount)) if discount else 1
@@ -134,8 +134,7 @@ def evaluate_nonstationary(policy: Policy, mdp: LocalSearchMdp, horizon: int,
     check_at_least("horizon", horizon)
     if not 0.0 <= discount <= 1.0:
         raise ValueError(f"discount must lie in [0, 1], got {discount!r}")
-    _check_solve(mdp)
-    nbr, gain, reached = mdp.move_gains()
+    nbr, gain, reached = _table(mdp, "table solve")
     v = np.zeros(mdp.num_states)
     frozen = _transitions(policy, gain, reached, 0) if policy.stationary else None
     for t in reversed(range(horizon)):
@@ -158,10 +157,7 @@ def value_iteration(mdp: LocalSearchMdp, discount: float,
         raise ValueError(f"value iteration needs discount in (0, 1), got {discount!r}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    # No kernel: the table and its backup's temporaries, and eight N-vectors.
-    size, d = mdp.num_states, mdp.degree
-    check_memory(f"value iteration at n={mdp.n}", entries=size * d, masks=d, words=8 * size)
-    nbr, gain, _ = mdp.move_gains()
+    nbr, gain = _table(mdp, "value iteration", kernel=False)[:2]
     v = np.zeros(mdp.num_states)
     threshold = tolerance * (1.0 - discount) / discount
     for _ in range(1_000_000):

@@ -32,7 +32,9 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_at_least(name: str, value, low: int = 0) -> None:
-    """ValueError naming `name` unless `value` >= `low`."""
+    """ValueError naming `name` unless `value` >= `low`; a bool is no count."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
@@ -144,7 +146,7 @@ def make_nk_landscape(n: int, k: int, seed: int) -> Objective:
     _check_bits(n)
     if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= n - 1:
         raise ValueError(f"epistasis k={k!r} must lie in [0, n-1] for n={n}")
-    if seed < 0:  # the entropy of numpy's SeedSequence
+    if isinstance(seed, bool) or seed < 0:  # the entropy of numpy's SeedSequence
         raise ValueError(f"nk:n={n},k={k},seed={seed}: the seed must be non-negative")
     check_memory(f"nk lookup tables at n={n}, k={k}", draws=n << (k + 1))
     tables = Streams(seed).random(n << (k + 1)).reshape(n, 1 << (k + 1))

@@ -146,13 +146,12 @@ def _empty_steps(count: int, horizon: int) -> Steps:
                  np.zeros((count, horizon)), np.zeros(count, dtype=np.int64))
 
 
-def check_rollout(mdp: LocalSearchMdp, start_rule, horizon: int, bucket_width: int = 1) -> None:
-    """Raise ValueError for rollout options that no batch can run, whatever
-    its size."""
+def check_rollout(horizon: int, num_trajectories: int = 0, bucket_width: int = 1) -> None:
+    """Raise ValueError for rollout numbers that no batch can run, before
+    the objective is built or read."""
     check_at_least("horizon", horizon)
     check_at_least("bucket width", bucket_width, 1)
-    if start_rule != "uniform":
-        mdp.check_state(start_rule)
+    check_at_least("num_trajectories", num_trajectories)
 
 
 def _check_run(mdp: LocalSearchMdp, rows: int, horizon: int, keep_steps: bool,
@@ -181,8 +180,9 @@ def simulate_batches(policies, mdp: LocalSearchMdp, start_rule, horizon: int,
     for its policy alone.  The options are checked before any trajectory
     runs; per-step arrays are kept only with `keep_steps`.
     """
-    check_rollout(mdp, start_rule, horizon)
-    check_at_least("num_trajectories", num_trajectories)
+    check_rollout(horizon, num_trajectories)
+    if start_rule != "uniform":
+        mdp.check_state(start_rule)
     policies = list(policies)
     _check_run(mdp, len(policies) * num_trajectories, horizon, keep_steps,
                num_trajectories * (horizon + 1))  # a summary's sorted copy of one policy's bests
@@ -453,6 +453,6 @@ def summarize_records(batch: Rollouts, bucket_width: int = 1,
 def run_batch(policy: Policy, mdp: LocalSearchMdp, start_rule, horizon: int,
               num_trajectories: int, base_seed: int, bucket_width: int = 1) -> RunSummary:
     """simulate_batch + summarize_records in one call."""
-    check_rollout(mdp, start_rule, horizon, bucket_width)
+    check_rollout(horizon, num_trajectories, bucket_width)
     batch = simulate_batch(policy, mdp, start_rule, horizon, num_trajectories, base_seed)
     return summarize_records(batch, bucket_width, mdp.objective.known_optimum)

@@ -223,6 +223,23 @@ def test_bad_rollout_options_fail_before_any_output(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--objective", "maxsat:path=/nonexistent.cnf", "--policy", "walk",
+      "--horizon", "-1"], "horizon must be >= 0, got -1"),
+    (["simulate", "--objective", "nk:n=30,k=29,seed=1", "--policy", "walk",
+      "--bucket-width", "0"], "bucket width must be >= 1, got 0"),
+    (["compare", "--objective", "nk:n=30,k=29,seed=1", "--policy", "walk", "--seeds", "-1"],
+     "num_trajectories must be >= 0, got -1"),
+], ids=["missing-file", "nk-tables-bucket-width", "nk-tables-seeds"])
+def test_rollout_numbers_are_checked_before_the_objective(tmp_path, capsys, argv, message):
+    # As in classify and value: a bad number exits 1 naming itself, before a
+    # missing file is read or nk's tables (240 GiB at k=29) are priced.
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, policies", [
     ("classify", ["--policy", "hc"]), ("gamma", []), ("value", ["--policy", "hc"]),
     ("simulate", ["--policy", "walk"]), ("compare", ["--policy", "walk", "--policy", "hc"])])
@@ -412,6 +429,18 @@ def test_exhaustive_move_tables_over_the_memory_budget_fail_before_any_mask(
     assert run_cli([command, "--objective", "counted", "--neighborhood", "hamming:6",
                     *options, "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["walk", "sa:T0=10,rate=0.9"])
+def test_value_past_the_cap_names_it(tmp_path, capsys, monkeypatch, policy):
+    # Every exact solve checks the exhaustive cap before its price, so value
+    # names the cap that classify and gamma name, and evaluates no state.
+    calls = counted_objective(monkeypatch, 21)
+    out = tmp_path / "out"
+    assert run_cli(["value", "--objective", "counted", "--policy", policy, "--out", out]) == 3
+    assert capsys.readouterr().err == "error: exhaustive sweep is capped at n <= 20 (got n=21)\n"
     assert calls == []
     assert not out.exists()
 

@@ -14,8 +14,9 @@ from lsmdp.coefficients import (CONVERGED, DEGENERATE, DIVERGING, INCONCLUSIVE, 
                                 UndefinedCoefficientError, balance_series, classify,
                                 convergence_coefficient, convergence_trace, count_fractions,
                                 decomposition_residual, exploration_masses,
-                                exploration_ratio, improving)
-from lsmdp.objectives import Objective, make_leading_ones, make_onemax
+                                exploration_ratio, improving, improving_counts,
+                                improving_sweep)
+from lsmdp.objectives import Objective, make_leading_ones, make_onemax, parse_objective
 from lsmdp.policies import (HillClimbing, Metropolis, RandomWalk,
                             SimulatedAnnealing)
 from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
@@ -100,6 +101,17 @@ class TestConvergenceCoefficient:
             for i in range(256):
                 brute_local_max = all(mdp.value(j) <= mdp.value(i) for j in mdp.neighbors(i))
                 assert (convergence_coefficient(mdp, i) == 0.0) == brute_local_max
+
+
+class TestImprovingSweep:
+    @pytest.mark.parametrize("descriptor", ["onemax:n=9", "trap:n=10,k=5", "leading_ones:n=8",
+                                            "nk:n=10,k=3,seed=2"])
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, coefficients.SWEEP_CHUNK])
+    def test_equals_the_counts_of_the_whole_table(self, monkeypatch, descriptor, distance, chunk):
+        monkeypatch.setattr(coefficients, "SWEEP_CHUNK", chunk)
+        mdp = LocalSearchMdp(parse_objective(descriptor), HammingNeighborhood(distance))
+        np.testing.assert_array_equal(improving_sweep(mdp), improving_counts(mdp.move_gains()[1]))
 
 
 class TestConvergenceTrace:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsmdp import cli
-from lsmdp.coefficients import classify
+from lsmdp.coefficients import classify, improving_sweep
 from lsmdp.exact_solver import (enumerate_trajectories, evaluate_nonstationary,
                                 evaluate_stationary, evaluate_stationary_table, freeze,
                                 value_iteration)
@@ -112,7 +112,9 @@ class TestMemoryBudget:
         lambda mdp: evaluate_stationary_table(RandomWalk(), mdp, 0.9),
         lambda mdp: evaluate_nonstationary(SimulatedAnnealing(1.0, 0.5), mdp, 3, 0.9),
         lambda mdp: value_iteration(mdp, 0.9),
+        lambda mdp: freeze(HillClimbing(), mdp),
         lambda mdp: classify(HillClimbing(), mdp),
+        improving_sweep,
     ])
     def test_exhaustive_cap_refuses_before_any_evaluation(self, solve):
         # hamming:21 has one move per state, so the table solves fit the

@@ -94,7 +94,7 @@ def test_the_price_bounds_the_peak(tmp_path, monkeypatch, path):
         priced.append(price(what, **shapes))
         return priced[-1]
 
-    for module in (objectives, search_space, coefficients, exact_solver, simulator, cli):
+    for module in (objectives, search_space, coefficients, exact_solver, simulator):
         monkeypatch.setattr(module, "check_memory", check_memory)
     run = PATHS[path](tmp_path / "out")
     priced.clear()

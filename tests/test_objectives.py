@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lsmdp.coefficients import classify, convergence_trace
+from lsmdp.exact_solver import evaluate_nonstationary, freeze
 from lsmdp.objectives import (CnfInstance, DimacsParseError, cnf_objective,
                               cnf_to_dimacs, load_dimacs, make_leading_ones,
                               make_nk_landscape, make_onemax, make_trap,
                               parse_objective)
-from lsmdp.search_space import HammingNeighborhood, ResourceLimitError
+from lsmdp.policies import HillClimbing
+from lsmdp.search_space import HammingNeighborhood, LocalSearchMdp, ResourceLimitError
+from lsmdp.simulator import run_batch, simulate_batch
+from lsmdp.streams import Uniforms
 
 
 @pytest.mark.parametrize("build", [
@@ -26,6 +31,27 @@ def test_a_bool_is_no_size(build):
     # True == 1 and False == 0, but a size is an int, not a flag.
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda mdp: classify(HillClimbing(), mdp, horizon=True), "horizon must be an int"),
+    (lambda mdp: freeze(HillClimbing(), mdp, True), "time index must be an int"),
+    (lambda mdp: evaluate_nonstationary(HillClimbing(), mdp, True, 0.9), "horizon must be an int"),
+    (lambda mdp: convergence_trace(HillClimbing(), mdp, 0, True, Uniforms(0)),
+     "t_max must be an int"),
+    (lambda mdp: simulate_batch(HillClimbing(), mdp, 0, 3, True, 0), "num_trajectories must be an"),
+    (lambda mdp: simulate_batch(HillClimbing(), mdp, 0, True, 2, 0), "horizon must be an int"),
+    (lambda mdp: run_batch(HillClimbing(), mdp, 0, 3, 2, 0, bucket_width=True),
+     "bucket width must be an int"),
+    (lambda mdp: HillClimbing().action_distribution(mdp, 0, True), "time index must be an"),
+    (lambda mdp: make_nk_landscape(4, 1, True), "seed=True"),
+], ids=["classify-horizon", "freeze-time", "nonstationary-horizon", "trace-t_max",
+        "batch-seeds", "batch-horizon", "run_batch-bucket_width", "action-time", "nk-seed"])
+def test_a_bool_is_no_count(run, match):
+    # A count, a time or a seed is an int, not a flag: refused with ValueError
+    # before any work, where True passed as 1.
+    with pytest.raises(ValueError, match=match):
+        run(LocalSearchMdp(make_onemax(4)))
 
 
 class TestOneMax:
